@@ -327,8 +327,6 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if "NEEDLE_THREADS" in os.environ:
-        args.threads = int(os.environ["NEEDLE_THREADS"])
     try:
         return args.func(args)
     except NeedleError as exc:

@@ -11,11 +11,15 @@ Whatever the engine, the dual potential is re-derived: seed values from
 the engine are tightened by Bellman-Ford relaxation of the difference
 constraints  phi(x) - phi(y) <= d(x,y)  plus saturation equalities on the
 plan support, then extended to unmoved points by infimal convolution with
-the distance cones. The result is 1-Lipschitz to machine precision and
-saturates every support pair up to the recorded `support_residual`
-(zero except on near-degenerate instances whose engine vertex is
-marginally suboptimal), so strong duality holds with no solver tolerance
-in the loop.
+the distance cones. Relaxation runs over a sparse active set of
+constraints (support pairs and nearest neighbours), a blocked dense check
+adds every violated constraint until none is left, and an attempt fails
+only on a proven negative cycle, so which slack margin is accepted
+depends on the instance alone, not on the seed or a pass budget. The
+result is 1-Lipschitz to machine precision and saturates every support
+pair up to the recorded `support_residual` (zero except on
+near-degenerate instances whose engine vertex is marginally suboptimal),
+so strong duality holds with no solver tolerance in the loop.
 """
 
 from __future__ import annotations
@@ -51,6 +55,9 @@ class W1Solution:
     engine: str = "unknown"
     slack_floor: float = 0.0        # guaranteed saturation slack of non-support pairs
     support_residual: float = 0.0   # measured max saturation slack over plan pairs
+    # potential tightening record: equality slack and every relaxation attempt
+    # (see _tighten_potential); empty when the engine needs no tightening
+    tightening: dict = dataclasses.field(default_factory=dict)
 
     @property
     def dual_value(self) -> float:
@@ -69,6 +76,7 @@ class W1Solution:
                 "duality_gap": self.duality_gap,
             },
             "engine": self.engine,
+            "tightening": self.tightening,
         }
 
 
@@ -316,19 +324,137 @@ def _engine_ssp(D_sub, a, b):
     return pairs, np.array(masses), seed, "ssp"
 
 
-def _bellman_max(W, seed, max_passes, atol):
-    """Pointwise-maximal solution of c_i - c_j <= W[j, i] below `seed` by
-    parallel relaxation; (None, passes) when improvements above `atol`
-    persist past the cap (negative cycle, or cap too small). The absolute
-    stop tolerance absorbs exact-zero cycles that float rounding turns
-    into 1e-16-rate descent."""
-    c = seed.copy()
-    for k in range(max_passes):
-        c2 = np.minimum(c, (c[:, None] + W).min(axis=0))
+_KNN = 8            # nearest moved neighbours per point in the starting edge set
+_BLOCK = 1 << 18    # matrix entries per block of the dense verification
+_CYCLE_CHECK = 16   # relaxation passes between negative-cycle checks
+
+
+def _relax(c, src, dst, w, starts, atol):
+    """Jacobi Bellman-Ford for  c[dst] <= c[src] + w  over an edge list
+    sorted by target (`starts` indexes each target's first edge).
+
+    Returns the maximal solution below `c` and the passes taken, or None
+    once a negative cycle is proven. Every _CYCLE_CHECK passes, each point
+    lowered in that pass points at its tight in-edge (pointers persist
+    between checks); a pointer cycle whose weight is below -atol is a
+    negative cycle. Otherwise values still dropping by more than `atol`
+    after m + 1 passes prove one, since shortest walks would need more
+    than m edges. The absolute tolerance absorbs exact-zero cycles that
+    float rounding turns into 1e-16-rate descent."""
+    m = len(c)
+    edge = np.full(m, -1)
+    for k in range(1, m + 2):
+        vals = c[src] + w
+        best = np.minimum.reduceat(vals, starts)
+        c2 = np.minimum(c, best)
         if (c - c2).max() <= atol:
-            return c2, k + 1
+            return c2, k
+        if k % _CYCLE_CHECK == 0:
+            e = np.flatnonzero((vals == best[dst]) & (c2 < c)[dst])
+            edge[dst[e]] = e
+            if _parent_cycle_weight(edge, src, w) < -atol:
+                return None, k
         c = c2
-    return None, max_passes
+    return None, m + 1
+
+
+def _parent_cycle_weight(edge, src, w):
+    """Least weight of a cycle in the pointer graph x <- src[edge[x]]
+    (edge -1: no pointer), or 0.0 when it has none."""
+    m = len(edge)
+    pred = np.where(edge >= 0, src[edge], -1)
+    far = pred
+    for _ in range(m.bit_length()):      # far = pred^(2^b), 2^b > m
+        far = np.where(far >= 0, far[far], -1)
+    seen = np.zeros(m, dtype=bool)
+    worst = 0.0
+    for x in np.unique(far[far >= 0]):   # one point on each cycle, or more
+        weight = 0.0
+        while not seen[x]:
+            seen[x] = True
+            weight += w[edge[x]]
+            x = pred[x]
+        worst = min(worst, weight)
+    return worst
+
+
+class _ActiveSet:
+    """Difference constraints  c_i - c_j <= W[j, i]  on the m moved points,
+    relaxed over a growing subset of the m^2 edges j -> i.
+
+    W[j, i] = Dm[j, i] - t, except on the exempt pairs (the diagonal and
+    both directions of every support pair), where it is Dm[j, i], lowered
+    to -Dm[x, y] + eq on each support edge x -> y (saturation). The set
+    starts with the exempt edges and each point's _KNN nearest non-exempt
+    neighbours in both directions; it only grows, since every extra edge
+    is a constraint of the full system, and serves every (t, eq) attempt.
+    """
+
+    def __init__(self, Dm, pairs_local):
+        m = len(Dm)
+        x, y = pairs_local[:, 0], pairs_local[:, 1]
+        self.Dm, self.n_sat = Dm, len(x)
+        self.exempt = np.eye(m, dtype=bool)
+        self.exempt[x, y] = self.exempt[y, x] = True
+        k = min(_KNN, m - 1)
+        near = []                            # edge keys j * m + i
+        for lo, hi in self._blocks():
+            d = np.where(self.exempt[lo:hi], np.inf, Dm[lo:hi])
+            i = np.repeat(np.arange(lo, hi), k)
+            j = np.argpartition(d, k - 1, axis=1)[:, :k].ravel()
+            ok = np.isfinite(d[i - lo, j])
+            near += [i[ok] * m + j[ok], j[ok] * m + i[ok]]
+        near = np.unique(np.concatenate(near))
+        diag = np.arange(m)
+        self._set(np.concatenate([diag, x, y, near // m]), np.concatenate([diag, y, x, near % m]))
+    def _blocks(self):
+        m = len(self.Dm)
+        rows = max(1, _BLOCK // m)
+        return [(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
+
+    def _set(self, src, dst):
+        # edge order: m self-loops, the support edges x -> y, their
+        # reverses, then the deflated (non-exempt) edges
+        self.src, self.dst = src, dst
+        self.base = self.Dm[src, dst]
+        self.order = np.argsort(dst, kind="stable")
+        self.starts = np.searchsorted(dst[self.order], np.arange(len(self.Dm)))
+
+    def _violated(self, c, t, atol):
+        """Each target's best in-edge per row block, where it beats c by more than atol."""
+        srcs, dsts = [], []
+        for lo, hi in self._blocks():
+            B = c[lo:hi, None] + self.Dm[lo:hi]
+            B -= t
+            B[self.exempt[lo:hi]] = np.inf
+            hit = np.flatnonzero(B.min(axis=0) < c - atol)
+            srcs.append(lo + B[:, hit].argmin(axis=0))
+            dsts.append(hit)
+        return np.concatenate(srcs), np.concatenate(dsts)
+
+    def solve(self, t, eq, start, atol):
+        """Maximal solution below `start` at deflation margin t and
+        equality slack eq, or None when a negative cycle is proven.
+        Returns (values, record)."""
+        m, p = len(self.Dm), self.n_sat
+        c, passes, rounds = start, 0, 0
+        while True:
+            rounds += 1
+            w = self.base.copy()
+            w[m + 2 * p:] -= t
+            w[m:m + p] = np.minimum(w[m:m + p], eq - w[m:m + p])
+            o = self.order
+            c, k = _relax(c, self.src[o], self.dst[o], w[o], self.starts, atol)
+            passes += k
+            if c is None:
+                break
+            src, dst = self._violated(c, t, atol)
+            if len(src) == 0:
+                break
+            self._set(np.concatenate([self.src, src]), np.concatenate([self.dst, dst]))
+        record = {"margin": t, "eq": eq, "outcome": "negative-cycle" if c is None else "feasible",
+                  "passes": passes, "rounds": rounds, "active_edges": len(self.src)}
+        return c, record
 
 
 SLACK_LADDER = (1e-6, 1e-7, 1e-8, 1e-9, 3e-10)
@@ -339,65 +465,67 @@ def _tighten_potential(D, moved, pairs_local, seed):
 
     Difference constraints: c_p - c_q <= d(p,q) for all moved p,q, with
     equality enforced on support pairs. Optimality of the plan rules out
-    negative cycles, so relaxation reaches a feasible fixed point in at
-    most m passes.
+    negative cycles, so the maximal solution below the seed exists.
 
     The raw maximal solution rides a spanning tree of accidentally tight
     constraints (every Bellman fixed point has one active constraint per
     node), which downstream Gamma extraction would mistake for transport
-    pairs. A second run therefore deflates all non-support constraints by
-    a margin: support saturation stays (near-)exact while non-forced
+    pairs. Further attempts therefore deflate all non-support constraints
+    by a margin: support saturation stays (near-)exact while non-forced
     pairs keep slack at least the margin. Feasibility of the deflated
     system needs the margin below the instance's smallest mean
-    co-optimality gap, so a descending ladder is tried and the achieved
-    margin is returned (0.0 when every deflation fails; the undeflated
-    solution is then used).
+    co-optimality gap, so a descending ladder is tried and the largest
+    feasible margin is returned (0.0 when every deflation is infeasible;
+    the undeflated solution is then used).
 
     When the engine's plan is marginally suboptimal (near-degenerate
     exchange ties below its pivot tolerance), exact support equalities
     are themselves a negative cycle; the equality constraints are then
     relaxed along their own tiny ladder, trading up to `eq` saturation
-    slack on support pairs for feasibility. Returns (values, margin, eq).
+    slack on support pairs for feasibility.
+
+    Each attempt relaxes over a sparse active edge set (`_ActiveSet`),
+    then checks the full m x m system densely, in row blocks; violated
+    constraints join the set and relaxation resumes from the current
+    values, which stay above the full system's maximal solution. An
+    attempt is feasible once the dense check passes, and infeasible only
+    when relaxation on the active set proves a negative cycle, which is
+    a cycle of the full system too. Outcomes are thus properties of the
+    instance, not of the seed or of a pass budget.
+
+    Returns (values, margin, eq, rungs), where `rungs` records every
+    attempt, undeflated ones included: margin, eq, outcome
+    ("feasible" / "negative-cycle"), passes, rounds and active edges.
     """
     m = len(moved)
     if m == 0:
-        return np.zeros(0), 0.0, 0.0
+        return np.zeros(0), 0.0, 0.0, []
     seed = seed if seed is not None else np.zeros(m)
     scale = 1.0 + float(D.max())
-    Dm = D[np.ix_(moved, moved)]
-    exempt = np.zeros((m, m), dtype=bool)
-    np.fill_diagonal(exempt, True)
-    if len(pairs_local):
-        x, y = pairs_local[:, 0], pairs_local[:, 1]
-        exempt[x, y] = True
-        exempt[y, x] = True
-
+    active = _ActiveSet(D[np.ix_(moved, moved)], pairs_local)
     atol = 1e-13 * scale
+    rungs = []
 
-    def attempt(t, eq, cap):
-        W = np.where(exempt, Dm, Dm - t)
-        if len(pairs_local):
-            np.minimum.at(W, (pairs_local[:, 0], pairs_local[:, 1]),
-                          -Dm[pairs_local[:, 0], pairs_local[:, 1]] + eq)
-        return _bellman_max(W, seed, cap, atol)
+    def attempt(t, eq):
+        c, record = active.solve(t, eq, seed, atol)
+        rungs.append(record)
+        return c
 
-    c0 = None
     for eq_rel in (0.0, 1e-12, 1e-11, 1e-10):
         eq = eq_rel * scale
-        c0, passes0 = attempt(0.0, eq, m + 2)
+        c0 = attempt(0.0, eq)
         if c0 is not None:
             break
     if c0 is None:
-        raise SolverFailure("potential tightening did not converge (negative cycle?)")
-    cap = min(m + 2, 2 * passes0 + 64)
-    ladder = SLACK_LADDER if m <= 1200 else SLACK_LADDER[2:]
-    for rel in ladder:
+        raise SolverFailure("potential tightening found a negative cycle at every "
+                            "equality slack: the plan is not optimal")
+    for rel in SLACK_LADDER:
         if rel * scale <= 2 * eq:
             break
-        c, _ = attempt(rel * scale, eq, cap)
+        c = attempt(rel * scale, eq)
         if c is not None:
-            return c, rel * scale, eq
-    return c0, 0.0, eq
+            return c, rel * scale, eq, rungs
+    return c0, 0.0, eq, rungs
 
 
 def _check_probability(mu, n, name):
@@ -426,6 +554,7 @@ def solve_w1(space: MMSpace, mu0, mu1, engine: str = "auto") -> W1Solution:
         engine = "line"
 
     slack_floor = 0.0
+    tightening = {}
     if engine == "line":
         if space.line_coord is None:
             raise SolverFailure("line engine requires a 1D-embeddable metric")
@@ -456,7 +585,8 @@ def solve_w1(space: MMSpace, mu0, mu1, engine: str = "auto") -> W1Solution:
                 loc_pairs, loc_mass, seed, tag = _engine_highs_generated(D_sub, a, d)
             moved = np.concatenate([src, snk])
             support_local = np.stack([loc_pairs[:, 0], S + loc_pairs[:, 1]], axis=1)
-            c, slack_floor, _eq = _tighten_potential(D, moved, support_local, seed)
+            c, slack_floor, eq, rungs = _tighten_potential(D, moved, support_local, seed)
+            tightening = {"eq": eq, "rungs": rungs}
             if len(moved):
                 hi = (c[None, :] + D[:, moved]).min(axis=1)
                 lo = (c[None, :] - D[:, moved]).max(axis=1)
@@ -489,7 +619,7 @@ def solve_w1(space: MMSpace, mu0, mu1, engine: str = "auto") -> W1Solution:
         support_residual = 0.0
     sol = W1Solution(pairs, np.asarray(masses, dtype=float), primal, phi, lip, gap,
                      mu0, mu1, engine=tag, slack_floor=slack_floor,
-                     support_residual=support_residual)
+                     support_residual=support_residual, tightening=tightening)
     _check_marginals(sol, n)
     return sol
 

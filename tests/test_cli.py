@@ -118,3 +118,20 @@ def test_marginals_keyed_by_point_id(interval_spec, tmp_path):
                      "--marginals", str(marg), "--out", out]) == 0
     rep = json.load(open(out))
     assert rep["w1"]["primal_value"] > 3.0   # nearly the full interval length
+
+
+def test_explicit_threads_flag_beats_environment(interval_spec, tmp_path, monkeypatch):
+    seen = []
+    serial = cli._pmap
+
+    def record(fn, items, threads):
+        seen.append(threads)
+        return serial(fn, items, threads)
+
+    monkeypatch.setattr(cli, "_pmap", record)
+    monkeypatch.setenv("NEEDLE_THREADS", "3")
+    out = str(tmp_path / "p.json")
+    argv = ["profile", "--space", interval_spec, "--v-grid", "0.5", "--out", out]
+    assert cli.main(argv + ["--threads", "1"]) == 0
+    assert cli.main(argv) == 0
+    assert seen == [1, 3]

@@ -299,3 +299,18 @@ def test_sigma_tau_high_precision_sweep():
                                * mpmath.mpf(s) ** ((N - 1) / mpmath.mpf(N)))
                     assert cv.tau(K, N, t, th) == pytest.approx(float(ref_tau),
                                                                 rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_interval_model_full_domain_triple(seed):
+    # h(pi) is the model's exact zero; the rounded sin(pi) = 1.2e-16 would
+    # multiply sigma = +inf on the triple spanning all of [0, pi]
+    dens = ms.model_density(1.0, 2.0, np.pi, 2000)
+    assert dens.values[0] == 0.0 and dens.values[-1] == 0.0
+    n = len(dens.grid)
+    span = [(dens.grid[0], dens.grid[-1], ((n - 1) // 2) / (n - 1))]
+    tri = cv.sample_triples(dens.grid, 20_000, np.random.default_rng(seed))
+    assert cv.cd_density_check(dens, 1.0, 2.0, np.vstack([tri, span])).verdict
+    flat = ms.model_density(0.0, 2.0, 1.0, 2000)
+    tri = cv.sample_triples(flat.grid, 20_000, np.random.default_rng(seed))
+    assert not cv.cd_density_check(flat, 1.0, 2.0, tri).verdict

@@ -217,7 +217,7 @@ def test_duality_certificate_fields():
     assert sol.lipschitz_residual <= 1e-9 * sp.max_distance
     assert sol.potential.min() == 0.0
     data = sol.to_json()
-    assert set(data) >= {"plan", "potential", "primal_value", "residuals"}
+    assert set(data) >= {"plan", "potential", "primal_value", "residuals", "tightening"}
 
 
 def test_bad_certificate_rejected():
@@ -293,3 +293,121 @@ def test_near_line_metric_not_line_dispatched():
     sol = w1.solve_w1(sp, mu0, mu1)
     assert sol.engine != "line"
     assert sol.duality_gap <= 1e-9 * (1 + sol.primal_value)
+
+
+def _bellman_max(W, seed, max_passes, atol):
+    """Dense oracle: pointwise-maximal solution of c_i - c_j <= W[j, i]
+    below `seed` by parallel relaxation over all m^2 constraints; None
+    when improvements above `atol` persist past `max_passes`."""
+    c = seed.copy()
+    for _ in range(max_passes):
+        c2 = np.minimum(c, (c[:, None] + W).min(axis=0))
+        if (c - c2).max() <= atol:
+            return c2
+        c = c2
+    return None
+
+
+def _dense_constraints(Dm, pairs, t, eq):
+    x, y = pairs[:, 0], pairs[:, 1]
+    exempt = np.eye(len(Dm), dtype=bool)
+    exempt[x, y] = exempt[y, x] = True
+    W = np.where(exempt, Dm, Dm - t)
+    np.minimum.at(W, (x, y), -Dm[x, y] + eq)
+    return W
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_active_set_relaxation_matches_dense_oracle(seed):
+    # Manhattan distances between lattice points: many exact ties, hence
+    # co-optimal plans, exact-zero cycles and infeasible deflations
+    from scipy.optimize import linear_sum_assignment
+    rng = np.random.default_rng(seed)
+    S = 10
+    cells = rng.choice(49, size=2 * S, replace=False)
+    pts = np.stack([cells // 7, cells % 7], axis=1)
+    Dm = np.abs(pts[:, None] - pts[None, :]).sum(-1).astype(float)
+    rows, cols = linear_sum_assignment(Dm[:S, S:])
+    optimal = np.stack([rows, S + cols], axis=1)
+    arbitrary = np.stack([np.arange(S), S + rng.permutation(S)], axis=1)
+    atol = 1e-13 * (1 + Dm.max())
+    start = rng.normal(size=2 * S)
+    outcomes = set()
+    for pairs in (optimal, arbitrary):
+        active = w1._ActiveSet(Dm, pairs)
+        for t, eq in ((0.0, 0.0), (1e-3, 0.0), (0.5, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 2.0)):
+            want = _bellman_max(_dense_constraints(Dm, pairs, t, eq), start, 2 * S + 2, atol)
+            got, record = active.solve(t, eq, start, atol)
+            assert (got is None) == (want is None), (t, eq)
+            assert record["outcome"] == ("negative-cycle" if want is None else "feasible")
+            if want is not None:
+                np.testing.assert_allclose(got, want, rtol=0, atol=10 * atol)
+            outcomes.add(record["outcome"])
+    assert outcomes == {"feasible", "negative-cycle"}
+
+
+def test_planted_negative_cycle_is_proven():
+    # a ring 0 -> 1 -> ... -> L-1 -> 0 plus back edges, relaxed as one
+    # edge list sorted by target; its weight decides the outcome
+    L = 40
+    ring = np.arange(L)
+    src = np.concatenate([ring, ring, (ring + 1) % L])
+    dst = np.concatenate([ring, (ring + 1) % L, ring])
+    order = np.argsort(dst, kind="stable")
+    src, dst = src[order], dst[order]
+    starts = np.searchsorted(dst, ring)
+    atol = 1e-13
+
+    def relax(forward):
+        w = np.where(src == dst, 0.0, 10.0)
+        fwd = dst == (src + 1) % L
+        w[fwd] = forward
+        return w1._relax(np.zeros(L), src, dst, w, starts, atol)
+
+    # every point drops in every pass: the cycle of lowering edges is found
+    c, passes = relax(np.full(L, -1e-3))
+    assert c is None and passes == w1._CYCLE_CHECK
+    # one negative edge: a drop runs round the ring, one point per pass,
+    # until the m + 1 pass bound proves the cycle
+    c, passes = relax(np.r_[-1e-9 - 0.1 * (L - 1), np.full(L - 1, 0.1)])
+    assert c is None and passes == L + 1
+    # exact zero weight, up to rounding: feasible
+    c, passes = relax(np.r_[-0.1 * (L - 1), np.full(L - 1, 0.1)])
+    assert c is not None and passes <= L + 1
+
+    # 2x2 tie: both assignments cost 2, so every deflation margin t closes
+    # the cycle x1 -> y1 -> x2 -> y2 -> x1 of weight -2t
+    pts = np.array([[0, 0], [1, 1], [1, 0], [0, 1]], dtype=float)
+    D = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
+    sp = ms.build_space(list(range(4)), {"type": "matrix", "data": D})
+    sol = w1.solve_w1(sp, [0.5, 0.5, 0, 0], [0, 0, 0.5, 0.5])
+    rungs = sol.tightening["rungs"]
+    assert sol.slack_floor == 0.0 and sol.tightening["eq"] == 0.0
+    assert rungs[0]["margin"] == 0.0 and rungs[0]["outcome"] == "feasible"
+    assert [r["margin"] > 0 for r in rungs[1:]] == [True] * len(w1.SLACK_LADDER)
+    assert all(r["outcome"] == "negative-cycle" and r["passes"] <= 5 for r in rungs[1:])
+
+    # a suboptimal plan is a negative cycle at every equality slack
+    Dm = np.array([[0, 5, 1, 3], [5, 0, 3, 1], [1, 3, 0, 5], [3, 1, 5, 0]], dtype=float)
+    with pytest.raises(SolverFailure, match="negative cycle"):
+        w1._tighten_potential(Dm, np.arange(4), np.array([[0, 3], [1, 2]]), None)
+
+
+def test_slack_floor_does_not_depend_on_the_seed():
+    # uniform polar caps on S^2, n = 1000: the assignment plan re-derived
+    # from HiGHS duals or from zeros proves the same ladder outcomes
+    from scipy.optimize import linear_sum_assignment
+    sp = ms.generate_sphere_sample(2, 1000, seed=0)
+    order = np.argsort(-sp.coords[:, 2], kind="stable")
+    src, snk = order[:250], order[-250:]
+    D_sub = np.ascontiguousarray(sp.D[np.ix_(src, snk)])
+    a = np.full(250, 1 / 250)
+    _, _, duals, _ = w1._engine_highs_full(D_sub, a, a)
+    rows, cols = linear_sum_assignment(D_sub)
+    pairs = np.stack([rows, 250 + cols], axis=1)
+    moved = np.concatenate([src, snk])
+    _, floor_zero, _, rungs_zero = w1._tighten_potential(sp.D, moved, pairs, None)
+    _, floor_duals, _, rungs_duals = w1._tighten_potential(sp.D, moved, pairs, duals)
+    assert floor_zero > 0
+    assert floor_duals == floor_zero
+    assert [r["outcome"] for r in rungs_duals] == [r["outcome"] for r in rungs_zero]
