@@ -2,10 +2,10 @@
 
 The primal is solved exactly per instance class: a quantile sweep for
 1D-embeddable metrics, the Jonker-Volgenant assignment solver when net
-supplies are uniform and balanced in count, and the HiGHS simplex on the
-bipartite transportation LP otherwise (with arc generation above a size
-cutoff). An integer successive-shortest-paths engine is kept as an
-independent oracle for small instances.
+supplies are uniform and balanced in count, and otherwise the HiGHS
+simplex on the bipartite transportation LP by arc generation: restricted
+LPs over a growing arc set, priced against all arcs until none outside
+the set has negative reduced cost.
 
 Whatever the engine, the dual potential is re-derived: seed values from
 the engine are tightened by Bellman-Ford relaxation of the difference
@@ -25,7 +25,6 @@ so strong duality holds with no solver tolerance in the loop.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 
 import numpy as np
 from scipy import sparse
@@ -35,8 +34,6 @@ from .errors import SolverFailure, TolTooSmall, UnbalancedMarginals
 from .mmspace import MMSpace
 
 MASS_SCALE = 10**14
-COST_SCALE = 10**12
-ARC_LIMIT = 300_000
 DEFAULT_GAMMA_TOL_FACTOR = 1e-6
 
 
@@ -58,6 +55,9 @@ class W1Solution:
     # potential tightening record: equality slack and every relaxation attempt
     # (see _tighten_potential); empty when the engine needs no tightening
     tightening: dict = dataclasses.field(default_factory=dict)
+    # arc generation record: LP rounds and the final restricted-LP arc
+    # count; empty on the line, identity and assignment routes
+    colgen: dict = dataclasses.field(default_factory=dict)
 
     @property
     def dual_value(self) -> float:
@@ -77,6 +77,7 @@ class W1Solution:
             },
             "engine": self.engine,
             "tightening": self.tightening,
+            "colgen": self.colgen,
         }
 
 
@@ -171,40 +172,32 @@ def _sparse_eq(S, T, arc_src, arc_dst):
     return sparse.coo_matrix((np.ones(2 * k), (rows, cols)), shape=(S + T, k)).tocsc()
 
 
-def _engine_highs_full(D_sub, a, b):
-    S, T = D_sub.shape
-    arc_src = np.repeat(np.arange(S), T)
-    arc_dst = np.tile(np.arange(T), S)
-    res = linprog(D_sub.ravel(), A_eq=_sparse_eq(S, T, arc_src, arc_dst),
-                  b_eq=np.concatenate([a, b]), bounds=(0, None), method="highs")
-    if res.status != 0:
-        raise SolverFailure(f"HiGHS failed: {res.message}")
-    flow = res.x
-    keep = flow > 1e-12
-    pairs = np.stack([arc_src[keep], arc_dst[keep]], axis=1)
-    u = res.eqlin.marginals[:S]
-    v = res.eqlin.marginals[S:]
-    return pairs, flow[keep], np.concatenate([u, -v]), "highs"
+# HiGHS feasibility tolerances for every restricted LP. At the default
+# 1e-7, plan marginals come back off by up to ~6e-8, far beyond the 1e-10
+# that certification allows.
+_HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 def _engine_highs_generated(D_sub, a, b, max_rounds=60):
-    """Arc generation: restricted transportation LPs plus reduced-cost pricing."""
+    """Arc generation: restricted transportation LPs plus reduced-cost pricing.
+
+    The arc set starts from each point's nearest counterparts and a greedy
+    staircase (so the restricted LP is feasible), and each round adds the
+    most violated arcs outside it. The plan is optimal once no arc outside
+    the set prices negative: arcs inside it are priced by the LP itself,
+    whose duals can leave them at tiny negative reduced costs. Returns
+    (pairs, masses, seed, record) with record = {"rounds", "arcs"}.
+    """
     S, T = D_sub.shape
     k_nn = 8
-    cand = set()
-    nn_sink = np.argpartition(D_sub, min(k_nn, T - 1), axis=1)[:, :k_nn]
-    for i in range(S):
-        for j in nn_sink[i]:
-            cand.add((i, int(j)))
-    nn_src = np.argpartition(D_sub, min(k_nn, S - 1), axis=0)[:k_nn, :]
-    for j in range(T):
-        for i in nn_src[:, j]:
-            cand.add((int(i), j))
+    inset = np.zeros((S, T), dtype=bool)
+    inset[np.arange(S)[:, None], np.argpartition(D_sub, min(k_nn, T - 1), axis=1)[:, :k_nn]] = True
+    inset[np.argpartition(D_sub, min(k_nn, S - 1), axis=0)[:k_nn, :], np.arange(T)] = True
     # greedy staircase arcs guarantee a feasible restricted problem
     i = j = 0
     ra, rb = a.copy(), b.copy()
     while i < S and j < T:
-        cand.add((i, j))
+        inset[i, j] = True
         m = min(ra[i], rb[j])
         ra[i] -= m
         rb[j] -= m
@@ -213,120 +206,35 @@ def _engine_highs_generated(D_sub, a, b, max_rounds=60):
         else:
             j += 1
     scale = max(D_sub.max(), 1.0)
-    for _ in range(max_rounds):
-        arcs = np.array(sorted(cand), dtype=int)
-        res = linprog(D_sub[arcs[:, 0], arcs[:, 1]],
-                      A_eq=_sparse_eq(S, T, arcs[:, 0], arcs[:, 1]),
-                      b_eq=np.concatenate([a, b]), bounds=(0, None), method="highs")
+    for rounds in range(1, max_rounds + 1):
+        src, dst = np.nonzero(inset)
+        res = linprog(D_sub[src, dst], A_eq=_sparse_eq(S, T, src, dst),
+                      b_eq=np.concatenate([a, b]), bounds=(0, None), method="highs",
+                      options=_HIGHS_OPTIONS)
         if res.status != 0:
             raise SolverFailure(f"HiGHS failed on restricted LP: {res.message}")
         u = res.eqlin.marginals[:S]
         v = res.eqlin.marginals[S:]
         reduced = D_sub - u[:, None] - v[None, :]
-        viol = np.argwhere(reduced < -1e-11 * scale)
-        if len(viol) == 0:
+        vi, vj = np.nonzero((reduced < -1e-11 * scale) & ~inset)
+        if len(vi) == 0:
             keep = res.x > 1e-12
-            return (arcs[keep], res.x[keep], np.concatenate([u, -v]), "highs-colgen")
-        order = np.argsort(reduced[viol[:, 0], viol[:, 1]])
-        for i, j in viol[order[: 4 * (S + T)]]:
-            cand.add((int(i), int(j)))
+            pairs = np.stack([src[keep], dst[keep]], axis=1)
+            return pairs, res.x[keep], np.concatenate([u, -v]), {"rounds": rounds, "arcs": len(src)}
+        order = np.argsort(reduced[vi, vj])[: 4 * (S + T)]
+        inset[vi[order], vj[order]] = True
     raise SolverFailure("arc generation did not converge")
 
 
-def _engine_ssp(D_sub, a, b):
-    """Integer successive shortest paths with node potentials (oracle grade).
-
-    Costs are quantized to 64-bit integers at COST_SCALE; supplies at
-    MASS_SCALE. Exact in integer arithmetic; intended for small instances.
-    """
-    S, T = D_sub.shape
-    cost = np.round(D_sub * COST_SCALE).astype(np.int64)
-    ua = quantize_masses(a)
-    ub = quantize_masses(b)
-    if ua.sum() != ub.sum():
-        raise SolverFailure("quantized supplies do not balance")
-    m = S + T
-    pot = [0] * m
-    supply = [int(x) for x in ua]
-    demand = [int(x) for x in ub]
-    flow: dict[tuple[int, int], int] = {}
-    remaining = sum(supply)
-    INF = float("inf")
-    while remaining > 0:
-        dist = [INF] * m
-        prev = [-1] * m
-        heap = []
-        for i in range(S):
-            if supply[i] > 0:
-                dist[i] = 0
-                heapq.heappush(heap, (0, i))
-        while heap:
-            d, x = heapq.heappop(heap)
-            if d > dist[x]:
-                continue
-            if x < S:
-                for j in range(T):
-                    rc = cost[x, j] + pot[x] - pot[S + j]
-                    nd = d + rc
-                    if nd < dist[S + j]:
-                        dist[S + j] = nd
-                        prev[S + j] = x
-                        heapq.heappush(heap, (nd, S + j))
-            else:
-                j = x - S
-                for (i, jj), f in flow.items():
-                    if jj == j and f > 0:
-                        rc = -cost[i, j] + pot[x] - pot[i]
-                        nd = d + rc
-                        if nd < dist[i]:
-                            dist[i] = nd
-                            prev[i] = x
-                            heapq.heappush(heap, (nd, i))
-        best, bd = -1, INF
-        for j in range(T):
-            if demand[j] > 0 and dist[S + j] < bd:
-                bd = dist[S + j]
-                best = S + j
-        if best < 0:
-            raise SolverFailure("SSP: no augmenting path (infeasible input)")
-        path = []
-        x = best
-        while prev[x] != -1:
-            path.append((prev[x], x))
-            x = prev[x]
-        src = x
-        amount = min(supply[src], demand[best - S])
-        for y, z in path:
-            if y < S:
-                pass
-            else:
-                amount = min(amount, flow[(z, y - S)])
-        for y, z in path:
-            if y < S:
-                flow[(y, z - S)] = flow.get((y, z - S), 0) + amount
-            else:
-                flow[(z, y - S)] -= amount
-        supply[src] -= amount
-        demand[best - S] -= amount
-        remaining -= amount
-        for x in range(m):
-            if dist[x] < INF:
-                pot[x] += min(dist[x], bd)
-            else:
-                pot[x] += bd
-    pairs, masses = [], []
-    for (i, j), f in flow.items():
-        if f > 0:
-            pairs.append((i, j))
-            masses.append(f / MASS_SCALE)
-    pairs = np.array(pairs, dtype=int).reshape(-1, 2)
-    seed = np.array([-pot[x] / COST_SCALE for x in range(m)])
-    return pairs, np.array(masses), seed, "ssp"
-
-
 _KNN = 8            # nearest moved neighbours per point in the starting edge set
-_BLOCK = 1 << 18    # matrix entries per block of the dense verification
+_BLOCK = 1 << 18    # matrix entries per row block of the dense checks
 _CYCLE_CHECK = 16   # relaxation passes between negative-cycle checks
+
+
+def _row_blocks(n, cols):
+    """Row ranges of an n x cols matrix, about _BLOCK entries each."""
+    rows = max(1, _BLOCK // max(cols, 1))
+    return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
 def _relax(c, src, dst, w, starts, atol):
@@ -398,7 +306,7 @@ class _ActiveSet:
         self.exempt[x, y] = self.exempt[y, x] = True
         k = min(_KNN, m - 1)
         near = []                            # edge keys j * m + i
-        for lo, hi in self._blocks():
+        for lo, hi in _row_blocks(m, m):
             d = np.where(self.exempt[lo:hi], np.inf, Dm[lo:hi])
             i = np.repeat(np.arange(lo, hi), k)
             j = np.argpartition(d, k - 1, axis=1)[:, :k].ravel()
@@ -407,10 +315,6 @@ class _ActiveSet:
         near = np.unique(np.concatenate(near))
         diag = np.arange(m)
         self._set(np.concatenate([diag, x, y, near // m]), np.concatenate([diag, y, x, near % m]))
-    def _blocks(self):
-        m = len(self.Dm)
-        rows = max(1, _BLOCK // m)
-        return [(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
 
     def _set(self, src, dst):
         # edge order: m self-loops, the support edges x -> y, their
@@ -423,7 +327,7 @@ class _ActiveSet:
     def _violated(self, c, t, atol):
         """Each target's best in-edge per row block, where it beats c by more than atol."""
         srcs, dsts = [], []
-        for lo, hi in self._blocks():
+        for lo, hi in _row_blocks(len(c), len(c)):
             B = c[lo:hi, None] + self.Dm[lo:hi]
             B -= t
             B[self.exempt[lo:hi]] = np.inf
@@ -541,8 +445,8 @@ def _check_probability(mu, n, name):
 
 def solve_w1(space: MMSpace, mu0, mu1, engine: str = "auto") -> W1Solution:
     """Exact W1 plan and certified dual potential on a finite space."""
-    if engine not in ("auto", "line", "ssp"):
-        raise ValueError(f"unknown engine {engine!r}; use 'auto', 'line' or 'ssp'")
+    if engine not in ("auto", "line"):
+        raise ValueError(f"unknown engine {engine!r}; use 'auto' or 'line'")
     n = space.n
     mu0 = _check_probability(mu0, n, "mu0")
     mu1 = _check_probability(mu1, n, "mu1")
@@ -555,6 +459,7 @@ def solve_w1(space: MMSpace, mu0, mu1, engine: str = "auto") -> W1Solution:
 
     slack_floor = 0.0
     tightening = {}
+    colgen = {}
     if engine == "line":
         if space.line_coord is None:
             raise SolverFailure("line engine requires a 1D-embeddable metric")
@@ -575,61 +480,89 @@ def solve_w1(space: MMSpace, mu0, mu1, engine: str = "auto") -> W1Solution:
             d = -b[snk]
             D_sub = np.ascontiguousarray(D[np.ix_(src, snk)])
             S, T = len(src), len(snk)
-            if engine == "ssp":
-                loc_pairs, loc_mass, seed, tag = _engine_ssp(D_sub, a, d)
-            elif S == T and np.ptp(a) == 0 and np.ptp(d) == 0 and abs(a[0] - d[0]) < 1e-15:
+            if S == T and np.ptp(a) == 0 and np.ptp(d) == 0 and abs(a[0] - d[0]) < 1e-15:
                 loc_pairs, loc_mass, seed, tag = _engine_assignment(D_sub, a, d)
-            elif S * T <= ARC_LIMIT:
-                loc_pairs, loc_mass, seed, tag = _engine_highs_full(D_sub, a, d)
             else:
-                loc_pairs, loc_mass, seed, tag = _engine_highs_generated(D_sub, a, d)
+                loc_pairs, loc_mass, seed, colgen = _engine_highs_generated(D_sub, a, d)
+                tag = "highs-colgen"
             moved = np.concatenate([src, snk])
             support_local = np.stack([loc_pairs[:, 0], S + loc_pairs[:, 1]], axis=1)
             c, slack_floor, eq, rungs = _tighten_potential(D, moved, support_local, seed)
             tightening = {"eq": eq, "rungs": rungs}
-            if len(moved):
-                hi = (c[None, :] + D[:, moved]).min(axis=1)
-                lo = (c[None, :] - D[:, moved]).max(axis=1)
-                phi = 0.5 * (hi + lo)
-            else:
-                phi = np.zeros(n)
+            phi = _extend_potential(D, moved, c)
             flow_pairs = np.stack([src[loc_pairs[:, 0]], snk[loc_pairs[:, 1]]], axis=1)
             pairs = np.concatenate([diag_pairs, flow_pairs], axis=0)
             masses = np.concatenate([diag_mass, loc_mass])
 
+    return _certify(space, mu0, mu1, pairs, masses, phi, engine=tag, slack_floor=slack_floor,
+                    tightening=tightening, colgen=colgen)
+
+
+def _extend_potential(D, moved, c):
+    """phi on every point from values c on the moved points: the midpoint
+    of the least and the greatest 1-Lipschitz extension, in row blocks."""
+    phi = np.empty(len(D))
+    for lo, hi in _row_blocks(len(D), len(moved)):
+        Dm = D[lo:hi][:, moved]
+        phi[lo:hi] = 0.5 * ((c[None, :] + Dm).min(axis=1) + (c[None, :] - Dm).max(axis=1))
+    return phi
+
+
+def _lipschitz_residual(phi, D):
+    """max over x, y of |phi(x) - phi(y)| - d(x, y), clipped at 0, in row blocks."""
+    lip = 0.0
+    for lo, hi in _row_blocks(len(D), len(D)):
+        lip = max(lip, float((np.abs(phi[lo:hi, None] - phi[None, :]) - D[lo:hi]).max()))
+    return lip
+
+
+def _certify(space: MMSpace, mu0, mu1, pairs, masses, phi, engine: str,
+             **fields) -> W1Solution:
+    """Check a plan and potential and assemble the W1Solution (with the
+    engine's record `fields`).
+
+    Checks run cheapest first: plan marginals, the duality gap, then the
+    Lipschitz residual; the first one that fails raises SolverFailure
+    naming it. A given certificate (engine "certificate") is reported in
+    the words of `from_certificate`.
+    """
+    given = engine == "certificate"
+    D = space.D
+    masses = np.asarray(masses, dtype=float)
     phi = phi - phi.min()
+    _check_marginals(pairs, masses, mu0, mu1)
     primal = float((masses * D[pairs[:, 0], pairs[:, 1]]).sum()) if len(masses) else 0.0
     dual = float(phi @ (mu0 - mu1))
     gap = primal - dual
     scale = 1.0 + abs(primal)
+    if given and not (-1e-10 * scale <= gap <= 1e-9 * scale):
+        raise SolverFailure(f"certificate does not close: gap {gap}")
     if gap < -1e-10 * scale:
         raise SolverFailure(f"negative duality gap {gap}")
-    gap = max(gap, 0.0)
-    lip = float((np.abs(phi[:, None] - phi[None, :]) - D).max())
-    lip = max(lip, 0.0)
-    if lip > 1e-9 * max(space.max_distance, 1.0):
-        raise SolverFailure(f"potential is not 1-Lipschitz: residual {lip}")
     if gap > 1e-9 * scale:
         raise SolverFailure(f"duality gap {gap} beyond certification tolerance")
-    moving = (np.asarray(masses) > 0) & (pairs[:, 0] != pairs[:, 1])
+    gap = max(gap, 0.0)
+    lip = _lipschitz_residual(phi, D)
+    if lip > 1e-9 * max(space.max_distance, 1.0):
+        raise SolverFailure(f"certificate potential not 1-Lipschitz: {lip}" if given
+                            else f"potential is not 1-Lipschitz: residual {lip}")
+    moving = (masses > 0) & (pairs[:, 0] != pairs[:, 1])
     if moving.any():
         i, j = pairs[moving, 0], pairs[moving, 1]
         support_residual = max(float((D[i, j] - (phi[i] - phi[j])).max()), 0.0)
     else:
         support_residual = 0.0
-    sol = W1Solution(pairs, np.asarray(masses, dtype=float), primal, phi, lip, gap,
-                     mu0, mu1, engine=tag, slack_floor=slack_floor,
-                     support_residual=support_residual, tightening=tightening)
-    _check_marginals(sol, n)
-    return sol
+    return W1Solution(pairs, masses, primal, phi, lip, gap, mu0, mu1, engine=engine,
+                      support_residual=support_residual, **fields)
 
 
-def _check_marginals(sol: W1Solution, n: int, tol: float = 1e-10):
+def _check_marginals(pairs, masses, mu0, mu1, tol: float = 1e-10):
+    n = len(mu0)
     m0 = np.zeros(n)
     m1 = np.zeros(n)
-    np.add.at(m0, sol.pairs[:, 0], sol.masses)
-    np.add.at(m1, sol.pairs[:, 1], sol.masses)
-    err = max(np.abs(m0 - sol.mu0).max(), np.abs(m1 - sol.mu1).max())
+    np.add.at(m0, pairs[:, 0], masses)
+    np.add.at(m1, pairs[:, 1], masses)
+    err = max(np.abs(m0 - mu0).max(), np.abs(m1 - mu1).max())
     if err > tol:
         raise SolverFailure(f"plan marginal error {err} exceeds {tol}")
 
@@ -637,7 +570,7 @@ def _check_marginals(sol: W1Solution, n: int, tol: float = 1e-10):
 def from_certificate(space: MMSpace, mu0, mu1, pairs, masses, potential) -> W1Solution:
     """Assemble a W1Solution from an explicitly given plan and potential.
 
-    Validates marginals, the Lipschitz bound, and strong duality; raises
+    Validates marginals, strong duality and the Lipschitz bound; raises
     SolverFailure if the certificate does not close. Useful when a
     construction carries a known optimal pair (plan, phi).
     """
@@ -645,23 +578,8 @@ def from_certificate(space: MMSpace, mu0, mu1, pairs, masses, potential) -> W1So
     mu0 = _check_probability(mu0, n, "mu0")
     mu1 = _check_probability(mu1, n, "mu1")
     pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
-    masses = np.asarray(masses, dtype=float)
     phi = np.asarray(potential, dtype=float)
-    phi = phi - phi.min()
-    D = space.D
-    primal = float((masses * D[pairs[:, 0], pairs[:, 1]]).sum()) if len(masses) else 0.0
-    dual = float(phi @ (mu0 - mu1))
-    gap = primal - dual
-    scale = 1.0 + abs(primal)
-    if not (-1e-10 * scale <= gap <= 1e-9 * scale):
-        raise SolverFailure(f"certificate does not close: gap {gap}")
-    lip = max(float((np.abs(phi[:, None] - phi[None, :]) - D).max()), 0.0)
-    if lip > 1e-9 * max(space.max_distance, 1.0):
-        raise SolverFailure(f"certificate potential not 1-Lipschitz: {lip}")
-    sol = W1Solution(pairs, masses, primal, phi, lip, max(gap, 0.0), mu0, mu1,
-                     engine="certificate")
-    _check_marginals(sol, n)
-    return sol
+    return _certify(space, mu0, mu1, pairs, masses, phi, engine="certificate")
 
 
 def gamma_set(space: MMSpace, solution: W1Solution, tol: float | None = None) -> GammaSet:

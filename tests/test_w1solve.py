@@ -7,6 +7,7 @@ from scipy.optimize import linprog
 from needlekit import mmspace as ms
 from needlekit import w1solve as w1
 from needlekit.errors import SolverFailure, TolTooSmall, UnbalancedMarginals
+from ssp_oracle import ssp_cost
 
 
 def _cloud(n, seed):
@@ -23,20 +24,25 @@ def _marginals(n, seed):
     return a / a.sum(), b / b.sum()
 
 
-def _brute_force_w1(D, mu0, mu1):
-    """Independent oracle: the full transportation LP over all n^2 variables."""
-    n = len(mu0)
+def _full_lp(D, a, b):
+    """The full transportation LP over all S x T variables, by HiGHS."""
+    S, T = D.shape
     from scipy import sparse
-    cols = np.arange(n * n)
-    ri = np.repeat(np.arange(n), n)
-    ci = np.tile(np.arange(n), n)
-    A = sparse.coo_matrix((np.ones(2 * n * n),
-                           (np.concatenate([ri, n + ci]), np.concatenate([cols, cols]))),
-                          shape=(2 * n, n * n))
-    res = linprog(D.ravel(), A_eq=A.tocsc(), b_eq=np.concatenate([mu0, mu1]),
+    cols = np.arange(S * T)
+    ri = np.repeat(np.arange(S), T)
+    ci = np.tile(np.arange(T), S)
+    A = sparse.coo_matrix((np.ones(2 * S * T),
+                           (np.concatenate([ri, S + ci]), np.concatenate([cols, cols]))),
+                          shape=(S + T, S * T))
+    res = linprog(D.ravel(), A_eq=A.tocsc(), b_eq=np.concatenate([a, b]),
                   bounds=(0, None), method="highs")
     assert res.status == 0
-    return res.fun
+    return res
+
+
+def _brute_force_w1(D, mu0, mu1):
+    """Independent oracle: the full transportation LP over all n^2 variables."""
+    return _full_lp(D, mu0, mu1).fun
 
 
 def test_dirac_pair():
@@ -83,9 +89,9 @@ def test_engines_agree_with_lp_oracle(seed):
     mu0, mu1 = _marginals(n, seed + 100)
     ref = _brute_force_w1(sp.D, mu0, mu1)
     s_auto = w1.solve_w1(sp, mu0, mu1)
-    s_ssp = w1.solve_w1(sp, mu0, mu1, engine="ssp")
+    assert s_auto.engine == "highs-colgen"
     assert s_auto.primal_value == pytest.approx(ref, abs=1e-9)
-    assert s_ssp.primal_value == pytest.approx(ref, abs=1e-9)
+    assert ssp_cost(sp.D, mu0, mu1) == pytest.approx(ref, abs=1e-9)
 
 
 def test_line_engine_agrees_with_ssp():
@@ -93,9 +99,8 @@ def test_line_engine_agrees_with_ssp():
     for seed in range(5):
         mu0, mu1 = _marginals(space.n, seed)
         s_line = w1.solve_w1(space, mu0, mu1)
-        s_ssp = w1.solve_w1(space, mu0, mu1, engine="ssp")
         assert s_line.engine == "line"
-        assert s_line.primal_value == pytest.approx(s_ssp.primal_value, abs=1e-9)
+        assert s_line.primal_value == pytest.approx(ssp_cost(space.D, mu0, mu1), abs=1e-9)
 
 
 def test_reversal_symmetry():
@@ -228,6 +233,18 @@ def test_bad_certificate_rejected():
         w1.from_certificate(sp, mu0, mu1, [(0, 3)], [1.0], np.zeros(6))
 
 
+def test_certificate_marginal_error_named():
+    # a plan mass off by 5e-8 also opens the duality gap; the marginals are
+    # checked first, so the error names them
+    sp = _cloud(20, 11)
+    mu0, mu1 = _marginals(20, 11)
+    sol = w1.solve_w1(sp, mu0, mu1)
+    masses = sol.masses.copy()
+    masses[np.argmax(sp.D[sol.pairs[:, 0], sol.pairs[:, 1]])] += 5e-8
+    with pytest.raises(SolverFailure, match="marginal"):
+        w1.from_certificate(sp, mu0, mu1, sol.pairs, masses, sol.potential)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40))
 def test_quantize_masses_exact_total(masses):
@@ -239,8 +256,8 @@ def test_quantize_masses_exact_total(masses):
 
 
 def test_arc_generation_engine_large_instance():
-    # above the full-arc cutoff with unequal masses: column generation path;
-    # the returned certificate (exact dual, tiny gap) proves optimality
+    # 720k arcs with unequal masses, priced by arc generation; the returned
+    # certificate (exact dual, tiny gap) proves optimality
     rng = np.random.default_rng(12)
     n = 1200
     pts = rng.random((n, 2))
@@ -268,17 +285,54 @@ def test_assignment_engine_matches_colgen():
     sol = w1.solve_w1(sp, mu0, mu1)
     assert sol.engine == "assignment"
     a = np.full(half, 1.0 / half)
-    pairs, masses, seed, tag = _engine_highs_generated(
+    pairs, masses, seed, record = _engine_highs_generated(
         np.ascontiguousarray(D[:half, half:]), a, a)
     colgen_cost = float((masses * D[pairs[:, 0], half + pairs[:, 1]]).sum())
     assert sol.primal_value == pytest.approx(colgen_cost, abs=1e-9)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_perturbed_uniform_caps_certify(seed):
+    # uniform polar caps with both marginals perturbed by a relative 1e-6:
+    # near-degenerate masses, priced by arc generation, must certify
+    sp = ms.generate_sphere_sample(2, 200, seed=seed)
+    n, k = sp.n, sp.n // 4
+    order = np.argsort(-sp.coords[:, 2], kind="stable")
+    mu0 = np.zeros(n); mu0[order[:k]] = 1.0 / k
+    mu1 = np.zeros(n); mu1[order[-k:]] = 1.0 / k
+    rng = np.random.default_rng(seed)
+    mu0 *= 1 + 1e-6 * rng.uniform(-1, 1, n)
+    mu1 *= 1 + 1e-6 * rng.uniform(-1, 1, n)
+    sol = w1.solve_w1(sp, mu0 / mu0.sum(), mu1 / mu1.sum())
+    assert sol.engine == "highs-colgen"
+    assert sol.duality_gap <= 1e-9 * (1 + sol.primal_value)
+    assert sol.lipschitz_residual <= 1e-9 * sp.max_distance
+
+
+def test_colgen_record():
+    sp = _cloud(40, 14)
+    mu0, mu1 = _marginals(40, 14)
+    sol = w1.solve_w1(sp, mu0, mu1)
+    assert sol.engine == "highs-colgen"
+    assert set(sol.colgen) == {"rounds", "arcs"}
+    assert sol.colgen["rounds"] >= 1 and sol.colgen["arcs"] >= len(sol.pairs) - sp.n
+    assert sol.to_json()["colgen"] == sol.colgen
+    # the line, identity and assignment routes run no LP
+    line, _ = ms.generate_interval_model(0.0, 2.0, 1.0, 20)
+    uniform = np.zeros(40); uniform[:20] = 1 / 20
+    for space, a, b, engine in ((line, *_marginals(20, 15), "line"),
+                                (sp, mu0, mu0, "identity"),
+                                (sp, uniform, uniform[::-1], "assignment")):
+        other = w1.solve_w1(space, a, b)
+        assert other.engine == engine and other.colgen == {}
+
+
 def test_unknown_engine_rejected():
     sp = _cloud(5, 20)
     mu0, mu1 = _marginals(5, 20)
-    with pytest.raises(ValueError):
-        w1.solve_w1(sp, mu0, mu1, engine="sinkhorn")
+    for engine in ("sinkhorn", "ssp"):    # the SSP oracle lives in the tests
+        with pytest.raises(ValueError):
+            w1.solve_w1(sp, mu0, mu1, engine=engine)
 
 
 def test_near_line_metric_not_line_dispatched():
@@ -402,7 +456,8 @@ def test_slack_floor_does_not_depend_on_the_seed():
     src, snk = order[:250], order[-250:]
     D_sub = np.ascontiguousarray(sp.D[np.ix_(src, snk)])
     a = np.full(250, 1 / 250)
-    _, _, duals, _ = w1._engine_highs_full(D_sub, a, a)
+    res = _full_lp(D_sub, a, a)
+    duals = np.concatenate([res.eqlin.marginals[:250], -res.eqlin.marginals[250:]])
     rows, cols = linear_sum_assignment(D_sub)
     pairs = np.stack([rows, 250 + cols], axis=1)
     moved = np.concatenate([src, snk])
