@@ -3,7 +3,6 @@
 from . import curvature, disint, isoperim, mmspace, monge1d, rays, w1solve
 from .curvature import (
     CDReport,
-    CurvatureParams,
     cd_density_check,
     mcp_density_check,
     mollify_density,
@@ -53,6 +52,7 @@ from .w1solve import (
     check_geodesic_stability,
     from_certificate,
     gamma_set,
+    gamma_tol,
     solve_w1,
 )
 

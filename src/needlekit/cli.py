@@ -15,7 +15,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy
@@ -30,6 +29,7 @@ from . import rays as ry
 from . import selftest as stest
 from . import w1solve as w1
 from .errors import ConfigError, NeedleError
+from .isoperim import _pmap
 
 EXIT_PASS = 0
 EXIT_ERROR = 1
@@ -137,12 +137,7 @@ def _decompose_pipeline(args):
         mu0 /= mu0.sum()
         mu1 /= mu1.sum()
     sol = w1.solve_w1(space, mu0, mu1)
-    tol = args.tol
-    if tol is None:
-        tol = w1.DEFAULT_GAMMA_TOL_FACTOR * max(space.max_distance, 1.0)
-        if sol.slack_floor > 0:
-            tol = min(tol, sol.slack_floor / 4)
-    gamma = w1.gamma_set(space, sol, tol=tol)
+    gamma = w1.gamma_set(space, sol, tol=args.tol)
     structure = ry.build_transport_structure(space, gamma)
     dec = ry.partition_rays(space, structure, sol)
     return space, sol, gamma, structure, dec
@@ -174,6 +169,9 @@ def cmd_decompose(args):
             "duality_gap": sol.duality_gap,
             "lipschitz_residual": sol.lipschitz_residual,
             "engine": sol.engine,
+            "slack_floor": sol.slack_floor,
+            "support_residual": sol.support_residual,
+            "gamma_tol": gamma.tol,
         },
         "decomposition": dec.to_json(),
         "branching": {
@@ -280,13 +278,6 @@ def cmd_selftest(args):
     if args.out:
         _write_report(args.out, _sanitize(report))
     return EXIT_PASS if report["all_pass"] else EXIT_FAIL
-
-
-def _pmap(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def build_parser():

@@ -25,16 +25,6 @@ from .errors import DegenerateDensity
 from .mmspace import Density1D
 
 
-@dataclasses.dataclass(frozen=True)
-class CurvatureParams:
-    K: float
-    N: float
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
-
-
 @dataclasses.dataclass
 class CDReport:
     verdict: bool
@@ -240,12 +230,12 @@ def standard_mollifier(x):
     return _bump(np.asarray(x, dtype=float)) / _PSI_NORM
 
 
-def mollify_density(density: Density1D, N: float, eps: float,
-                    refine: int = 10) -> Density1D:
+def mollify_density(density: Density1D, N: float, eps: float) -> Density1D:
     """h_eps = [h^{1/(N-1)} * psi_eps]^{N-1} on a grid extended to [a-eps, b+eps].
 
-    The convolution runs on a refine-times finer uniform grid with
-    composite Simpson weights on the kernel window.
+    The convolution runs on a uniform grid 10 times finer than the
+    density's finest step, with composite Simpson weights on the kernel
+    window.
     """
     if N <= 1:
         raise ValueError("mollification needs N > 1")
@@ -253,7 +243,7 @@ def mollify_density(density: Density1D, N: float, eps: float,
         raise ValueError("eps must be positive")
     a, b = density.domain
     step_in = np.diff(density.grid).min()
-    step = step_in / refine
+    step = step_in / 10
     m = int(np.ceil(eps / step))
     if m % 2:
         m += 1

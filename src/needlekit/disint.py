@@ -18,7 +18,6 @@ import numpy as np
 from .errors import NotMeanZero
 from .mmspace import MMSpace
 from .rays import RayDecomposition
-from .w1solve import W1Solution
 
 
 @dataclasses.dataclass
@@ -160,23 +159,3 @@ def report_json(space: MMSpace, decomposition: RayDecomposition, f,
         "max_atom": conditional_max_atom(d_ref).max() if len(d_ref.conditionals) else 0.0,
     }
 
-
-def plan_target_split(decomposition: RayDecomposition, solution: W1Solution,
-                      n: int) -> tuple[list[list[tuple[int, float]]], list[tuple[int, int, float]]]:
-    """Split the plan by source ray: in-ray target atoms vs passthrough pairs.
-
-    Realizes the target conditioning through the plan pushforward: for each
-    ray q the target atoms are the plan masses sent from q's points, kept
-    only when the target lies on q itself; every other plan pair (off-ray
-    target, off-ray source, or diagonal) is returned verbatim.
-    """
-    ray_of = decomposition.ray_of_point(n)
-    in_ray: list[list[tuple[int, float]]] = [[] for _ in decomposition.rays]
-    passthrough: list[tuple[int, int, float]] = []
-    for (i, j), mass in zip(solution.pairs, solution.masses):
-        q = ray_of[i]
-        if q >= 0 and ray_of[j] == q and i != j:
-            in_ray[q].append((int(j), float(mass)))
-        else:
-            passthrough.append((int(i), int(j), float(mass)))
-    return in_ray, passthrough

@@ -18,6 +18,7 @@ the attained mass.
 from __future__ import annotations
 
 import dataclasses
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -114,39 +115,34 @@ def _golden(fun, a, b, iters=60):
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def model_profile(spec: ModelProfileSpec, v: float, n_starts: int = 128,
-                  details: bool = False):
+def model_profile(spec: ModelProfileSpec, v: float) -> float:
     """Model profile I_{K,N,D}(v): inf of cut content over the ODE family.
 
     Returns 0 at v in {0, 1}; 0 when K <= 0 and D is infinite (the model
     profile trivializes); for N = 1 the family is the constant densities
-    and the value is 1/D.
+    and the value is 1/D. Otherwise the family parameter is scanned at
+    128 points and the three best are refined by golden section.
     """
     if not 0.0 <= v <= 1.0:
         raise BadVolume(f"v={v} outside [0, 1]")
     if v in (0.0, 1.0):
-        return (0.0, {"branch": "trivial"}) if details else 0.0
+        return 0.0
     if not np.isfinite(spec.D):
         if spec.K <= 0:
-            return (0.0, {"branch": "unbounded"}) if details else 0.0
+            return 0.0
         spec = ModelProfileSpec(spec.K, spec.N, np.pi * np.sqrt((spec.N - 1) / spec.K))
     if spec.N == 1:
-        val = 1.0 / spec.D
-        return (val, {"branch": "constant"}) if details else val
+        return 1.0 / spec.D
     fun, lo, hi = _profile_objective(spec, v)
-    params = np.linspace(lo, hi, n_starts)
+    params = np.linspace(lo, hi, 128)
     vals = np.array([fun(p) for p in params])
     order = np.argsort(vals)
-    best_val, best_par = np.inf, None
+    best_val = np.inf
     for k in order[:3]:
         a = params[max(k - 1, 0)]
         b = params[min(k + 1, len(params) - 1)]
-        par, val = _golden(fun, a, b)
-        if val < best_val:
-            best_val, best_par = val, par
-    info = {"branch": "sin" if spec.K > 0 else ("affine" if spec.K == 0 else "sinh"),
-            "param": float(best_par)}
-    return (float(best_val), info) if details else float(best_val)
+        best_val = min(best_val, _golden(fun, a, b)[1])
+    return float(best_val)
 
 
 @dataclasses.dataclass
@@ -212,8 +208,7 @@ def _threshold_to_mass(space: MMSpace, score: np.ndarray, v: float):
 
 
 def empirical_profile(space: MMSpace, v: float, candidate_budget: int = 32,
-                      rng=None, include_potential: bool = True,
-                      eps_list=None) -> ProfilePoint:
+                      rng=None, include_potential: bool = True) -> ProfilePoint:
     """Upper bound on the isoperimetric profile by candidate search.
 
     Candidates are sublevel sets of distance functions to random base
@@ -226,8 +221,8 @@ def empirical_profile(space: MMSpace, v: float, candidate_budget: int = 32,
     if not 0.0 < v < 1.0:
         raise BadVolume(f"v={v} outside (0, 1)")
     rng = rng or np.random.default_rng(0)
-    coarse = default_eps_window(space, 6) if eps_list is None else eps_list
-    fine = default_eps_window(space, 16) if eps_list is None else eps_list
+    coarse = default_eps_window(space, 6)
+    fine = default_eps_window(space, 16)
     scores = []
     n_pot = 2 if include_potential else 0
     n_balls = max(candidate_budget - n_pot, 1)
@@ -256,6 +251,14 @@ def empirical_profile(space: MMSpace, v: float, candidate_budget: int = 32,
             best = ProfilePoint(v=attained, content=est.value, requested_v=v,
                                 mass_defect=abs(attained - v), candidate=name)
     return best
+
+
+def _pmap(fn, items, threads):
+    """[fn(x) for x in items], across `threads` worker threads when more than one."""
+    if threads <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def levy_gromov_check(space: MMSpace, spec: ModelProfileSpec, v_grid,
@@ -288,13 +291,7 @@ def levy_gromov_check(space: MMSpace, spec: ModelProfileSpec, v_grid,
                 "model": model, "slack": ep.content - model, "allowance": allow,
                 "candidate": ep.candidate, "mass_defect": ep.mass_defect}
 
-    items = list(enumerate(v_grid))
-    if threads > 1 and len(items) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, items))
-    else:
-        rows = [one(iv) for iv in items]
+    rows = _pmap(one, list(enumerate(v_grid)), threads)
     ok = all(r["slack"] >= -r["allowance"] for r in rows)
     return {"verdict": "pass" if ok else "fail", "rows": rows, "D_used": D_used,
             "K": spec.K, "N": spec.N}

@@ -136,7 +136,7 @@ class MMSpace:
             return path[::-1]
         return [i, j]
 
-    def snapped_chain(self, i: int, j: int, hops: int = 0) -> list[int]:
+    def snapped_chain(self, i: int, j: int) -> list[int]:
         """Approximate chain through sample points near the true geodesic.
 
         Only meaningful for sphere samples: interpolates the great circle
@@ -149,8 +149,7 @@ class MMSpace:
             return [i]
         a, b = self.coords[i], self.coords[j]
         ang = self.D[i, j]
-        if hops <= 0:
-            hops = max(2, int(np.ceil(ang / max(self.mesh, 1e-12))))
+        hops = max(2, int(np.ceil(ang / max(self.mesh, 1e-12))))
         ts = np.linspace(0.0, 1.0, hops + 1)
         sin_ang = np.sin(ang)
         if sin_ang < 1e-12:
@@ -317,16 +316,15 @@ def generate_interval_model(K: float, N: float, D: float, n: int) -> tuple[MMSpa
     return space, dens
 
 
-def fibonacci_sphere(n: int, seed: int = 0, jitter: float = 1e-4) -> np.ndarray:
-    """Quasi-uniform unit vectors on S^2: Fibonacci lattice plus seeded jitter."""
+def fibonacci_sphere(n: int, seed: int = 0) -> np.ndarray:
+    """Quasi-uniform unit vectors on S^2: Fibonacci lattice plus seeded
+    Gaussian jitter of scale 1e-4."""
     i = np.arange(n)
     z = 1.0 - (2.0 * i + 1.0) / n
     phi = np.pi * (1.0 + np.sqrt(5.0)) * i
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     pts = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-    if jitter > 0:
-        rng = np.random.default_rng(seed)
-        pts = pts + jitter * rng.normal(size=pts.shape)
+    pts = pts + 1e-4 * np.random.default_rng(seed).normal(size=pts.shape)
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     return pts
 

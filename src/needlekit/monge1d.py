@@ -25,9 +25,10 @@ from .errors import MassMismatch, RayMarginalMismatch
 from .disint import Disintegration
 from .mmspace import MMSpace
 from .rays import RayDecomposition
-from .w1solve import W1Solution
+from .w1solve import W1Solution, _quantile_pairs, quantize_masses
 
 ATOM_SCALE = 10**12
+_MASS_TOL = 1e-9
 
 
 @dataclasses.dataclass
@@ -39,20 +40,6 @@ class MonotoneMap1D:
     assignment: list[tuple[int, int, int]]   # (source idx, target idx, integer mass)
     cost: float
     is_map: bool
-
-
-def _to_units(masses: np.ndarray, total_units: int) -> np.ndarray:
-    raw = masses / masses.sum() * total_units
-    base = np.floor(raw).astype(np.int64)
-    short = total_units - int(base.sum())
-    if short > 0:
-        order = np.argsort(-(raw - base), kind="stable")
-        base[order[:short]] += 1
-    elif short < 0:
-        order = np.argsort(raw - base, kind="stable")
-        take = order[base[order] > 0][: -short]
-        base[take] -= 1
-    return base
 
 
 def _sorted_atoms(atoms):
@@ -79,22 +66,9 @@ def monotone_rearrangement(source_atoms, target_atoms) -> MonotoneMap1D:
         return MonotoneMap1D(spos, np.zeros(0, np.int64), tpos,
                              np.zeros(0, np.int64), [], 0.0, True)
     total_units = int(round(s_total * ATOM_SCALE))
-    su = _to_units(smass, total_units)
-    tu = _to_units(tmass, total_units)
-    assignment = []
-    i = j = 0
-    ri, rj = su.copy(), tu.copy()
-    while i < len(ri) and j < len(rj):
-        if ri[i] == 0:
-            i += 1
-            continue
-        if rj[j] == 0:
-            j += 1
-            continue
-        m = int(min(ri[i], rj[j]))
-        assignment.append((i, j, m))
-        ri[i] -= m
-        rj[j] -= m
+    su = quantize_masses(smass / s_total * total_units, total_units)
+    tu = quantize_masses(tmass / t_total * total_units, total_units)
+    assignment = _quantile_pairs(su, tu)
     cost = float(sum(m * abs(spos[i] - tpos[j]) for i, j, m in assignment)) / ATOM_SCALE
     splits = np.zeros(len(su), dtype=int)
     for i, _, m in assignment:
@@ -165,14 +139,14 @@ def _param_lookup(ray):
 
 def assemble_monge_map(space: MMSpace, decomposition: RayDecomposition,
                        disint0: Disintegration | None,
-                       disint1: Disintegration | PlanConditioning,
-                       rel_tol: float = 1e-9) -> MongeCoupling:
+                       disint1: Disintegration | PlanConditioning) -> MongeCoupling:
     """Glue per-ray monotone rearrangements into a global coupling.
 
     `disint1` is either the plan conditioning (default route, exact
     balance by construction) or a strict Disintegration of mu1 over the
-    same rays; in the strict route a per-ray mass imbalance raises
-    RayMarginalMismatch with the defect.
+    same rays; in the strict route a per-ray mass imbalance (above 1e-9
+    relative to 1 + ray mass) or an off-ray pointwise one (above 1e-9)
+    raises RayMarginalMismatch with the defect.
     """
     D = space.D
     out_pairs: list[tuple[int, int]] = []
@@ -215,7 +189,7 @@ def assemble_monge_map(space: MMSpace, decomposition: RayDecomposition,
         for q, ray in enumerate(decomposition.rays):
             m0 = d0.quotient_weights[q]
             m1 = d1.quotient_weights[q]
-            if abs(m0 - m1) > rel_tol * (1.0 + m0):
+            if abs(m0 - m1) > _MASS_TOL * (1.0 + m0):
                 raise RayMarginalMismatch(
                     f"ray {q}: mu0 mass {m0} vs mu1 mass {m1}", defect=abs(m0 - m1))
             if m0 <= 0:
@@ -235,7 +209,7 @@ def assemble_monge_map(space: MMSpace, decomposition: RayDecomposition,
         r0[on_ray] = 0.0
         r1[on_ray] = 0.0
         defect = float(np.abs(r0 - r1).max())
-        if defect > rel_tol:
+        if defect > _MASS_TOL:
             raise RayMarginalMismatch(
                 f"off-ray masses differ pointwise by {defect}", defect=defect)
         pcost = 0.0

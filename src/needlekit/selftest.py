@@ -37,13 +37,6 @@ class CriterionResult:
         return f"[{flag}] {self.name} ({self.seconds:.1f}s): {self.detail}"
 
 
-def _tight_tol(space, sol):
-    tol = GAMMA_TIGHT * (1.0 + space.max_distance)
-    if sol.slack_floor > 0:
-        tol = min(tol, sol.slack_floor / 4)
-    return max(tol, 4 * sol.support_residual)
-
-
 def _random_cloud(n, rng):
     pts = rng.random((n, 2))
     D = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
@@ -87,7 +80,7 @@ def criterion_cyclic() -> CriterionResult:
     rng = np.random.default_rng(7)
     worst = 0.0
     for sp, mu0, mu1, sol in _cloud_instances():
-        g = w1.gamma_set(sp, sol, tol=_tight_tol(sp, sol))
+        g = w1.gamma_set(sp, sol, tol=w1.gamma_tol(sp, sol, rel=GAMMA_TIGHT))
         for k in (2, 3, 4, 5, 6):
             rep = w1.check_cyclic_monotonicity(sp, g, k=k, trials=2000, rng=rng)
             worst = max(worst, rep["worst_violation"])
@@ -103,7 +96,7 @@ def _interval_monge_instance(seed):
     space, _ = ms.generate_interval_model(0.0, 2.0, 1.0, 1000)
     mu0, mu1 = _random_marginals(space.n, rng)
     sol = w1.solve_w1(space, mu0, mu1)
-    g = w1.gamma_set(space, sol, tol=_tight_tol(space, sol))
+    g = w1.gamma_set(space, sol, tol=w1.gamma_tol(space, sol, rel=GAMMA_TIGHT))
     st = ry.build_transport_structure(space, g)
     dec = ry.partition_rays(space, st, sol)
     cond = mg.condition_target_via_plan(dec, sol, space.n)
@@ -188,7 +181,7 @@ def _sphere_cap_pipeline(n, frac=0.25, seed=0):
     mu1 = np.where(f < 0, sp.weights, 0.0)
     mu1 /= mu1.sum()
     sol = w1.solve_w1(sp, mu0, mu1)
-    g = w1.gamma_set(sp, sol, tol=_tight_tol(sp, sol))
+    g = w1.gamma_set(sp, sol, tol=w1.gamma_tol(sp, sol, rel=GAMMA_TIGHT))
     st = ry.build_transport_structure(sp, g)
     dec = ry.partition_rays(sp, st, sol)
     return sp, sol, f, st, dec
@@ -352,7 +345,7 @@ def criterion_branching() -> CriterionResult:
     mu0 = np.array([1.0, 0.0, 0.0, 0.0])
     mu1 = np.array([0.0, 0.5, 0.5, 0.0])
     sol = w1.solve_w1(tp, mu0, mu1)
-    g = w1.gamma_set(tp, sol, tol=_tight_tol(tp, sol))
+    g = w1.gamma_set(tp, sol, tol=w1.gamma_tol(tp, sol, rel=GAMMA_TIGHT))
     st = ry.build_transport_structure(tp, g)
     hub_ok = 3 in st.branching_fwd
 
@@ -363,7 +356,7 @@ def criterion_branching() -> CriterionResult:
     mu1 = np.where(t >= np.pi / 2, space.weights, 0.0)
     mu1 /= mu1.sum()
     isol = w1.solve_w1(space, mu0, mu1)
-    ig = w1.gamma_set(space, isol, tol=_tight_tol(space, isol))
+    ig = w1.gamma_set(space, isol, tol=w1.gamma_tol(space, isol, rel=GAMMA_TIGHT))
     ist = ry.build_transport_structure(space, ig)
     interval_frac = ist.branching_mass(space.weights)["fraction"]
 

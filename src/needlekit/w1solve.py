@@ -100,13 +100,11 @@ class GammaSet:
         return int(self.mask.sum())
 
 
-def quantize_masses(masses: np.ndarray, scale: int = MASS_SCALE) -> np.ndarray:
-    """Largest-remainder integer quantization preserving the total exactly."""
-    masses = np.asarray(masses, dtype=float)
-    target_total = int(round(masses.sum() * scale))
-    raw = masses * scale
+def quantize_masses(raw: np.ndarray, total: int) -> np.ndarray:
+    """Largest-remainder rounding of real unit counts `raw` to nonnegative
+    integers that sum to `total` exactly."""
     base = np.floor(raw).astype(np.int64)
-    short = target_total - int(base.sum())
+    short = total - int(base.sum())
     if short > 0:
         order = np.argsort(-(raw - base), kind="stable")
         base[order[:short]] += 1
@@ -141,8 +139,8 @@ def _engine_line(space: MMSpace, mu0, mu1):
     """Exact quantile coupling and CDF-sign potential on a 1D-embeddable metric."""
     t = space.line_coord
     order = np.argsort(t, kind="stable")
-    u0 = quantize_masses(mu0[order])
-    u1 = quantize_masses(mu1[order])
+    u0, u1 = (quantize_masses(m * MASS_SCALE, int(round(m.sum() * MASS_SCALE)))
+              for m in (mu0[order], mu1[order]))
     couple = _quantile_pairs(u0, u1)
     pairs = np.array([[order[i], order[j]] for i, j, _ in couple], dtype=int).reshape(-1, 2)
     masses = np.array([m for _, _, m in couple], dtype=float) / MASS_SCALE
@@ -176,9 +174,16 @@ def _sparse_eq(S, T, arc_src, arc_dst):
 # 1e-7, plan marginals come back off by up to ~6e-8, far beyond the 1e-10
 # that certification allows.
 _HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+_MAX_ROUNDS = 60
+# Supplies and demands are scaled by this power of two in each restricted
+# LP and the arc masses scaled back, exactly. HiGHS returns basic masses as
+# low as -1e-10, inside its feasibility tolerance (which it will not take
+# below 1e-10), and cutting them at zero would move the plan marginals by
+# as much; scaled back, they are 8 times smaller. Duals do not change.
+_LP_SCALE = 8.0
 
 
-def _engine_highs_generated(D_sub, a, b, max_rounds=60):
+def _engine_highs_generated(D_sub, a, b):
     """Arc generation: restricted transportation LPs plus reduced-cost pricing.
 
     The arc set starts from each point's nearest counterparts and a greedy
@@ -206,11 +211,11 @@ def _engine_highs_generated(D_sub, a, b, max_rounds=60):
         else:
             j += 1
     scale = max(D_sub.max(), 1.0)
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, _MAX_ROUNDS + 1):
         src, dst = np.nonzero(inset)
         res = linprog(D_sub[src, dst], A_eq=_sparse_eq(S, T, src, dst),
-                      b_eq=np.concatenate([a, b]), bounds=(0, None), method="highs",
-                      options=_HIGHS_OPTIONS)
+                      b_eq=_LP_SCALE * np.concatenate([a, b]), bounds=(0, None),
+                      method="highs", options=_HIGHS_OPTIONS)
         if res.status != 0:
             raise SolverFailure(f"HiGHS failed on restricted LP: {res.message}")
         u = res.eqlin.marginals[:S]
@@ -218,9 +223,10 @@ def _engine_highs_generated(D_sub, a, b, max_rounds=60):
         reduced = D_sub - u[:, None] - v[None, :]
         vi, vj = np.nonzero((reduced < -1e-11 * scale) & ~inset)
         if len(vi) == 0:
-            keep = res.x > 1e-12
+            x = res.x / _LP_SCALE
+            keep = x > 1e-12
             pairs = np.stack([src[keep], dst[keep]], axis=1)
-            return pairs, res.x[keep], np.concatenate([u, -v]), {"rounds": rounds, "arcs": len(src)}
+            return pairs, x[keep], np.concatenate([u, -v]), {"rounds": rounds, "arcs": len(src)}
         order = np.argsort(reduced[vi, vj])[: 4 * (S + T)]
         inset[vi[order], vj[order]] = True
     raise SolverFailure("arc generation did not converge")
@@ -443,10 +449,8 @@ def _check_probability(mu, n, name):
     return mu
 
 
-def solve_w1(space: MMSpace, mu0, mu1, engine: str = "auto") -> W1Solution:
+def solve_w1(space: MMSpace, mu0, mu1) -> W1Solution:
     """Exact W1 plan and certified dual potential on a finite space."""
-    if engine not in ("auto", "line"):
-        raise ValueError(f"unknown engine {engine!r}; use 'auto' or 'line'")
     n = space.n
     mu0 = _check_probability(mu0, n, "mu0")
     mu1 = _check_probability(mu1, n, "mu1")
@@ -454,15 +458,10 @@ def solve_w1(space: MMSpace, mu0, mu1, engine: str = "auto") -> W1Solution:
         raise UnbalancedMarginals("mu0 and mu1 carry different total mass")
     D = space.D
 
-    if engine == "auto" and space.line_coord is not None:
-        engine = "line"
-
     slack_floor = 0.0
     tightening = {}
     colgen = {}
-    if engine == "line":
-        if space.line_coord is None:
-            raise SolverFailure("line engine requires a 1D-embeddable metric")
+    if space.line_coord is not None:
         pairs, masses, phi, tag = _engine_line(space, mu0, mu1)
         keep = masses > 0
         pairs, masses = pairs[keep], masses[keep]
@@ -582,10 +581,23 @@ def from_certificate(space: MMSpace, mu0, mu1, pairs, masses, potential) -> W1So
     return _certify(space, mu0, mu1, pairs, masses, phi, engine="certificate")
 
 
+def gamma_tol(space: MMSpace, solution: W1Solution,
+              rel: float = DEFAULT_GAMMA_TOL_FACTOR) -> float:
+    """The Gamma tolerance policy: `rel` times max(diameter, 1), lowered to
+    a quarter of the certified `slack_floor` (so no pair the potential
+    keeps slack joins Gamma) and raised to 4 `support_residual` (so every
+    plan pair stays in)."""
+    tol = rel * max(space.max_distance, 1.0)
+    if solution.slack_floor > 0:
+        tol = min(tol, solution.slack_floor / 4)
+    return max(tol, 4 * solution.support_residual)
+
+
 def gamma_set(space: MMSpace, solution: W1Solution, tol: float | None = None) -> GammaSet:
-    """All pairs with phi(x) - phi(y) >= d(x,y) - tol (diagonal included)."""
+    """All pairs with phi(x) - phi(y) >= d(x,y) - tol (diagonal included);
+    `tol` defaults to `gamma_tol(space, solution)`."""
     if tol is None:
-        tol = DEFAULT_GAMMA_TOL_FACTOR * max(space.max_distance, 1.0)
+        tol = gamma_tol(space, solution)
     if solution.lipschitz_residual > tol:
         raise TolTooSmall(
             f"lipschitz residual {solution.lipschitz_residual} above tol {tol}")
@@ -620,11 +632,13 @@ def check_cyclic_monotonicity(space: MMSpace, gamma: GammaSet, k: int = 4,
 
 
 def check_geodesic_stability(space: MMSpace, gamma: GammaSet, samples: int = 200,
-                             rng=None, max_subpairs: int = 20) -> dict:
+                             rng=None) -> dict:
     """Fraction of chain sub-pairs of sampled Gamma pairs that leave Gamma.
 
-    Chains come from the geodesic oracle; for sphere samples the snapped
-    approximate chain is used (mesh-scale deviation, see module docs).
+    Chains come from `space.snapped_chain`: the geodesic oracle, or on
+    sphere samples the snapped approximate chain (mesh-scale deviation,
+    see module docs). Each chain of more than two points gives 20 random
+    sub-pairs.
     """
     rng = rng or np.random.default_rng(0)
     pairs = gamma.pairs()
@@ -633,13 +647,12 @@ def check_geodesic_stability(space: MMSpace, gamma: GammaSet, samples: int = 200
     take = rng.integers(0, len(pairs), size=min(samples, len(pairs)))
     tested = failed = 0
     for x, y in pairs[take]:
-        chain = (space.snapped_chain(int(x), int(y)) if space.kind == "sphere2"
-                 else space.chain(int(x), int(y)))
+        chain = space.snapped_chain(int(x), int(y))
         if len(chain) <= 2:
             continue
         c = np.array(chain)
-        iu = rng.integers(0, len(c) - 1, size=max_subpairs)
-        iv = rng.integers(0, len(c) - 1, size=max_subpairs)
+        iu = rng.integers(0, len(c) - 1, size=20)
+        iv = rng.integers(0, len(c) - 1, size=20)
         lo = np.minimum(iu, iv)
         hi = np.maximum(iu, iv) + 1
         tested += len(lo)

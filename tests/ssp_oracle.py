@@ -37,8 +37,7 @@ def _ssp(D_sub, a, b):
     """
     S, T = D_sub.shape
     cost = np.round(D_sub * COST_SCALE).astype(np.int64)
-    ua = quantize_masses(a)
-    ub = quantize_masses(b)
+    ua, ub = (quantize_masses(m * MASS_SCALE, int(round(m.sum() * MASS_SCALE))) for m in (a, b))
     if ua.sum() != ub.sum():
         raise SolverFailure("quantized supplies do not balance")
     m = S + T

@@ -66,6 +66,9 @@ def test_solve_monge_and_decompose(interval_spec, tmp_path):
                      "--out", out2]) == 0
     rep2 = json.load(open(out2))
     assert rep2["decomposition"]["rays"]
+    solution = rep2["solution"]
+    assert {"slack_floor", "support_residual", "gamma_tol"} <= set(solution)
+    assert solution["gamma_tol"] >= 4 * solution["support_residual"]
     assert "mass_fraction" in rep2["branching"]
 
 

@@ -49,11 +49,7 @@ def test_full_pipeline_invariants(kind, seed):
     assert 0 <= sol.duality_gap <= 1e-9 * scale
     assert sol.lipschitz_residual <= 1e-9 * max(sp.max_distance, 1.0)
 
-    tol = 1e-10 * (1 + sp.max_distance)
-    if sol.slack_floor > 0:
-        tol = min(tol, sol.slack_floor / 4)
-    tol = max(tol, 4 * sol.support_residual)
-    g = w1.gamma_set(sp, sol, tol=tol)
+    g = w1.gamma_set(sp, sol, tol=w1.gamma_tol(sp, sol, rel=1e-10))
 
     st = ry.build_transport_structure(sp, g)
     assert set(st.transport_set) <= set(st.transport_set_e)
