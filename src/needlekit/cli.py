@@ -3,7 +3,7 @@
 Reports are JSON with a manifest (versions, seed, config echo, wall time)
 and are written atomically. Exit codes: 0 = computed and passed, 2 =
 computed but the math fails (a check verdict is negative), 1 = could not
-compute (bad config, IO, solver error).
+compute (bad usage or input, IO, solver error).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import scipy
 
 from . import __version__
 from . import curvature as cv
-from . import disint as di
 from . import isoperim as iso
 from . import mmspace as ms
 from . import monge1d as mg
@@ -36,11 +35,32 @@ EXIT_ERROR = 1
 EXIT_FAIL = 2
 
 
+def _read(what, parse, *args):
+    """parse(*args); a malformed input file or value is a ConfigError."""
+    try:
+        return parse(*args)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
+def natural(text):
+    """argparse type: an integer >= 0 (argparse reports a ValueError)."""
+    if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
+
+
+def floats(text):
+    """argparse type: a nonempty comma-separated list of floats."""
+    vals = [float(x) for x in text.split(",") if x.strip()]
+    if not vals:
+        raise ValueError(text)
+    return vals
+
+
 def _load_marginals(path, space: ms.MMSpace):
     with open(path) as fh:
         data = json.load(fh)
-    if "mu0" not in data or "mu1" not in data:
-        raise ConfigError("marginals file needs 'mu0' and 'mu1'")
 
     def vec(entry):
         if isinstance(entry, dict):
@@ -61,8 +81,6 @@ def _json_default(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if dataclasses.is_dataclass(obj):
-        return dataclasses.asdict(obj)
     raise TypeError(f"not serializable: {type(obj)}")
 
 
@@ -82,16 +100,15 @@ def _sanitize(value):
     return value
 
 
-def _write_report(path, payload):
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+def _write(path, text):
+    """Write text to path atomically (to stdout when path is None)."""
     if path is None:
-        print(text)
+        sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -99,18 +116,19 @@ def _write_report(path, payload):
         raise
 
 
-def _write_csv(path, rows, header):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-    os.replace(tmp, path)
+def _write_report(path, payload):
+    _write(path, json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
+
+
+def _write_csv(report_path, rows, header):
+    """The rows as a CSV beside the report (none when the report goes to stdout)."""
+    if report_path:
+        lines = [",".join(header)] + [",".join(repr(float(x)) for x in row) for row in rows]
+        _write(os.path.splitext(report_path)[0] + ".csv", "\n".join(lines) + "\n")
 
 
 def _manifest(args, t0):
-    echo = {k: v for k, v in vars(args).items() if k != "func"}
+    echo = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     return {
         "versions": {
             "needlekit": __version__,
@@ -118,6 +136,7 @@ def _manifest(args, t0):
             "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
+        "command": args.command,
         "seed": getattr(args, "seed", None),
         "config": echo,
         "wall_time_s": time.time() - t0,
@@ -125,9 +144,9 @@ def _manifest(args, t0):
 
 
 def _decompose_pipeline(args):
-    space = ms.load_spec(args.space)
+    space = _read("space spec", ms.load_spec, args.space)
     if args.marginals:
-        mu0, mu1 = _load_marginals(args.marginals, space)
+        mu0, mu1 = _read("marginals", _load_marginals, args.marginals, space)
     else:
         rng = np.random.default_rng(args.seed)
         f = rng.normal(size=space.n)
@@ -146,9 +165,8 @@ def _decompose_pipeline(args):
 def cmd_solve_monge(args):
     t0 = time.time()
     space, sol, gamma, structure, dec = _decompose_pipeline(args)
-    d0 = di.disintegrate(space, dec, sol.mu0)
     cond = mg.condition_target_via_plan(dec, sol, space.n)
-    coupling = mg.assemble_monge_map(space, dec, d0, cond)
+    coupling = mg.assemble_monge_map(space, dec, None, cond)
     report = {
         "w1": sol.to_json(),
         "monge": coupling.to_json(),
@@ -187,83 +205,57 @@ def cmd_decompose(args):
 
 def _density_from_space(args):
     if str(args.space).endswith(".csv"):
-        return cv.load_density_csv(args.space)
-    space = ms.load_spec(args.space)
+        return _read("density CSV", cv.load_density_csv, args.space)
+    space = _read("space spec", ms.load_spec, args.space)
     if space.density is None:
         raise ConfigError(
             "check-cd/check-mcp need an interval-type space spec or a t,h CSV")
     return space.density
 
 
-def cmd_check_cd(args):
-    t0 = time.time()
-    dens = _density_from_space(args)
-    rng = np.random.default_rng(args.seed)
-    triples = cv.sample_triples(dens.grid, args.samples, rng)
-    rep = cv.cd_density_check(dens, args.K, args.N, triples,
-                              rel_tol=args.tol if args.tol else 1e-7)
-    report = {"check": rep.to_json(), "manifest": _manifest(args, t0)}
-    _write_report(args.out, _sanitize(report))
-    return EXIT_PASS if rep.verdict else EXIT_FAIL
-
-
-def cmd_check_mcp(args):
-    t0 = time.time()
-    dens = _density_from_space(args)
-    rng = np.random.default_rng(args.seed)
-    quads = cv.sample_quadruples(dens.grid, args.samples, rng)
-    rep = cv.mcp_density_check(dens, args.K, args.N, quads,
-                               rel_tol=args.tol if args.tol else 1e-7)
-    report = {"check": rep.to_json(), "manifest": _manifest(args, t0)}
-    _write_report(args.out, _sanitize(report))
-    return EXIT_PASS if rep.verdict else EXIT_FAIL
-
-
-def _parse_vgrid(text):
-    vals = [float(x) for x in text.split(",") if x.strip()]
-    if not vals:
-        raise ConfigError("empty v-grid")
-    return vals
+def _check_command(sample, check):
+    """check-cd / check-mcp: `check` on `--samples` points drawn by `sample`."""
+    def cmd(args):
+        t0 = time.time()
+        dens = _density_from_space(args)
+        points = sample(dens.grid, args.samples, np.random.default_rng(args.seed))
+        rep = check(dens, args.K, args.N, points, rel_tol=args.tol)
+        report = {"check": rep.to_json(), "manifest": _manifest(args, t0)}
+        _write_report(args.out, _sanitize(report))
+        return EXIT_PASS if rep.verdict else EXIT_FAIL
+    return cmd
 
 
 def cmd_profile(args):
     t0 = time.time()
-    space = ms.load_spec(args.space)
-    v_grid = _parse_vgrid(args.v_grid)
+    space = _read("space spec", ms.load_spec, args.space)
 
     def one(iv):
         i, v = iv
         return iso.empirical_profile(space, v, rng=np.random.default_rng(args.seed + i))
 
-    points = _pmap(one, list(enumerate(v_grid)), args.threads)
+    points = _pmap(one, list(enumerate(args.v_grid)), args.threads)
     report = {
         "points": [dataclasses.asdict(p) for p in points],
         "manifest": _manifest(args, t0),
     }
     _write_report(args.out, _sanitize(report))
-    if args.out:
-        _write_csv(os.path.splitext(args.out)[0] + ".csv",
-                   [(p.requested_v, p.v, p.content) for p in points],
-                   ["v_requested", "v_attained", "content"])
+    _write_csv(args.out, [(p.requested_v, p.v, p.content) for p in points],
+               ["v_requested", "v_attained", "content"])
     return EXIT_PASS
 
 
 def cmd_levy_gromov(args):
     t0 = time.time()
-    space = ms.load_spec(args.space)
-    if args.K is None or args.N is None:
-        raise ConfigError("levy-gromov needs --K and --N")
-    v_grid = _parse_vgrid(args.v_grid)
-    spec = iso.ModelProfileSpec(args.K, args.N, args.D if args.D else space.diameter)
-    rep = iso.levy_gromov_check(space, spec, v_grid,
+    space = _read("space spec", ms.load_spec, args.space)
+    spec = iso.ModelProfileSpec(args.K, args.N, space.max_distance)
+    rep = iso.levy_gromov_check(space, spec, args.v_grid,
                                 rng=np.random.default_rng(args.seed),
                                 threads=args.threads)
     report = {"levy_gromov": rep, "manifest": _manifest(args, t0)}
     _write_report(args.out, _sanitize(report))
-    if args.out:
-        _write_csv(os.path.splitext(args.out)[0] + ".csv",
-                   [(r["v"], r["empirical"], r["model"]) for r in rep["rows"]],
-                   ["v", "empirical", "model"])
+    _write_csv(args.out, [(r["v"], r["empirical"], r["model"]) for r in rep["rows"]],
+               ["v", "empirical", "model"])
     return EXIT_PASS if rep["verdict"] == "pass" else EXIT_FAIL
 
 
@@ -280,51 +272,53 @@ def cmd_selftest(args):
     return EXIT_PASS if report["all_pass"] else EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad usage raises ConfigError, so it exits 1 (subparsers inherit the class)."""
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="needlekit",
-        description="L1 optimal transport localization toolkit")
+    parser = _Parser(prog="needlekit",
+                     description="L1 optimal transport localization toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_space=True):
-        if needs_space:
-            p.add_argument("--space", required=True, help="space-spec JSON path")
-        p.add_argument("--marginals", default=None, help="marginals JSON path")
-        p.add_argument("--K", type=float, default=None)
-        p.add_argument("--N", type=float, default=None)
-        p.add_argument("--D", type=float, default=None)
-        p.add_argument("--v-grid", default="0.25,0.5,0.75")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=5000)
-        p.add_argument("--out", default=None, help="report JSON path (stdout if omitted)")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("NEEDLE_THREADS", "1")))
-
-    for name, fn, needs_space in [
-        ("solve-monge", cmd_solve_monge, True),
-        ("decompose", cmd_decompose, True),
-        ("check-cd", cmd_check_cd, True),
-        ("check-mcp", cmd_check_mcp, True),
-        ("profile", cmd_profile, True),
-        ("levy-gromov", cmd_levy_gromov, True),
-        ("selftest", cmd_selftest, False),
+    flags = {
+        "--space": dict(required=True, help="space-spec JSON path"),
+        "--marginals": dict(default=None, help="marginals JSON path"),
+        "--K": dict(type=float, required=True),
+        "--N": dict(type=float, required=True),
+        "--v-grid": dict(type=floats, default="0.25,0.5,0.75"),
+        "--seed": dict(type=natural, default=0),
+        "--samples": dict(type=natural, default=5000),
+        "--threads": dict(type=natural, default=os.environ.get("NEEDLE_THREADS", "1")),
+        "--out": dict(default=None, help="report JSON path (stdout if omitted)"),
+    }
+    gamma_tol = dict(type=float, default=None, help="Gamma tolerance (default: w1solve.gamma_tol)")
+    rel_tol = dict(type=float, default=1e-7, help="relative tolerance of the check")
+    pipeline = "--space --marginals --seed --tol --out"
+    check = "--space --K --N --seed --samples --tol --out"
+    for name, fn, names, tol in [
+        ("solve-monge", cmd_solve_monge, pipeline, gamma_tol),
+        ("decompose", cmd_decompose, pipeline, gamma_tol),
+        ("check-cd", _check_command(cv.sample_triples, cv.cd_density_check), check, rel_tol),
+        ("check-mcp", _check_command(cv.sample_quadruples, cv.mcp_density_check), check, rel_tol),
+        ("profile", cmd_profile, "--space --v-grid --seed --threads --out", None),
+        ("levy-gromov", cmd_levy_gromov, "--space --K --N --v-grid --seed --threads --out", None),
+        ("selftest", cmd_selftest, "--out", None),
     ]:
         p = sub.add_parser(name)
-        common(p, needs_space)
+        for flag in names.split():
+            p.add_argument(flag, **(tol if flag == "--tol" else flags[flag]))
         p.set_defaults(func=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except NeedleError as exc:
+    except (NeedleError, OSError) as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -21,7 +21,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import DegenerateDensity
+from .errors import BadDimension, BadParameter, DegenerateDensity
 from .mmspace import Density1D
 
 
@@ -53,7 +53,7 @@ def sigma(K: float, N: float, t, theta):
     ratio when K theta^2 < 0 and N > 0.
     """
     if N < 0:
-        raise ValueError("N must be >= 0")
+        raise BadDimension("N must be >= 0")
     t_arr = np.asarray(t, dtype=float)
     th_arr = np.asarray(theta, dtype=float)
     scalar = t_arr.ndim == 0 and th_arr.ndim == 0
@@ -87,7 +87,7 @@ def sigma(K: float, N: float, t, theta):
 def tau(K: float, N: float, t, theta):
     """tau_{K,N}^{(t)}(theta) = t^{1/N} sigma_{K,N-1}^{(t)}(theta)^{(N-1)/N}."""
     if N < 1:
-        raise ValueError("N must be >= 1")
+        raise BadDimension("N must be >= 1")
     s = sigma(K, N - 1, t, theta)
     t_arr = np.asarray(t, dtype=float)
     s_arr = np.asarray(s, dtype=float)
@@ -131,7 +131,7 @@ def cd_density_check(density: Density1D, K: float, N: float, triples,
     if N == 1:
         return _constant_report(density, rel_tol)
     if N < 1:
-        raise ValueError("N must be >= 1")
+        raise BadDimension("N must be >= 1")
     _degeneracy_scan(density)
     triples = np.asarray(triples, dtype=float).reshape(-1, 3)
     t0, t1, s = triples[:, 0], triples[:, 1], triples[:, 2]
@@ -171,11 +171,15 @@ def mcp_density_check(density: Density1D, K: float, N: float, quadruples,
     are reported.
     """
     if K <= 0:
-        raise ValueError("only the K > 0 sine-ratio branch is implemented")
+        raise BadParameter("only the K > 0 sine-ratio branch is implemented")
+    if N < 1:
+        raise BadDimension("N must be >= 1")
     if N == 1:
         return _constant_report(density, rel_tol)
     _degeneracy_scan(density)
     quads = np.asarray(quadruples, dtype=float).reshape(-1, 4)
+    if len(quads) == 0:
+        raise BadParameter("no quadruples to check")
     sm, s, tu, sp = quads[:, 0], quads[:, 1], quads[:, 2], quads[:, 3]
     if np.any(~((sm < s) & (s <= tu) & (tu < sp))):
         raise ValueError("quadruples need sigma- < s <= tau < sigma+")
@@ -238,7 +242,7 @@ def mollify_density(density: Density1D, N: float, eps: float) -> Density1D:
     window.
     """
     if N <= 1:
-        raise ValueError("mollification needs N > 1")
+        raise BadDimension("mollification needs N > 1")
     if eps <= 0:
         raise ValueError("eps must be positive")
     a, b = density.domain

@@ -21,11 +21,15 @@ class InvalidWeights(NeedleError):
     pass
 
 
-class BadDiameter(NeedleError):
+class BadParameter(NeedleError, ValueError):
+    """A parameter outside the range a routine supports (also a ValueError)."""
+
+
+class BadDiameter(BadParameter):
     pass
 
 
-class BadDimension(NeedleError):
+class BadDimension(BadParameter):
     pass
 
 

@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import BadVolume, MeshTooCoarse
+from .errors import BadDiameter, BadDimension, BadVolume, MeshTooCoarse
 from .mmspace import MMSpace
 from .w1solve import solve_w1
 
@@ -35,9 +35,9 @@ class ModelProfileSpec:
 
     def __post_init__(self):
         if self.N < 1:
-            raise ValueError("N must be >= 1")
+            raise BadDimension("N must be >= 1")
         if not self.D > 0:
-            raise ValueError("D must be positive")
+            raise BadDiameter("D must be positive")
 
 
 @dataclasses.dataclass
@@ -162,7 +162,7 @@ def default_eps_window(space: MMSpace, k: int = 16) -> np.ndarray:
     a fraction of the diameter to keep the curvature bias second-order.
     """
     m = max(space.mesh, 1e-12)
-    hi = min(8.0 * m, max(5.0 * m, 0.12 * space.diameter))
+    hi = min(8.0 * m, max(5.0 * m, 0.12 * space.max_distance))
     hi = max(hi, 2.5 * m)
     return np.linspace(2.0 * m, hi, k)
 
@@ -273,7 +273,7 @@ def levy_gromov_check(space: MMSpace, spec: ModelProfileSpec, v_grid,
     on spawned random streams, so results do not depend on ordering.
     """
     rng = rng or np.random.default_rng(0)
-    D_used = space.diameter
+    D_used = space.max_distance
     mspec = ModelProfileSpec(spec.K, spec.N, D_used)
     v_grid = list(v_grid)
     streams = rng.spawn(len(v_grid))

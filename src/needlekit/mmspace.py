@@ -14,6 +14,7 @@ approximate chain for sphere samples, with no straightness guarantee.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -23,6 +24,7 @@ from scipy.sparse.csgraph import shortest_path
 from .errors import (
     BadDiameter,
     BadDimension,
+    BadParameter,
     ConfigError,
     DisconnectedGraph,
     EmptySpace,
@@ -75,7 +77,8 @@ class MMSpace:
     "sphere2"); `line_coord` is a 1D isometric embedding when one exists,
     `coords` are ambient coordinates for sphere samples, `predecessors`
     the Dijkstra tree for graph spaces, and `density` the generating
-    Density1D for interval models.
+    Density1D for interval models. `D` is never changed after
+    construction, so `max_distance` and `mesh` are computed once.
     """
 
     point_ids: list
@@ -91,15 +94,11 @@ class MMSpace:
     def n(self) -> int:
         return len(self.point_ids)
 
-    @property
+    @functools.cached_property
     def max_distance(self) -> float:
         return float(self.D.max())
 
-    @property
-    def diameter(self) -> float:
-        return self.max_distance
-
-    @property
+    @functools.cached_property
     def mesh(self) -> float:
         """Largest nearest-neighbor distance (covering scale of the sample)."""
         if self.n < 2:
@@ -296,7 +295,7 @@ def generate_interval_model(K: float, N: float, D: float, n: int) -> tuple[MMSpa
     if N < 1:
         raise BadDimension(f"N must be >= 1, got {N}")
     if n < 16:
-        raise ValueError("need n >= 16 grid points")
+        raise BadParameter("need n >= 16 grid points")
     if D <= 0:
         raise BadDiameter("D must be positive")
     if K > 0:
@@ -340,7 +339,7 @@ def generate_sphere_sample(n_dim: int, n: int, seed: int = 0) -> MMSpace:
     if n_dim != 2:
         raise BadDimension("only the round S^2 (n_dim=2) is supported")
     if n < 100:
-        raise ValueError("need n >= 100 sample points")
+        raise BadParameter("need n >= 100 sample points")
     pts = fibonacci_sphere(n, seed=seed)
     D = great_circle_matrix(pts)
     _validate_metric(D, rng=np.random.default_rng(seed + 1))

@@ -59,10 +59,6 @@ class W1Solution:
     # count; empty on the line, identity and assignment routes
     colgen: dict = dataclasses.field(default_factory=dict)
 
-    @property
-    def dual_value(self) -> float:
-        return self.primal_value - self.duality_gap
-
     def plan_triples(self):
         return [(int(i), int(j), float(m)) for (i, j), m in zip(self.pairs, self.masses)]
 
@@ -601,8 +597,10 @@ def gamma_set(space: MMSpace, solution: W1Solution, tol: float | None = None) ->
     if solution.lipschitz_residual > tol:
         raise TolTooSmall(
             f"lipschitz residual {solution.lipschitz_residual} above tol {tol}")
-    phi = solution.potential
-    mask = (phi[:, None] - phi[None, :]) >= (space.D - tol)
+    phi, D = solution.potential, space.D
+    mask = np.empty(D.shape, dtype=bool)
+    for lo, hi in _row_blocks(len(D), len(D)):
+        mask[lo:hi] = (phi[lo:hi, None] - phi[None, :]) >= (D[lo:hi] - tol)
     moving = solution.masses > 0
     i, j = solution.pairs[moving, 0], solution.pairs[moving, 1]
     offdiag = i != j

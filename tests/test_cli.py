@@ -138,3 +138,102 @@ def test_explicit_threads_flag_beats_environment(interval_spec, tmp_path, monkey
     assert cli.main(argv + ["--threads", "1"]) == 0
     assert cli.main(argv) == 0
     assert seen == [1, 3]
+
+
+# The option strings each subcommand accepts (besides -h); a flag a
+# subcommand does not read must not come back.
+FLAGS = {
+    "solve-monge": "--space --marginals --seed --tol --out",
+    "decompose": "--space --marginals --seed --tol --out",
+    "check-cd": "--space --K --N --seed --samples --tol --out",
+    "check-mcp": "--space --K --N --seed --samples --tol --out",
+    "profile": "--space --v-grid --seed --threads --out",
+    "levy-gromov": "--space --K --N --v-grid --seed --threads --out",
+    "selftest": "--out",
+}
+
+
+def test_accepted_flags_are_pinned():
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    accepted = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+                for name, p in subparsers.items()}
+    assert accepted == {name: set(flags.split()) for name, flags in FLAGS.items()}
+    assert sum(len(flags) for flags in accepted.values()) == 37
+
+
+def test_manifest_config_echoes_exactly_the_flags(interval_spec, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.stest, "run_all", lambda verbose: [])
+    model = ["--K", "1", "--N", "2"]
+    argv = {
+        "solve-monge": [], "decompose": [], "selftest": [],
+        "check-cd": model + ["--samples", "200"],
+        "check-mcp": model + ["--samples", "200"],
+        "profile": ["--v-grid", "0.5"],
+        "levy-gromov": model + ["--v-grid", "0.5"],
+    }
+    for name, flags in FLAGS.items():
+        out = str(tmp_path / f"{name}.json")
+        space = [] if name == "selftest" else ["--space", interval_spec]
+        assert cli.main([name, *space, *argv[name], "--out", out]) in (0, 2)
+        manifest = json.load(open(out))["manifest"]
+        assert manifest["command"] == name
+        assert set(manifest["config"]) == {f[2:].replace("-", "_") for f in flags.split()}
+
+
+def test_unread_flag_is_a_usage_error(interval_spec):
+    assert cli.main(["decompose", "--space", interval_spec, "--K", "1"]) == 1
+    assert cli.main(["levy-gromov", "--space", interval_spec, "--K", "1", "--N", "2",
+                     "--D", "0"]) == 1
+
+
+def test_missing_required_flag_exits_1(interval_spec, capsys):
+    assert cli.main(["check-cd", "--space", interval_spec, "--N", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [ConfigError]:") and "--K" in err
+    assert "Traceback" not in err
+
+
+def test_check_tol_is_used_as_given(interval_spec, tmp_path):
+    out = str(tmp_path / "cd.json")
+    assert cli.main(["check-cd", "--space", interval_spec, "--K", "1", "--N", "2",
+                     "--samples", "200", "--tol", "0", "--out", out]) in (0, 2)
+    assert json.load(open(out))["check"]["rel_tol"] == 0.0
+    assert cli.main(["check-cd", "--space", interval_spec, "--K", "1", "--N", "2",
+                     "--samples", "200", "--out", out]) == 0
+    assert json.load(open(out))["check"]["rel_tol"] == 1e-7
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["levy-gromov", "--K", "1", "--N", "0.5"], "BadDimension"),
+    (["check-cd", "--K", "1", "--N", "0.5"], "BadDimension"),
+    (["check-mcp", "--K", "1", "--N", "0.5"], "BadDimension"),
+    (["check-mcp", "--K", "-1", "--N", "2"], "BadParameter"),
+    (["check-mcp", "--K", "1", "--N", "2", "--samples", "0"], "BadParameter"),
+    (["check-cd", "--K", "1", "--N", "2", "--seed", "-1"], "ConfigError"),
+    (["profile", "--v-grid", "0.5,x"], "ConfigError"),
+])
+def test_out_of_range_input_exits_1(interval_spec, argv, error, capsys):
+    assert cli.main(argv[:1] + ["--space", interval_spec] + argv[1:]) == 1
+    assert capsys.readouterr().err.startswith(f"error [{error}]:")
+
+
+@pytest.mark.parametrize("name, text", [
+    ("spec.json", "{"),
+    ("spec.json", '{"metric": {"type": "interval", "K": 1, "N": 2}}'),
+    ("spec.json", '{"metric": {"type": "interval", "K": 1, "N": 2, "D": 1, "n": 4}}'),
+    ("density.csv", "t,h\n0,1\n1,-1\n2,1\n"),
+])
+def test_malformed_input_file_exits_1(tmp_path, name, text, capsys):
+    path = tmp_path / name
+    path.write_text(text)
+    assert cli.main(["check-cd", "--space", str(path), "--K", "1", "--N", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [ConfigError]:") and "Traceback" not in err
+
+
+def test_malformed_marginals_exit_1(interval_spec, tmp_path, capsys):
+    path = tmp_path / "marginals.json"
+    for text in ["{", '{"mu1": [1]}', '{"mu0": {"0": "x"}, "mu1": {"1": 1}}']:
+        path.write_text(text)
+        assert cli.main(["decompose", "--space", interval_spec, "--marginals", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error [ConfigError]: bad marginals:")

@@ -137,6 +137,15 @@ def test_gamma_halfline_example():
     assert np.array_equal(g.mask, expected)
 
 
+def test_gamma_mask_matches_dense_formula():
+    # n = 1100 fills the mask in five row blocks; each entry must be bit-identical
+    space, _ = ms.generate_interval_model(1.0, 2.0, np.pi, 1100)
+    sol = w1.solve_w1(space, *_marginals(space.n, 3))
+    g = w1.gamma_set(space, sol)
+    phi = sol.potential
+    assert np.array_equal(g.mask, (phi[:, None] - phi[None, :]) >= (space.D - g.tol))
+
+
 def test_gamma_tol_too_small():
     import dataclasses
     sp = _cloud(10, 4)
