@@ -35,6 +35,13 @@ from .errors import (
 REL_TOL = 1e-12
 EXHAUSTIVE_TRIPLE_LIMIT = 300
 SAMPLED_TRIPLES = 10**6
+_BLOCK = 1 << 18    # matrix entries per row block of the dense n x n passes
+
+
+def _row_blocks(n, cols):
+    """Row ranges of an n x cols matrix, about _BLOCK entries each."""
+    rows = max(1, _BLOCK // max(cols, 1))
+    return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -190,13 +197,14 @@ def _validate_metric(D: np.ndarray, rng: np.random.Generator | None = None):
     n = D.shape[0]
     scale = max(D.max(), 1.0)
     tol = REL_TOL * scale
-    if np.any(~np.isfinite(D)):
+    blocks = _row_blocks(n, n)
+    if not all(np.isfinite(D[lo:hi]).all() for lo, hi in blocks):
         raise MetricViolation("metric contains non-finite entries")
     if np.any(np.abs(np.diag(D)) > tol):
         raise MetricViolation("d(x,x) != 0")
-    if np.any(D < -tol):
+    if any((D[lo:hi] < -tol).any() for lo, hi in blocks):
         raise MetricViolation("negative distances")
-    if np.abs(D - D.T).max() > tol:
+    if max(np.abs(D[lo:hi] - D[:, lo:hi].T).max() for lo, hi in blocks) > tol:
         raise MetricViolation("metric is not symmetric")
     if n <= EXHAUSTIVE_TRIPLE_LIMIT:
         for k in range(n):
@@ -223,7 +231,8 @@ def _detect_line(D: np.ndarray) -> np.ndarray | None:
     """
     a = int(np.argmax(D[0]))
     t = D[a]
-    err = np.abs(np.abs(t[:, None] - t[None, :]) - D).max()
+    err = max(np.abs(np.abs(t[lo:hi, None] - t[None, :]) - D[lo:hi]).max()
+              for lo, hi in _row_blocks(len(D), len(D)))
     if err <= 1e-13 * max(D.max(), 1.0):
         return t
     return None
@@ -309,7 +318,8 @@ def generate_interval_model(K: float, N: float, D: float, n: int) -> tuple[MMSpa
     cell = 0.5 * dt * (vals[:-1] + vals[1:])
     masses[:-1] += 0.5 * cell
     masses[1:] += 0.5 * cell
-    Dmat = np.abs(grid[:, None] - grid[None, :])
+    Dmat = grid[:, None] - grid[None, :]
+    np.abs(Dmat, out=Dmat)
     space = MMSpace(list(range(n)), Dmat, masses / masses.sum(), kind="interval",
                     line_coord=grid.copy(), density=dens)
     return space, dens
@@ -329,7 +339,8 @@ def fibonacci_sphere(n: int, seed: int = 0) -> np.ndarray:
 
 
 def great_circle_matrix(pts: np.ndarray) -> np.ndarray:
-    G = np.arccos(np.clip(pts @ pts.T, -1.0, 1.0))
+    G = pts @ pts.T
+    np.arccos(np.clip(G, -1.0, 1.0, out=G), out=G)
     np.fill_diagonal(G, 0.0)
     return G
 

@@ -31,7 +31,7 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import SolverFailure, TolTooSmall, UnbalancedMarginals
-from .mmspace import MMSpace
+from .mmspace import MMSpace, _row_blocks
 
 MASS_SCALE = 10**14
 DEFAULT_GAMMA_TOL_FACTOR = 1e-6
@@ -88,8 +88,8 @@ class GammaSet:
         return bool(self.mask[i, j])
 
     def pairs(self, include_diagonal: bool = False) -> np.ndarray:
-        m = self.mask if include_diagonal else self.mask & ~np.eye(len(self.mask), dtype=bool)
-        return np.argwhere(m)
+        p = np.argwhere(self.mask)
+        return p if include_diagonal else p[p[:, 0] != p[:, 1]]
 
     @property
     def count(self) -> int:
@@ -229,14 +229,7 @@ def _engine_highs_generated(D_sub, a, b):
 
 
 _KNN = 8            # nearest moved neighbours per point in the starting edge set
-_BLOCK = 1 << 18    # matrix entries per row block of the dense checks
 _CYCLE_CHECK = 16   # relaxation passes between negative-cycle checks
-
-
-def _row_blocks(n, cols):
-    """Row ranges of an n x cols matrix, about _BLOCK entries each."""
-    rows = max(1, _BLOCK // max(cols, 1))
-    return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
 def _relax(c, src, dst, w, starts, atol):

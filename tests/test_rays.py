@@ -1,5 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from needlekit import mmspace as ms
 from needlekit import rays as ry
@@ -195,3 +201,92 @@ def test_consistency_explicit_sets():
     rep = di.check_consistency(d, test_sets=[B], ray_subsets=[np.arange(5)])
     assert rep["pairs_tested"] == 1
     assert rep["consistency_max_err"] <= 1e-12
+
+
+def _branch_counts(G, R):
+    """Oracle: for each x, the number of (z, w) in Gamma(x)^2 with (z, w) not in R."""
+    B = (~R).astype(np.float32)
+    Gf = G.astype(np.float32)
+    return np.einsum("ij,ij->i", Gf @ B, Gf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hs.integers(1, 70).filter(lambda n: n % 8), hs.floats(0.0, 1.0),
+       hs.integers(0, 2**32 - 1), hs.booleans(), hs.booleans())
+def test_packed_branching_matches_matmul(n, fill, seed, diagonal, upper):
+    # n % 8 != 0, so ~R has set padding bits in its last byte
+    mask = np.random.default_rng(seed).random((n, n)) < fill
+    if upper:
+        mask = np.triu(mask)           # one-way Gamma, as on a ray
+    if diagonal:
+        np.fill_diagonal(mask, True)
+    R = mask | mask.T
+    fwd, bwd = ry._packed(mask, 1), ry._packed(mask, 0)
+    r = fwd | bwd
+    assert np.array_equal(np.unpackbits(r.view(np.uint8), axis=1, count=n).view(bool), R)
+    rows = np.arange(n)
+    assert np.array_equal(ry._branching(fwd, ~r, rows), _branch_counts(mask, R) > 0.5)
+    assert np.array_equal(ry._branching(bwd, ~r, rows), _branch_counts(mask.T, R) > 0.5)
+
+
+def _positive_gamma(space, seed=0):
+    """Solution and Gamma for random positive marginals on `space`."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.random(space.n) + 1e-3, rng.random(space.n) + 1e-3
+    sol = w1.solve_w1(space, a / a.sum(), b / b.sum())
+    return sol, w1.gamma_set(space, sol)
+
+
+def _cloud(n=150, seed=0):
+    pts = np.random.default_rng(seed).random((n, 2))
+    D = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
+    return ms.build_space(list(range(n)), {"type": "matrix", "data": D})
+
+
+@pytest.mark.parametrize("case", ["interval-600", "grid", "cloud"])
+def test_structure_and_rays_match_dense_oracle(case):
+    if case == "grid":
+        space, sol, _, st, dec = _grid_construction()
+    else:
+        space = _cloud() if case == "cloud" else ms.generate_interval_model(1.0, 2.0, np.pi, 600)[0]
+        sol, g = _positive_gamma(space)
+        st = ry.build_transport_structure(space, g)
+        dec = ry.partition_rays(space, st, sol)
+    mask, D = st.gamma.mask, space.D
+    nontrivial = mask & (D > 0)
+    te = nontrivial.any(axis=1) | nontrivial.any(axis=0)
+    R = mask | mask.T
+    a_plus = np.where(te & (_branch_counts(mask, R) > 0.5))[0]
+    a_minus = np.where(te & (_branch_counts(mask.T, R) > 0.5))[0]
+    t_mask = te.copy()
+    t_mask[a_plus] = t_mask[a_minus] = False
+    T = np.where(t_mask)[0]
+    assert np.array_equal(st.R, R)
+    assert np.array_equal(st.initial_points, np.where(~nontrivial.any(axis=0))[0])
+    assert np.array_equal(st.final_points, np.where(~nontrivial.any(axis=1))[0])
+    assert np.array_equal(st.transport_set_e, np.where(te)[0])
+    assert np.array_equal(st.branching_fwd, a_plus)
+    assert np.array_equal(st.branching_bwd, a_minus)
+    assert np.array_equal(st.transport_set, T)
+    # rays and orphans are the dense components of R & (D > 0) on T, in label order
+    _, labels = connected_components(
+        sparse.csr_matrix(R[np.ix_(T, T)] & (D[np.ix_(T, T)] > 0)), directed=False)
+    comps = [T[labels == k] for k in range(labels.max() + 1)]
+    orphans = set(dec.orphan_points.tolist())
+    kept = [c for c in comps if not set(c.tolist()) <= orphans]
+    assert [sorted(r.points.tolist()) for r in dec.rays] == [c.tolist() for c in kept]
+    assert sum(len(c) for c in comps) == len(orphans) + sum(len(c) for c in kept)
+
+
+def test_structure_memory_below_4n2_bytes():
+    # the dense construction peaked at 14 n^2 bytes: three n x n float32
+    # arrays for the branching matmuls plus the bool masks
+    space = ms.generate_interval_model(1.0, 2.0, np.pi, 2000)[0]
+    _, g = _positive_gamma(space)
+    tracemalloc.start()
+    try:
+        ry.build_transport_structure(space, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * space.n ** 2
