@@ -2,10 +2,12 @@
 
 The primal is solved exactly per instance class: a quantile sweep for
 1D-embeddable metrics, the Jonker-Volgenant assignment solver when net
-supplies are uniform and balanced in count, and otherwise the HiGHS
-simplex on the bipartite transportation LP by arc generation: restricted
-LPs over a growing arc set, priced against all arcs until none outside
-the set has negative reduced cost.
+supplies are uniform and balanced in count, and otherwise arc generation
+on the bipartite transportation LP: one HiGHS model holds the restricted
+LP, gains the arcs that price negative against all S x T arcs as new
+columns each round, and re-solves by dual simplex from its last basis,
+until no arc outside the set prices negative. The masses are then solved
+exactly on the final basis.
 
 Whatever the engine, the dual potential is re-derived: seed values from
 the engine are tightened by Bellman-Ford relaxation of the difference
@@ -28,7 +30,10 @@ import dataclasses
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linear_sum_assignment
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import spsolve
 
 from .errors import SolverFailure, TolTooSmall, UnbalancedMarginals
 from .mmspace import MMSpace, _row_blocks
@@ -159,35 +164,36 @@ def _engine_assignment(D_sub, a, b):
     return np.stack([rows, cols], axis=1), masses, None, "assignment"
 
 
-def _sparse_eq(S, T, arc_src, arc_dst):
-    k = len(arc_src)
-    rows = np.concatenate([arc_src, S + arc_dst])
-    cols = np.concatenate([np.arange(k), np.arange(k)])
-    return sparse.coo_matrix((np.ones(2 * k), (rows, cols)), shape=(S + T, k)).tocsc()
-
-
 # HiGHS feasibility tolerances for every restricted LP. At the default
 # 1e-7, plan marginals come back off by up to ~6e-8, far beyond the 1e-10
 # that certification allows.
 _HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 _MAX_ROUNDS = 60
-# Supplies and demands are scaled by this power of two in each restricted
-# LP and the arc masses scaled back, exactly. HiGHS returns basic masses as
-# low as -1e-10, inside its feasibility tolerance (which it will not take
-# below 1e-10), and cutting them at zero would move the plan marginals by
-# as much; scaled back, they are 8 times smaller. Duals do not change.
+# Supplies and demands are scaled by this power of two in the restricted
+# LP. HiGHS stops at bases whose basic masses go as low as -1e-10, inside
+# its feasibility tolerance (which it will not take below 1e-10); scaled
+# back, they are 8 times smaller, and `_basis_plan` pivots them out. Duals
+# do not change.
 _LP_SCALE = 8.0
+# basic masses below minus this, and trees of the basis out of balance by
+# more, are primal infeasible and pivoted out of the basis (`_basis_plan`)
+_MASS_TOL = 1e-15
 
 
 def _engine_highs_generated(D_sub, a, b):
-    """Arc generation: restricted transportation LPs plus reduced-cost pricing.
+    """Arc generation on one HiGHS model: a restricted transportation LP
+    that gains columns each round, warm-started from the last basis.
 
     The arc set starts from each point's nearest counterparts and a greedy
     staircase (so the restricted LP is feasible), and each round adds the
-    most violated arcs outside it. The plan is optimal once no arc outside
-    the set prices negative: arcs inside it are priced by the LP itself,
-    whose duals can leave them at tiny negative reduced costs. Returns
-    (pairs, masses, seed, record) with record = {"rounds", "arcs"}.
+    most violated arcs outside it as new columns; the dual simplex resumes
+    from the previous basis, which stays dual feasible on the old columns.
+    The plan is optimal once no arc outside the set prices negative: arcs
+    inside it are priced by the LP itself, whose duals can leave them at
+    tiny negative reduced costs. The masses are then solved on the final
+    basis exactly (`_basis_plan`). Returns (pairs, masses, seed, record)
+    with record = {"rounds", "arcs", "simplex_iterations"}, the last a
+    list with the dual simplex iterations of each round.
     """
     S, T = D_sub.shape
     k_nn = 8
@@ -207,25 +213,106 @@ def _engine_highs_generated(D_sub, a, b):
         else:
             j += 1
     scale = max(D_sub.max(), 1.0)
+    lp = _Highs()
+    lp.setOptionValue("output_flag", False)
+    for name, value in _HIGHS_OPTIONS.items():
+        lp.setOptionValue(name, value)
+    rhs = _LP_SCALE * np.concatenate([a, b])
+    lp.addRows(S + T, rhs, rhs, 0, np.zeros(S + T, np.int32), np.zeros(0, np.int32), np.zeros(0))
+    src, dst = np.nonzero(inset)
+    new = slice(0, len(src))
+    iterations = []
     for rounds in range(1, _MAX_ROUNDS + 1):
-        src, dst = np.nonzero(inset)
-        res = linprog(D_sub[src, dst], A_eq=_sparse_eq(S, T, src, dst),
-                      b_eq=_LP_SCALE * np.concatenate([a, b]), bounds=(0, None),
-                      method="highs", options=_HIGHS_OPTIONS)
-        if res.status != 0:
-            raise SolverFailure(f"HiGHS failed on restricted LP: {res.message}")
-        u = res.eqlin.marginals[:S]
-        v = res.eqlin.marginals[S:]
-        reduced = D_sub - u[:, None] - v[None, :]
+        k = new.stop - new.start
+        rows = np.stack([src[new], S + dst[new]], axis=1).astype(np.int32).ravel()
+        lp.addCols(k, D_sub[src[new], dst[new]], np.zeros(k), np.full(k, np.inf), 2 * k,
+                   np.arange(0, 2 * k, 2, dtype=np.int32), rows, np.ones(2 * k))
+        lp.run()
+        if lp.getModelStatus() != HighsModelStatus.kOptimal:
+            raise SolverFailure("HiGHS failed on restricted LP: "
+                                + lp.modelStatusToString(lp.getModelStatus()))
+        iterations.append(lp.getInfo().simplex_iteration_count)
+        y = np.asarray(lp.getSolution().row_dual)
+        pi = np.concatenate([y[:S], -y[S:]])
+        reduced = D_sub - pi[:S, None] + pi[None, S:]
         vi, vj = np.nonzero((reduced < -1e-11 * scale) & ~inset)
         if len(vi) == 0:
-            x = res.x / _LP_SCALE
-            keep = x > 1e-12
-            pairs = np.stack([src[keep], dst[keep]], axis=1)
-            return pairs, x[keep], np.concatenate([u, -v]), {"rounds": rounds, "arcs": len(src)}
+            basic = lp.getBasicVariables()[1]
+            arcs = basic[basic >= 0]
+            pairs, masses, pi = _basis_plan(D_sub, a, b, src[arcs], dst[arcs],
+                                            -1 - basic[basic < 0], pi)
+            keep = masses > 1e-12
+            return pairs[keep], masses[keep], pi, {
+                "rounds": rounds, "arcs": len(src), "simplex_iterations": iterations}
         order = np.argsort(reduced[vi, vj])[: 4 * (S + T)]
         inset[vi[order], vj[order]] = True
+        new = slice(len(src), len(src) + len(order))
+        src, dst = np.concatenate([src, vi[order]]), np.concatenate([dst, vj[order]])
     raise SolverFailure("arc generation did not converge")
+
+
+def _basis_masses(S, ends, supply, roots):
+    """Masses on the basic arcs `ends` (source, S + sink) of a
+    transportation basis, and the values of its basic row slacks at
+    `roots`, solved from the supplies exactly up to rounding: the basis
+    matrix is totally unimodular, so its LU factors hold only 0 and +-1
+    and the solve only adds and subtracts supplies."""
+    k, n = len(ends), len(supply)
+    rows = np.concatenate([ends.ravel(), roots])
+    cols = np.concatenate([np.repeat(np.arange(k), 2), k + np.arange(len(roots))])
+    sol = spsolve(sparse.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)), supply)
+    if not np.isfinite(sol).all():
+        raise SolverFailure("restricted LP basis is singular")
+    return sol[:k], sol[k:]
+
+
+def _basis_plan(D_sub, a, b, src, dst, roots, pi):
+    """The plan on a dual feasible transportation basis (basic arcs
+    src -> dst, basic row slacks at `roots`, node potentials pi), made
+    primal feasible by dual simplex pivots, so optimal over all S x T arcs.
+
+    HiGHS accepts a basis whose masses, and whose slacks (one per tree of
+    the basic forest: the tree's imbalance), are off by up to its
+    feasibility tolerance. Solved exactly (`_basis_masses`), a mass below
+    -_MASS_TOL leaves the basis, or else the slack of a tree out of balance
+    by more. The part that this cuts off from its root must send more or
+    take more; the nodes that must send raise their potentials by the
+    least reduced cost of any arc, restricted or not, from their sources
+    to the other sinks, and that arc enters, joining the part to a tree
+    with a root again. Returns (pairs, masses, potentials).
+    """
+    S, n = len(a), len(a) + len(b)
+    supply = np.concatenate([a, b])
+    ends = np.stack([src, S + dst], axis=1)
+    roots = np.asarray(roots)
+    for _ in range(n):
+        x, slack = _basis_masses(S, ends, supply, roots)
+        excess = np.where(roots < S, 1.0, -1.0) * slack
+        e, r = int(np.argmin(x)), int(np.argmax(np.abs(excess)))
+        cut = x[e] < -_MASS_TOL                     # arc e leaves, else root r's slack
+        if not cut and (len(roots) == 1 or abs(excess[r]) <= _MASS_TOL):
+            return np.stack([ends[:, 0], ends[:, 1] - S], axis=1), x, pi
+        kept = ends[np.arange(len(ends)) != e] if cut else ends
+        graph = sparse.coo_matrix((np.ones(len(kept)), (kept[:, 0], kept[:, 1])), shape=(n, n))
+        tree = connected_components(graph, directed=False)[1]   # without arc e on a cut
+        if cut:
+            # the part cut off from its root: e's sink part sends more, or
+            # e's source part takes more from everyone else
+            sink_part = tree == tree[ends[e, 1]]
+            side = ~(tree == tree[ends[e, 0]]) if sink_part[roots].any() else sink_part
+        else:
+            side = (tree == tree[roots[r]]) == (excess[r] > 0)
+        rs, cs = np.flatnonzero(side[:S]), np.flatnonzero(~side[S:])
+        reduced = D_sub[np.ix_(rs, cs)] - pi[rs, None] + pi[None, S + cs]
+        f = np.unravel_index(np.argmin(reduced), reduced.shape)
+        pi = pi + reduced[f] * side
+        arc = [rs[f[0]], S + cs[f[1]]]
+        if cut:
+            ends[e] = arc
+        else:
+            roots = np.delete(roots, r)
+            ends = np.vstack([ends, arc])
+    raise SolverFailure("restricted LP basis stays infeasible after dual pivots")
 
 
 _KNN = 8            # nearest moved neighbours per point in the starting edge set

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -105,6 +108,33 @@ def test_triangle_inequality_invariant_sampled():
     idx = rng.integers(0, sp.n, size=(20000, 3))
     viol = sp.D[idx[:, 0], idx[:, 2]] - sp.D[idx[:, 0], idx[:, 1]] - sp.D[idx[:, 1], idx[:, 2]]
     assert viol.max() <= 1e-12 * sp.max_distance
+
+
+def test_sampled_triangle_check_matches_one_draw():
+    # the blocked triple sample is the one a single draw of all
+    # SAMPLED_TRIPLES rows from the same generator gives: a planted
+    # violation through points 0 and 1 reports the same worst triple
+    n = ms.EXHAUSTIVE_TRIPLE_LIMIT + 100
+    pts = np.random.default_rng(3).random((n, 2))
+    D = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
+    D[0, 1] = D[1, 0] = 10.0
+    idx = np.random.default_rng(7).integers(0, n, size=(ms.SAMPLED_TRIPLES, 3))
+    worst = (D[idx[:, 0], idx[:, 2]] - D[idx[:, 0], idx[:, 1]] - D[idx[:, 1], idx[:, 2]]).max()
+    with pytest.raises(MetricViolation, match=re.escape(f"sampled triple by {worst:.3e}")):
+        ms._validate_metric(D, rng=np.random.default_rng(7))
+
+
+def test_sampled_triangle_check_memory():
+    # the 10^6 sampled triples are drawn in blocks, not as one (10^6, 3)
+    # int64 array (24 MB, a 40 MB peak with the gathered distances)
+    D = ms.great_circle_matrix(ms.fibonacci_sphere(2000, seed=0))
+    tracemalloc.start()
+    try:
+        ms._validate_metric(D, rng=np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 @pytest.mark.parametrize("builder", ["interval", "graph"])
