@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import BadDiameter, BadDimension, BadVolume, MeshTooCoarse
-from .mmspace import MMSpace
+from .mmspace import MMSpace, _row_blocks
 from .w1solve import solve_w1
 
 
@@ -167,27 +167,29 @@ def default_eps_window(space: MMSpace, k: int = 16) -> np.ndarray:
     return np.linspace(2.0 * m, hi, k)
 
 
-def minkowski_content(space: MMSpace, set_indicator, eps_list) -> MinkowskiEstimate:
-    """Boundary content from the growth of eps-neighborhood masses.
+def _pairs_within(space: MMSpace, R: float):
+    """The pairs at distance below R as CSR (indptr, int32 columns, exact
+    distances), built in row blocks. The zero diagonal keeps every row
+    non-empty, which `np.minimum.reduceat` over indptr needs."""
+    indptr, cols, data = [np.zeros(1, np.int64)], [], []
+    for lo, hi in _row_blocks(space.n, space.n):
+        block = space.D[lo:hi]
+        near = block < R
+        indptr.append(indptr[-1][-1] + np.cumsum(near.sum(axis=1)))
+        cols.append(np.nonzero(near)[1].astype(np.int32))
+        data.append(block[near])
+    return np.concatenate(indptr), np.concatenate(cols), np.concatenate(data)
 
-    A^eps uses open balls of the discrete metric; eps_list must be
-    resolvable (min eps >= 2 * mesh). The estimate is the least-squares
-    slope of eps -> m(A^eps) over the ladder, which extrapolates the
-    first-order neighborhood growth while averaging out the staircase
-    noise that raw single-eps quotients carry on atomic spaces. The raw
-    quotient sequence is returned alongside.
-    """
-    eps_arr = np.sort(np.asarray([float(e) for e in eps_list]))
-    if np.any(eps_arr <= 0):
-        raise ValueError("eps values must be positive")
-    mesh = space.mesh
-    if eps_arr[0] < 2.0 * mesh * (1 - 1e-12):
-        raise MeshTooCoarse(f"min eps {eps_arr[0]} below 2*mesh = {2*mesh}")
-    A = np.asarray(set_indicator, dtype=bool)
+
+def _content(space: MMSpace, pairs, A: np.ndarray, eps_arr: np.ndarray) -> MinkowskiEstimate:
+    """`minkowski_content` on sorted, checked eps whose largest is at most
+    the radius of `pairs`: within it, dist(., A) < e reads the same off
+    the pairs as off the dense matrix."""
     if A.sum() == 0:
         return MinkowskiEstimate(0.0, [(float(e), 0.0) for e in eps_arr])
     mass_A = space.weights[A].sum()
-    dist = space.D[:, A].min(axis=1)
+    indptr, cols, data = pairs
+    dist = np.minimum.reduceat(np.where(A[cols], data, np.inf), indptr[:-1])
     masses = np.array([space.weights[dist < e].sum() for e in eps_arr])
     raw = [(float(e), float((g - mass_A) / e)) for e, g in zip(eps_arr, masses)]
     if len(eps_arr) >= 2:
@@ -196,6 +198,28 @@ def minkowski_content(space: MMSpace, set_indicator, eps_list) -> MinkowskiEstim
     else:
         value = raw[0][1]
     return MinkowskiEstimate(max(value, 0.0), raw)
+
+
+def minkowski_content(space: MMSpace, set_indicator, eps_list) -> MinkowskiEstimate:
+    """Boundary content from the growth of eps-neighborhood masses.
+
+    A^eps uses open balls of the discrete metric; eps_list must be
+    resolvable (min eps >= 2 * mesh). The estimate is the least-squares
+    slope of eps -> m(A^eps) over the ladder, which extrapolates the
+    first-order neighborhood growth while averaging out the staircase
+    noise that raw single-eps quotients carry on atomic spaces. The raw
+    quotient sequence is returned alongside. The neighbourhoods are read
+    off the pairs of points within the largest eps, so the cost follows
+    the number of such pairs, not n * |A|.
+    """
+    eps_arr = np.sort(np.asarray([float(e) for e in eps_list]))
+    if np.any(eps_arr <= 0):
+        raise ValueError("eps values must be positive")
+    mesh = space.mesh
+    if eps_arr[0] < 2.0 * mesh * (1 - 1e-12):
+        raise MeshTooCoarse(f"min eps {eps_arr[0]} below 2*mesh = {2*mesh}")
+    A = np.asarray(set_indicator, dtype=bool)
+    return _content(space, _pairs_within(space, eps_arr[-1]), A, eps_arr)
 
 
 def _threshold_to_mass(space: MMSpace, score: np.ndarray, v: float):
@@ -238,15 +262,16 @@ def empirical_profile(space: MMSpace, v: float, candidate_budget: int = 32,
             sol = solve_w1(space, pos / pos.sum(), neg / neg.sum())
             scores.append(("potential+", sol.potential))
             scores.append(("potential-", -sol.potential))
+    pairs = _pairs_within(space, fine[-1])    # linspace ends exactly: coarse[-1] == fine[-1]
     ranked = []
     for name, score in scores:
         mask, attained = _threshold_to_mass(space, score, v)
-        est = minkowski_content(space, mask, coarse)
+        est = _content(space, pairs, mask, coarse)
         ranked.append((est.value, name, mask, attained))
     ranked.sort(key=lambda r: r[0])
     best = None
     for _, name, mask, attained in ranked[:3]:
-        est = minkowski_content(space, mask, fine)
+        est = _content(space, pairs, mask, fine)
         if best is None or est.value < best.content:
             best = ProfilePoint(v=attained, content=est.value, requested_v=v,
                                 mass_defect=abs(attained - v), candidate=name)
@@ -266,6 +291,9 @@ def levy_gromov_check(space: MMSpace, spec: ModelProfileSpec, v_grid,
                       include_potential: bool = True,
                       allowance: float | None = None, threads: int = 1) -> dict:
     """Empirical profile against the model profile at the space diameter.
+
+    The model is taken at D = `space.max_distance`, reported as `D_used`;
+    only K and N are read from `spec`, never `spec.D`.
 
     Passes when every empirical content clears the model value minus the
     discretization allowance (default max(5% of the model, 4 * mesh)).

@@ -111,8 +111,12 @@ class MMSpace:
         """Largest nearest-neighbor distance (covering scale of the sample)."""
         if self.n < 2:
             return 0.0
-        offdiag = self.D + np.diag(np.full(self.n, np.inf))
-        return float(offdiag.min(axis=1).max())
+        cols = np.arange(self.n)
+        mesh = -np.inf
+        for lo, hi in _row_blocks(self.n, self.n):
+            offdiag = cols != cols[lo:hi, None]
+            mesh = max(mesh, self.D[lo:hi].min(axis=1, initial=np.inf, where=offdiag).max())
+        return float(mesh)
 
     def index_of(self, point_id) -> int:
         return self.point_ids.index(point_id)

@@ -241,7 +241,7 @@ def _engine_highs_generated(D_sub, a, b):
             arcs = basic[basic >= 0]
             pairs, masses, pi = _basis_plan(D_sub, a, b, src[arcs], dst[arcs],
                                             -1 - basic[basic < 0], pi)
-            keep = masses > 1e-12
+            keep = masses > 0
             return pairs[keep], masses[keep], pi, {
                 "rounds": rounds, "arcs": len(src), "simplex_iterations": iterations}
         order = np.argsort(reduced[vi, vj])[: 4 * (S + T)]

@@ -62,4 +62,4 @@ def test_check_jobs_run():
     jobs = workloads._curvature_checks(rng, samples=2000)
     assert [job.verdict() for job in jobs] == [job.expect for job in jobs]
     sphere_lg = workloads._sphere_levy_gromov(workloads._sphere(200, rng), rng)
-    assert sphere_lg.verdict() in (True, False)
+    assert sphere_lg.verdict() == sphere_lg.expect

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,66 @@ def test_minkowski_whole_space_and_empty():
     assert whole.value <= 1e-12                      # A^eps = A, regression noise only
     assert all(q == 0.0 for _, q in whole.raw)
     assert iso.minkowski_content(space, np.zeros(space.n, bool), eps).value == 0.0
+
+
+def _dense_content(space, A, eps_list):
+    # oracle: the n x |A| column gather that minkowski_content replaced
+    eps_arr = np.sort(np.asarray(eps_list, dtype=float))
+    if A.sum() == 0:
+        return 0.0, [(float(e), 0.0) for e in eps_arr]
+    mass_A = space.weights[A].sum()
+    dist = space.D[:, A].min(axis=1)
+    masses = np.array([space.weights[dist < e].sum() for e in eps_arr])
+    raw = [(float(e), float((g - mass_A) / e)) for e, g in zip(eps_arr, masses)]
+    return max(float(np.polyfit(eps_arr, masses, 1)[0]), 0.0), raw
+
+
+def _weighted_grid(k, seed):
+    rng = np.random.default_rng(seed)
+    edges = [[v, v + 1, float(rng.uniform(0.5, 1.5))] for v in range(k * k) if (v + 1) % k]
+    edges += [[v, v + k, float(rng.uniform(0.5, 1.5))] for v in range(k * k - k)]
+    return ms.build_space(list(range(k * k)), {"type": "graph", "edges": edges},
+                          rng.random(k * k) + 0.1)
+
+
+@pytest.mark.parametrize("kind", ["interval", "sphere", "graph"])
+def test_minkowski_matches_dense_oracle(kind):
+    if kind == "interval":
+        space, _ = ms.generate_interval_model(1.0, 2.0, np.pi, 400)
+    elif kind == "sphere":
+        space = ms.generate_sphere_sample(2, 300, seed=1)
+    else:
+        space = _weighted_grid(12, 2)
+    rng = np.random.default_rng(9)
+    m = space.mesh
+    windows = [iso.default_eps_window(space), iso.default_eps_window(space, 6),
+               rng.permutation(np.linspace(2.0 * m, 20.0 * m, 9))]
+    sets = [space.D[int(b)] < r for b in rng.choice(space.n, 3, replace=False)
+            for r in (3.0 * m, 0.3 * space.max_distance)]
+    sets += [rng.random(space.n) < p for p in (0.05, 0.5)]
+    sets += [np.zeros(space.n, bool), np.ones(space.n, bool)]
+    for eps in windows:
+        for A in sets:
+            est = iso.minkowski_content(space, A, eps)
+            value, raw = _dense_content(space, A, eps)
+            assert est.value == value
+            assert est.raw == raw
+
+
+def test_minkowski_memory():
+    # the content reads the pairs within the largest eps, not an n x |A|
+    # float copy of D (22.9 MB here)
+    space, _ = ms.generate_interval_model(1.0, 2.0, np.pi, 2000)
+    eps = iso.default_eps_window(space)
+    A = np.zeros(space.n, bool)
+    A[:1500] = True
+    tracemalloc.start()
+    try:
+        iso.minkowski_content(space, A, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_minkowski_mesh_too_coarse():

@@ -137,6 +137,38 @@ def test_sampled_triangle_check_memory():
     assert peak <= 8 * 2**20
 
 
+def _graph_space():
+    rng = np.random.default_rng(4)
+    edges = [[i, i + 1, float(rng.random() + 0.1)] for i in range(39)]
+    edges += [[i, i + 7, float(rng.random() + 0.5)] for i in range(0, 33, 3)]
+    return ms.build_space(list(range(40)), {"type": "graph", "edges": edges})
+
+
+@pytest.mark.parametrize("kind", ["interval", "sphere", "graph"])
+def test_mesh_matches_dense_formula(kind):
+    if kind == "interval":
+        sp, _ = ms.generate_interval_model(1.0, 2.0, np.pi, 700)
+    elif kind == "sphere":
+        sp = ms.generate_sphere_sample(2, 1200, seed=3)    # six row blocks
+    else:
+        sp = _graph_space()
+    offdiag = sp.D + np.diag(np.full(sp.n, np.inf))
+    assert sp.mesh == float(offdiag.min(axis=1).max())
+
+
+def test_mesh_memory():
+    # the off-diagonal row minimum is taken in row blocks, with no n x n
+    # temporary (the dense formula peaks at 30.5 MB here)
+    sp, _ = ms.generate_interval_model(1.0, 2.0, np.pi, 2000)
+    tracemalloc.start()
+    try:
+        sp.mesh
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
 @pytest.mark.parametrize("builder", ["interval", "graph"])
 def test_chain_is_metrically_straight(builder):
     if builder == "interval":

@@ -327,6 +327,25 @@ def test_perturbed_uniform_caps_certify(seed, rel):
     assert sol.lipschitz_residual <= 1e-9 * sp.max_distance
 
 
+@pytest.mark.parametrize("n, seed, rel", [(300, 0, 1e-8), (100, 1, 1e-12)])
+def test_exact_basis_masses_are_all_kept(n, seed, rel):
+    # the exact basis of these near-uniform caps holds masses between 1e-14
+    # and 1e-12; cutting them left the plan marginals off by up to 8.3e-13
+    sp = ms.generate_sphere_sample(2, n, seed=seed)
+    k = n // 4
+    order = np.argsort(-sp.coords[:, 2], kind="stable")
+    mu0 = np.zeros(n); mu0[order[:k]] = 1.0 / k
+    mu1 = np.zeros(n); mu1[order[-k:]] = 1.0 / k
+    rng = np.random.default_rng(seed)
+    mu0, mu1 = _perturbed(mu0, rel, rng), _perturbed(mu1, rel, rng)
+    sol = w1.solve_w1(sp, mu0, mu1)
+    assert sol.engine == "highs-colgen" and np.all(sol.masses > 0)
+    m0, m1 = np.zeros(n), np.zeros(n)
+    np.add.at(m0, sol.pairs[:, 0], sol.masses)
+    np.add.at(m1, sol.pairs[:, 1], sol.masses)
+    assert max(np.abs(m0 - mu0).max(), np.abs(m1 - mu1).max()) <= 1e-15
+
+
 def _uniform_grid_graph(k):
     edges = [[v, v + 1, 1.0] for v in range(k * k) if (v + 1) % k]
     edges += [[v, v + k, 1.0] for v in range(k * k - k)]
