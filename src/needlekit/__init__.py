@@ -34,8 +34,10 @@ from .mmspace import (
 from .monge1d import (
     MongeCoupling,
     MonotoneMap1D,
+    Needles,
     assemble_monge_map,
     condition_target_via_plan,
+    decompose,
     monotone_rearrangement,
 )
 from .rays import (

@@ -24,7 +24,6 @@ from . import curvature as cv
 from . import isoperim as iso
 from . import mmspace as ms
 from . import monge1d as mg
-from . import rays as ry
 from . import selftest as stest
 from . import w1solve as w1
 from .errors import ConfigError, NeedleError
@@ -148,25 +147,18 @@ def _decompose_pipeline(args):
     if args.marginals:
         mu0, mu1 = _read("marginals", _load_marginals, args.marginals, space)
     else:
-        rng = np.random.default_rng(args.seed)
-        f = rng.normal(size=space.n)
-        f -= f @ space.weights
-        mu0 = np.clip(f, 0, None) * space.weights
-        mu1 = np.clip(-f, 0, None) * space.weights
-        mu0 /= mu0.sum()
-        mu1 /= mu1.sum()
-    sol = w1.solve_w1(space, mu0, mu1)
-    gamma = w1.gamma_set(space, sol, tol=args.tol)
-    structure = ry.build_transport_structure(space, gamma)
-    dec = ry.partition_rays(space, structure, sol)
-    return space, sol, gamma, structure, dec
+        split = iso.zero_mean_split(space, np.random.default_rng(args.seed))
+        if split is None:
+            raise ConfigError(
+                f"the {space.n}-point space has no nonzero zero-mean split; pass --marginals")
+        mu0, mu1 = split
+    return space, mg.decompose(space, w1.solve_w1(space, mu0, mu1), tol=args.tol)
 
 
 def cmd_solve_monge(args):
     t0 = time.time()
-    space, sol, gamma, structure, dec = _decompose_pipeline(args)
-    cond = mg.condition_target_via_plan(dec, sol, space.n)
-    coupling = mg.assemble_monge_map(space, dec, None, cond)
+    _, needles = _decompose_pipeline(args)
+    sol, coupling = needles.solution, needles.coupling
     report = {
         "w1": sol.to_json(),
         "monge": coupling.to_json(),
@@ -179,7 +171,8 @@ def cmd_solve_monge(args):
 
 def cmd_decompose(args):
     t0 = time.time()
-    space, sol, gamma, structure, dec = _decompose_pipeline(args)
+    space, needles = _decompose_pipeline(args)
+    sol, structure = needles.solution, needles.structure
     bm = structure.branching_mass(space.weights)
     report = {
         "solution": {
@@ -189,9 +182,9 @@ def cmd_decompose(args):
             "engine": sol.engine,
             "slack_floor": sol.slack_floor,
             "support_residual": sol.support_residual,
-            "gamma_tol": gamma.tol,
+            "gamma_tol": needles.gamma.tol,
         },
-        "decomposition": dec.to_json(),
+        "decomposition": needles.rays.to_json(),
         "branching": {
             "A_plus": structure.branching_fwd.tolist(),
             "A_minus": structure.branching_bwd.tolist(),

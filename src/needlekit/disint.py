@@ -135,27 +135,3 @@ def check_balance(space: MMSpace, decomposition: RayDecomposition, f) -> dict:
         "weighted_mean": wmean,
         "n_rays": len(per_ray),
     }
-
-
-def conditional_max_atom(disint: Disintegration) -> np.ndarray:
-    """Largest single-point conditional mass per ray (atom diagnostic)."""
-    return np.array([cond.max() if len(cond) else 0.0 for cond in disint.conditionals])
-
-
-def report_json(space: MMSpace, decomposition: RayDecomposition, f,
-                n_pairs: int = 100, rng=None) -> dict:
-    """Combined consistency/balance report for one decomposition."""
-    d_ref = disintegrate(space, decomposition, space.weights)
-    cons = check_consistency(d_ref, n_pairs, rng)
-    bal = check_balance(space, decomposition, f)
-    return {
-        "consistency_max_err": cons["consistency_max_err"],
-        "balance": {
-            "per_ray": bal["per_ray"].tolist(),
-            "max_abs": bal["max_abs"],
-            "weighted_mean": bal["weighted_mean"],
-        },
-        "residual_mass": d_ref.residual_mass,
-        "max_atom": conditional_max_atom(d_ref).max() if len(d_ref.conditionals) else 0.0,
-    }
-

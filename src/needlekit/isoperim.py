@@ -231,6 +231,18 @@ def _threshold_to_mass(space: MMSpace, score: np.ndarray, v: float):
     return mask, float(cum[k])
 
 
+def zero_mean_split(space: MMSpace, rng):
+    """(f+ m, f- m), each normalized, for a standard normal f centred to
+    m-mean zero; None when either part is zero (as on a one-point space)."""
+    f = rng.normal(size=space.n)
+    f -= f @ space.weights
+    pos = np.clip(f, 0, None) * space.weights
+    neg = np.clip(-f, 0, None) * space.weights
+    if not (pos.sum() > 0 and neg.sum() > 0):
+        return None
+    return pos / pos.sum(), neg / neg.sum()
+
+
 def empirical_profile(space: MMSpace, v: float, candidate_budget: int = 32,
                       rng=None, include_potential: bool = True) -> ProfilePoint:
     """Upper bound on the isoperimetric profile by candidate search.
@@ -253,15 +265,11 @@ def empirical_profile(space: MMSpace, v: float, candidate_budget: int = 32,
     bases = rng.choice(space.n, size=min(n_balls, space.n), replace=False)
     for base in bases:
         scores.append((f"ball@{int(base)}", space.D[int(base)]))
-    if include_potential:
-        f = rng.normal(size=space.n)
-        f -= f @ space.weights
-        pos = np.clip(f, 0, None) * space.weights
-        neg = np.clip(-f, 0, None) * space.weights
-        if pos.sum() > 0 and neg.sum() > 0:
-            sol = solve_w1(space, pos / pos.sum(), neg / neg.sum())
-            scores.append(("potential+", sol.potential))
-            scores.append(("potential-", -sol.potential))
+    split = zero_mean_split(space, rng) if include_potential else None
+    if split is not None:
+        sol = solve_w1(space, *split)
+        scores.append(("potential+", sol.potential))
+        scores.append(("potential-", -sol.potential))
     pairs = _pairs_within(space, fine[-1])    # linspace ends exactly: coarse[-1] == fine[-1]
     ranked = []
     for name, score in scores:

@@ -21,11 +21,13 @@ import dataclasses
 
 import numpy as np
 
+from . import rays as ry
+from . import w1solve as w1
 from .errors import MassMismatch, RayMarginalMismatch
 from .disint import Disintegration
 from .mmspace import MMSpace
-from .rays import RayDecomposition
-from .w1solve import W1Solution, _quantile_pairs, quantize_masses
+from .rays import RayDecomposition, TransportStructure
+from .w1solve import GammaSet, W1Solution, _quantile_pairs, quantize_masses
 
 ATOM_SCALE = 10**12
 _MASS_TOL = 1e-9
@@ -222,3 +224,29 @@ def assemble_monge_map(space: MMSpace, decomposition: RayDecomposition,
     cost = float((masses * D[pairs[:, 0], pairs[:, 1]]).sum()) if len(masses) else 0.0
     is_map = all(len(t) <= 1 for t in source_targets.values())
     return MongeCoupling(pairs, masses, cost, is_map, per_ray_costs, pcost, pmass)
+
+
+@dataclasses.dataclass
+class Needles:
+    """The needle decomposition of one W1 solution, stage by stage."""
+
+    solution: W1Solution
+    gamma: GammaSet
+    structure: TransportStructure
+    rays: RayDecomposition
+    coupling: MongeCoupling
+
+
+def decompose(space: MMSpace, solution: W1Solution, tol: float | None = None) -> Needles:
+    """Gamma -> transport structure -> rays -> plan conditioning -> Monge coupling.
+
+    `tol` is the Gamma tolerance (None: the `w1solve.gamma_tol` policy).
+    Each stage is called through its module attribute, so a wrapper
+    installed on one (a profiler, a test double) sees this call too.
+    """
+    gamma = w1.gamma_set(space, solution, tol=tol)
+    structure = ry.build_transport_structure(space, gamma)
+    rays = ry.partition_rays(space, structure, solution)
+    cond = condition_target_via_plan(rays, solution, space.n)
+    coupling = assemble_monge_map(space, rays, None, cond)
+    return Needles(solution, gamma, structure, rays, coupling)

@@ -19,7 +19,6 @@ from . import disint as di
 from . import isoperim as iso
 from . import mmspace as ms
 from . import monge1d as mg
-from . import rays as ry
 from . import w1solve as w1
 
 GAMMA_TIGHT = 1e-10
@@ -91,17 +90,16 @@ def criterion_cyclic() -> CriterionResult:
         time.time() - t0)
 
 
+def _tight(space, sol):
+    """The needle decomposition of `sol` at the GAMMA_TIGHT tolerance."""
+    return mg.decompose(space, sol, tol=w1.gamma_tol(space, sol, rel=GAMMA_TIGHT))
+
+
 def _interval_monge_instance(seed):
     rng = np.random.default_rng(seed)
     space, _ = ms.generate_interval_model(0.0, 2.0, 1.0, 1000)
     mu0, mu1 = _random_marginals(space.n, rng)
-    sol = w1.solve_w1(space, mu0, mu1)
-    g = w1.gamma_set(space, sol, tol=w1.gamma_tol(space, sol, rel=GAMMA_TIGHT))
-    st = ry.build_transport_structure(space, g)
-    dec = ry.partition_rays(space, st, sol)
-    cond = mg.condition_target_via_plan(dec, sol, space.n)
-    coupling = mg.assemble_monge_map(space, dec, None, cond)
-    return sol, coupling
+    return _tight(space, w1.solve_w1(space, mu0, mu1))
 
 
 def criterion_monge() -> CriterionResult:
@@ -110,7 +108,8 @@ def criterion_monge() -> CriterionResult:
     split_seen = False
     exact_ok = True
     for seed in range(20):
-        sol, coupling = _interval_monge_instance(1000 + seed)
+        needles = _interval_monge_instance(1000 + seed)
+        sol, coupling = needles.solution, needles.coupling
         rel = abs(coupling.cost - sol.primal_value) / (1 + sol.primal_value)
         worst = max(worst, rel)
         if not coupling.is_map:
@@ -158,10 +157,8 @@ def _grid_construction(rows=20, cols=50, cut_frac=0.4):
             pairs.append((row_idx[order[i]], row_idx[order[j]]))
             masses.append(m / mg.ATOM_SCALE)
     sol = w1.from_certificate(sp, mu0, mu1, pairs, masses, -pts[:, 0])
-    g = w1.gamma_set(sp, sol, tol=1e-12 * (1 + sp.max_distance))
-    st = ry.build_transport_structure(sp, g)
-    dec = ry.partition_rays(sp, st, sol)
-    return sp, sol, f, st, dec
+    needles = mg.decompose(sp, sol, tol=1e-12 * (1 + sp.max_distance))
+    return sp, sol, f, needles.structure, needles.rays
 
 
 @functools.lru_cache(maxsize=None)
@@ -179,11 +176,8 @@ def _sphere_cap_pipeline(n, frac=0.25, seed=0):
     mu0 /= mu0.sum()
     mu1 = np.where(f < 0, sp.weights, 0.0)
     mu1 /= mu1.sum()
-    sol = w1.solve_w1(sp, mu0, mu1)
-    g = w1.gamma_set(sp, sol, tol=w1.gamma_tol(sp, sol, rel=GAMMA_TIGHT))
-    st = ry.build_transport_structure(sp, g)
-    dec = ry.partition_rays(sp, st, sol)
-    return sp, sol, f, st, dec
+    needles = _tight(sp, w1.solve_w1(sp, mu0, mu1))
+    return sp, needles.solution, f, needles.structure, needles.rays
 
 
 def criterion_disintegration() -> CriterionResult:
@@ -343,10 +337,7 @@ def criterion_branching() -> CriterionResult:
                         {"type": "graph", "edges": [[0, 3, 1.0], [1, 3, 1.0], [2, 3, 1.0]]})
     mu0 = np.array([1.0, 0.0, 0.0, 0.0])
     mu1 = np.array([0.0, 0.5, 0.5, 0.0])
-    sol = w1.solve_w1(tp, mu0, mu1)
-    g = w1.gamma_set(tp, sol, tol=w1.gamma_tol(tp, sol, rel=GAMMA_TIGHT))
-    st = ry.build_transport_structure(tp, g)
-    hub_ok = 3 in st.branching_fwd
+    hub_ok = 3 in _tight(tp, w1.solve_w1(tp, mu0, mu1)).structure.branching_fwd
 
     space, _ = ms.generate_interval_model(1.0, 2.0, np.pi, 1000)
     t = space.line_coord
@@ -354,9 +345,7 @@ def criterion_branching() -> CriterionResult:
     mu0 /= mu0.sum()
     mu1 = np.where(t >= np.pi / 2, space.weights, 0.0)
     mu1 /= mu1.sum()
-    isol = w1.solve_w1(space, mu0, mu1)
-    ig = w1.gamma_set(space, isol, tol=w1.gamma_tol(space, isol, rel=GAMMA_TIGHT))
-    ist = ry.build_transport_structure(space, ig)
+    ist = _tight(space, w1.solve_w1(space, mu0, mu1)).structure
     interval_frac = ist.branching_mass(space.weights)["fraction"]
 
     fracs = []

@@ -89,9 +89,6 @@ class GammaSet:
     mask: np.ndarray           # (n, n) bool, diagonal included
     tol: float
 
-    def contains(self, i: int, j: int) -> bool:
-        return bool(self.mask[i, j])
-
     def pairs(self, include_diagonal: bool = False) -> np.ndarray:
         p = np.argwhere(self.mask)
         return p if include_diagonal else p[p[:, 0] != p[:, 1]]

@@ -39,6 +39,23 @@ def test_pipeline_job_is_correct(job):
     assert checks.pipeline_problems(job, out) == []
 
 
+@pytest.mark.parametrize("job", _jobs(), ids=lambda job: job.name)
+def test_benchmark_chain_matches_decompose(job):
+    # the benchmark keeps its own copy of the chain, with its own Gamma
+    # tolerance; until it calls `decompose`, both must give the same needles
+    out = workloads.run_pipeline(job)
+    needles = needlekit.decompose(job.space, needlekit.solve_w1(job.space, job.mu0, job.mu1))
+    assert out.structure.gamma.tol == needles.gamma.tol
+    assert np.array_equal(out.structure.R, needles.structure.R)
+    assert len(out.decomposition.rays) == len(needles.rays.rays)
+    for theirs, mine in zip(out.decomposition.rays, needles.rays.rays):
+        assert np.array_equal(theirs.points, mine.points)
+        assert np.array_equal(theirs.params, mine.params)
+    assert np.array_equal(out.decomposition.orphan_points, needles.rays.orphan_points)
+    assert np.array_equal(out.coupling.pairs, needles.coupling.pairs)
+    assert np.array_equal(out.coupling.masses, needles.coupling.masses)
+
+
 def test_traced_pipeline_fills_counts():
     rec = spans.Recorder()
     undo = rec.install(needlekit)

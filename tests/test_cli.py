@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -237,3 +238,14 @@ def test_malformed_marginals_exit_1(interval_spec, tmp_path, capsys):
         path.write_text(text)
         assert cli.main(["decompose", "--space", interval_spec, "--marginals", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error [ConfigError]: bad marginals:")
+
+
+@pytest.mark.parametrize("command", ["decompose", "solve-monge"])
+def test_one_point_space_without_marginals_exits_1(tmp_path, command, capsys):
+    path = tmp_path / "point.json"
+    path.write_text('{"points": [0], "metric": {"type": "matrix", "data": [[0]]}}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, "--space", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [ConfigError]:") and "zero-mean split" in err

@@ -11,7 +11,6 @@ import pytest
 from needlekit import disint as di
 from needlekit import mmspace as ms
 from needlekit import monge1d as mg
-from needlekit import rays as ry
 from needlekit import w1solve as w1
 
 
@@ -49,14 +48,13 @@ def test_full_pipeline_invariants(kind, seed):
     assert 0 <= sol.duality_gap <= 1e-9 * scale
     assert sol.lipschitz_residual <= 1e-9 * max(sp.max_distance, 1.0)
 
-    g = w1.gamma_set(sp, sol, tol=w1.gamma_tol(sp, sol, rel=1e-10))
+    needles = mg.decompose(sp, sol, tol=w1.gamma_tol(sp, sol, rel=1e-10))
+    g, st, dec = needles.gamma, needles.structure, needles.rays
 
-    st = ry.build_transport_structure(sp, g)
     assert set(st.transport_set) <= set(st.transport_set_e)
     assert not (set(st.transport_set) & set(st.branching_fwd))
     assert not (set(st.transport_set) & set(st.branching_bwd))
 
-    dec = ry.partition_rays(sp, st, sol)
     seen = set()
     for ray in dec.rays:
         assert len(ray.points) >= 2
@@ -78,9 +76,7 @@ def test_full_pipeline_invariants(kind, seed):
     rep = di.check_consistency(d_ref, 30, np.random.default_rng(seed))
     assert rep["consistency_max_err"] <= 1e-12
 
-    d0 = di.disintegrate(sp, dec, mu0)
-    cond = mg.condition_target_via_plan(dec, sol, sp.n)
-    coupling = mg.assemble_monge_map(sp, dec, d0, cond)
+    coupling = needles.coupling
     # passthrough keeps plan pairs verbatim, so cost matches the optimum
     assert coupling.cost == pytest.approx(sol.primal_value, abs=1e-9 * scale)
     m0 = np.zeros(sp.n)
