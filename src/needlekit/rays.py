@@ -7,6 +7,17 @@ when two of its Gamma-successors are not related by R = Gamma u Gamma^-1,
 that is when some z in Gamma(x) has Gamma(x) & ~R(z) != 0. The test runs
 on Gamma and R as bit rows packed into 64-bit words, each AND over the
 words that Gamma(x) spans; it is exact on every space.
+
+Most rows never need that test. x is non-branching exactly when Gamma(x)
+is an R-clique, and any subset of an R-clique is one. So the rows are
+covered by cliques (`_clique_cover`): visited by popcount, largest first,
+a row c that passes the test becomes a head, and every unvisited y among
+c's bits whose packed row lies inside c's is non-branching without a
+test. The same cover runs on the rows of R restricted to T, where a head
+has no other point of its row at distance 0: every edge y-w of a row y
+inside head c's row is replaced by the path y-c-w, both of whose edges
+are kept, so the component graph needs only the rows of heads and of
+rows that cannot be covered, and its components are exact.
 Components of R restricted to the non-branching transport set T are
 accepted as rays only when they are chains totally ordered by phi;
 anything else is downgraded to orphan status and reported, never split
@@ -110,6 +121,42 @@ def _branching(G: np.ndarray, not_r: np.ndarray, rows: np.ndarray) -> np.ndarray
     return out
 
 
+def _clique_cover(P: np.ndarray, rows: np.ndarray, may_cover) -> np.ndarray:
+    """Cover `rows` of the square packed bool matrix P by heads.
+
+    Rows are visited by popcount, largest first (ties by position in
+    `rows`). A visited row c that fails may_cover(c) is left uncovered;
+    one that passes becomes a head, and every unvisited y in `rows` among
+    c's bits with P[y] inside P[c] is covered by c and never visited.
+    Returns cover with cover[c] = c for a head c, cover[y] = c for a row y
+    covered by c, and -1 for failed rows and rows not in `rows`."""
+    nz = P != 0
+    filled = nz.any(axis=1)
+    # span of each row's nonzero words; an empty row lies inside every span
+    first = np.where(filled, nz.argmax(axis=1), P.shape[1])
+    last = np.where(filled, P.shape[1] - 1 - nz[:, ::-1].argmax(axis=1), -1)
+    size = np.bitwise_count(P).sum(axis=1, dtype=np.int64)[rows]
+    cover = np.full(len(P), -1)
+    todo = np.zeros(len(P), dtype=bool)
+    todo[rows] = True
+    for c in rows[np.argsort(-size, kind="stable")]:
+        if not todo[c]:
+            continue
+        todo[c] = False
+        if not may_cover(c):
+            continue
+        cover[c] = c
+        lo, hi = first[c], last[c] + 1
+        y = 64 * lo + np.flatnonzero(np.unpackbits(P[c, lo:hi].view(np.uint8)))
+        y = y[todo[y]]
+        if y.size:
+            y = y[(first[y] >= lo) & (last[y] < hi)]
+            y = y[~(P[y, lo:hi] & ~P[c, lo:hi]).any(axis=1)]
+            cover[y] = c
+            todo[y] = False
+    return cover
+
+
 def build_transport_structure(space: MMSpace, gamma: GammaSet) -> TransportStructure:
     """End points, T_e, branching sets and T, straight from the definitions."""
     D, n = space.D, space.n
@@ -121,8 +168,13 @@ def build_transport_structure(space: MMSpace, gamma: GammaSet) -> TransportStruc
     te = np.where(has_succ | has_pred)[0]
     fwd, bwd = _packed(gamma.mask, 1), _packed(gamma.mask, 0)
     r = fwd | bwd
-    a_plus = np.where(_branching(fwd, ~r, te))[0]
-    a_minus = np.where(_branching(bwd, ~r, te))[0]
+    not_r = ~r
+
+    def branching(G):   # a row covered by a clique is not branching; a failed one is
+        cover = _clique_cover(G, te, lambda c: not _branching(G, not_r, [c])[c])
+        return te[cover[te] < 0]
+
+    a_plus, a_minus = branching(fwd), branching(bwd)
     return TransportStructure(
         gamma=gamma,
         R=np.unpackbits(r.view(np.uint8), axis=1, count=n).view(bool),
@@ -137,7 +189,8 @@ def build_transport_structure(space: MMSpace, gamma: GammaSet) -> TransportStruc
 
 def _select_representative(space: MMSpace, points: np.ndarray, phi: np.ndarray) -> tuple[int, float]:
     """Representative of one ray: the point whose phi is closest to the
-    median phi over the ray (ties to the lowest index); weight = m-mass."""
+    median phi over the ray (ties to the point earlier in `points`, which on
+    a ray is the one with the larger phi); weight = m-mass."""
     vals = phi[points]
     med = np.median(vals)
     rep = points[int(np.argmin(np.abs(vals - med)))]
@@ -165,15 +218,27 @@ def partition_rays(space: MMSpace, structure: TransportStructure,
     if len(T) == 0:
         return RayDecomposition(rays, np.array([], dtype=int), diagnostics)
 
-    # R and D are symmetric, so the edges above the diagonal give the components
-    counts, cols = np.zeros(len(T) + 1, dtype=np.int64), []
-    for lo, hi in _row_blocks(len(T), n):
-        r, c = np.nonzero(np.triu((structure.R[T[lo:hi]] & (D[T[lo:hi]] > 0))[:, T], lo + 1))
-        counts[lo + 1:hi + 1] = np.bincount(r, minlength=hi - lo)
-        cols.append(c.astype(np.int32))
-    # float64 data, which connected_components would otherwise copy to
-    graph = sparse.csr_matrix((np.ones(counts.sum()), np.concatenate(cols), np.cumsum(counts)),
-                              shape=(len(T), len(T)))
+    # a head has no other point of its row at distance 0, so it is joined to
+    # every row it covers and to all of their neighbours: the graph needs only
+    # the rows of heads and of rows that cannot be covered
+    in_t = np.zeros((1, n), dtype=bool)
+    in_t[0, T] = True
+    rt = _packed(structure.R, 1) & _packed(in_t, 1)
+
+    def no_duplicate(c):
+        w = T[structure.R[c, T]]
+        return ((D[c, w] > 0) | (w == c)).all()
+
+    cover = _clique_cover(rt, T, no_duplicate)[T]
+    keep = np.flatnonzero((cover < 0) | (cover == T))
+    rows, cols = [], []
+    for lo, hi in _row_blocks(len(keep), n):
+        pts = T[keep[lo:hi]]
+        r, c = np.nonzero((structure.R[pts] & (D[pts] > 0))[:, T])
+        rows.append(keep[lo + r])
+        cols.append(c)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    graph = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(T), len(T)))
     ncomp, labels = connected_components(graph, directed=False)
     for comp in range(ncomp):
         pts = T[labels == comp]

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -229,6 +230,53 @@ def test_packed_branching_matches_matmul(n, fill, seed, diagonal, upper):
     assert np.array_equal(ry._branching(bwd, ~r, rows), _branch_counts(mask.T, R) > 0.5)
 
 
+@settings(max_examples=200, deadline=None)
+@given(hs.integers(2, 90), hs.integers(0, 2**32 - 1), hs.booleans(), hs.floats(0.0, 0.05),
+       hs.floats(0.0, 0.05))
+def test_clique_cover_matches_matmul(n, seed, diagonal, deleted, added):
+    # needle-shaped Gamma: chains (upper-triangular blocks) with random chords
+    # deleted, so that a covered candidate can fail the subset test, or added
+    rng = np.random.default_rng(seed)
+    cuts = np.sort(rng.choice(np.arange(1, n), size=rng.integers(0, min(n - 1, 6) + 1),
+                              replace=False))
+    block = np.searchsorted(cuts, np.arange(n), side="right")
+    mask = np.triu(block[:, None] == block[None, :], 1)
+    mask &= rng.random((n, n)) >= deleted
+    mask |= rng.random((n, n)) < added
+    np.fill_diagonal(mask, diagonal)
+    R = mask | mask.T
+    fwd, bwd = ry._packed(mask, 1), ry._packed(mask, 0)
+    not_r = ~(fwd | bwd)
+    rows = np.arange(n)
+    for G, M in ((fwd, mask), (bwd, mask.T)):
+        cover = ry._clique_cover(G, rows, lambda c: not ry._branching(G, not_r, [c])[c])
+        assert np.array_equal(cover < 0, _branch_counts(M, R) > 0.5)
+        covered = np.flatnonzero((cover >= 0) & (cover != rows))
+        heads = cover[covered]
+        assert (cover[heads] == heads).all()
+        assert not (M[covered] & ~M[heads]).any() and M[heads, covered].all()
+
+    # points on a line, a few of them repeated: distinct points at distance 0
+    t = np.cumsum(rng.random(n) + 0.1)
+    dup = rng.choice(np.arange(1, n), size=min(n - 1, 3), replace=False)
+    t[dup] = t[dup - 1]
+    space = ms.build_space(list(range(n)), {"type": "matrix", "data": np.abs(t[:, None] - t)})
+    st = ry.build_transport_structure(space, w1.GammaSet(mask, tol=1e-9))
+
+    class _Sol:
+        potential = -t
+
+    with mock.patch.object(ry, "connected_components", wraps=connected_components) as spy:
+        ry.partition_rays(space, st, _Sol())
+    T = st.transport_set
+    if len(T):
+        D = space.D[np.ix_(T, T)]
+        _, dense = connected_components(sparse.csr_matrix(st.R[np.ix_(T, T)] & (D > 0)),
+                                        directed=False)
+        _, pruned = connected_components(spy.call_args.args[0], directed=False)
+        assert np.array_equal(pruned, dense)
+
+
 def _positive_gamma(space, seed=0):
     """Solution and Gamma for random positive marginals on `space`."""
     rng = np.random.default_rng(seed)
@@ -243,12 +291,21 @@ def _cloud(n=150, seed=0):
     return ms.build_space(list(range(n)), {"type": "matrix", "data": D})
 
 
-@pytest.mark.parametrize("case", ["interval-600", "grid", "cloud"])
+def _interval_with_duplicates(n=600):
+    """Matrix space of an interval model with a few points repeated: distinct
+    points at distance 0."""
+    D = ms.generate_interval_model(1.0, 2.0, np.pi, n)[0].D
+    idx = np.sort(np.concatenate([np.arange(n), [0, 150, 151, 300, n - 1]]))
+    return ms.build_space(list(range(len(idx))), {"type": "matrix", "data": D[np.ix_(idx, idx)]})
+
+
+@pytest.mark.parametrize("case", ["interval-600", "grid", "cloud", "interval-600-duplicates"])
 def test_structure_and_rays_match_dense_oracle(case):
     if case == "grid":
         space, sol, _, st, dec = _grid_construction()
     else:
-        space = _cloud() if case == "cloud" else ms.generate_interval_model(1.0, 2.0, np.pi, 600)[0]
+        space = {"interval-600": lambda: ms.generate_interval_model(1.0, 2.0, np.pi, 600)[0],
+                 "cloud": _cloud, "interval-600-duplicates": _interval_with_duplicates}[case]()
         sol, g = _positive_gamma(space)
         st = ry.build_transport_structure(space, g)
         dec = ry.partition_rays(space, st, sol)
@@ -290,3 +347,56 @@ def test_structure_memory_below_4n2_bytes():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * space.n ** 2
+
+
+def _interval_2000():
+    space = ms.generate_interval_model(1.0, 2.0, np.pi, 2000)[0]
+    sol, g = _positive_gamma(space)
+    return space, sol, g
+
+
+def test_cover_tests_few_rows_and_prunes_the_graph(monkeypatch):
+    # the full test ran on every row of T_e, and the graph held every edge of
+    # R & (D > 0) on T: 4,000 tested rows and 1.9M stored entries here
+    space, sol, g = _interval_2000()
+    tested, graphs = {}, []
+    branching, components = ry._branching, ry.connected_components
+
+    def branching_spy(G, not_r, rows):
+        tested[id(G)] = tested.get(id(G), 0) + len(rows)
+        return branching(G, not_r, rows)
+
+    def components_spy(graph, **kw):
+        graphs.append(graph.nnz)
+        return components(graph, **kw)
+
+    monkeypatch.setattr(ry, "_branching", branching_spy)
+    monkeypatch.setattr(ry, "connected_components", components_spy)
+    st = ry.build_transport_structure(space, g)
+    ry.partition_rays(space, st, sol)
+    assert len(tested) == 2
+    assert all(k <= 0.05 * len(st.transport_set_e) for k in tested.values())
+    assert len(graphs) == 1 and graphs[0] <= 2 * space.n
+
+
+def test_partition_memory_below_2n2_bytes():
+    # the component graph of every edge of R & (D > 0) on T peaked at 13 n^2 bytes
+    space, sol, g = _interval_2000()
+    st = ry.build_transport_structure(space, g)
+    tracemalloc.start()
+    try:
+        ry.partition_rays(space, st, sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * space.n ** 2
+
+
+def test_representative_ties_go_to_the_larger_phi():
+    # |phi - median| ties between the two middle points of [0, 2, 1, 3]; the
+    # one earlier on the ray (larger phi) is taken, not the lower index
+    phi = np.array([3.0, 1.0, 2.0, 0.0])
+    space = ms.build_space([0, 1, 2, 3], {"type": "matrix", "data": np.abs(phi[:, None] - phi)})
+    rep, mass = ry._select_representative(space, np.array([0, 2, 1, 3]), phi)
+    assert rep == 2
+    assert mass == pytest.approx(1.0)
