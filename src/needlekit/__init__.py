@@ -45,13 +45,11 @@ from .rays import (
     TransportStructure,
     build_transport_structure,
     partition_rays,
-    select_quotient,
 )
 from .w1solve import (
     GammaSet,
     W1Solution,
     check_cyclic_monotonicity,
-    check_geodesic_stability,
     from_certificate,
     gamma_set,
     gamma_tol,

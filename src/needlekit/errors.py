@@ -49,12 +49,6 @@ class MassMismatch(NeedleError):
     pass
 
 
-class RayMarginalMismatch(NeedleError):
-    def __init__(self, message, defect=None):
-        super().__init__(message)
-        self.defect = defect
-
-
 class NotMeanZero(NeedleError):
     pass
 

@@ -7,8 +7,7 @@ model spaces used by the curvature and isoperimetry checks.
 
 A finite sample is never geodesic; the geodesic oracle returns chains of
 sample points that are exactly metrically straight (grid/graph spaces) or
-just the endpoints (generic dense spaces). `snapped_chain` offers an
-approximate chain for sphere samples, with no straightness guarantee.
+just the endpoints (generic dense spaces).
 """
 
 from __future__ import annotations
@@ -146,33 +145,6 @@ class MMSpace:
                 path.append(k)
             return path[::-1]
         return [i, j]
-
-    def snapped_chain(self, i: int, j: int) -> list[int]:
-        """Approximate chain through sample points near the true geodesic.
-
-        Only meaningful for sphere samples: interpolates the great circle
-        and snaps to nearest sample points. Not metrically straight; the
-        deviation is mesh-scale and documented as such.
-        """
-        if self.kind != "sphere2" or self.coords is None:
-            return self.chain(i, j)
-        if i == j:
-            return [i]
-        a, b = self.coords[i], self.coords[j]
-        ang = self.D[i, j]
-        hops = max(2, int(np.ceil(ang / max(self.mesh, 1e-12))))
-        ts = np.linspace(0.0, 1.0, hops + 1)
-        sin_ang = np.sin(ang)
-        if sin_ang < 1e-12:
-            return [i, j]
-        pts = (np.sin((1 - ts)[:, None] * ang) * a + np.sin(ts[:, None] * ang) * b) / sin_ang
-        idx = np.argmax(pts @ self.coords.T, axis=1)
-        out = [i]
-        for k in idx:
-            if k != out[-1] and int(k) != j:
-                out.append(int(k))
-        out.append(j)
-        return out
 
     def to_spec(self) -> dict:
         return {

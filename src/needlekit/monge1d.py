@@ -12,7 +12,9 @@ falls off the source ray (branch points, orphans) and diagonal pairs are
 passed through unchanged; mass off the transport set is coupled by the
 identity. The assembled coupling therefore has the plan's marginals
 exactly, and its cost matches the Kantorovich optimum whenever every ray
-receives its own mass.
+receives its own mass. Conditioning and assembly work on arrays of plan
+pairs: one stable sort orders the moving pairs by ray and parameter, each
+ray is quantized to its own integer units, and one sweep couples them all.
 """
 
 from __future__ import annotations
@@ -23,14 +25,13 @@ import numpy as np
 
 from . import rays as ry
 from . import w1solve as w1
-from .errors import MassMismatch, RayMarginalMismatch
+from .errors import MassMismatch
 from .disint import Disintegration
 from .mmspace import MMSpace
 from .rays import RayDecomposition, TransportStructure
 from .w1solve import GammaSet, W1Solution, _quantile_pairs, quantize_masses
 
 ATOM_SCALE = 10**12
-_MASS_TOL = 1e-9
 
 
 @dataclasses.dataclass
@@ -39,7 +40,7 @@ class MonotoneMap1D:
     source_units: np.ndarray
     target_pos: np.ndarray
     target_units: np.ndarray
-    assignment: list[tuple[int, int, int]]   # (source idx, target idx, integer mass)
+    assignment: np.ndarray   # (k, 3) int64 rows: source idx, target idx, integer mass
     cost: float
     is_map: bool
 
@@ -48,6 +49,38 @@ def _sorted_atoms(atoms):
     atoms = np.asarray(atoms, dtype=float).reshape(-1, 2)
     order = np.argsort(atoms[:, 0], kind="stable")
     return atoms[order, 0], atoms[order, 1]
+
+
+def _running_sum(x: np.ndarray) -> float:
+    """Left-to-right sum (not numpy's pairwise one); 0.0 when empty."""
+    return float(np.cumsum(x)[-1]) if len(x) else 0.0
+
+
+def _couple(spos, smass, s_edges, tpos, tmass, t_edges):
+    """Quantile couplings of consecutive atom groups, all in one sweep.
+
+    Group q is sources s_edges[q]:s_edges[q+1] and targets
+    t_edges[q]:t_edges[q+1], each sorted by position, with equal positive
+    totals. Each group is quantized to its own ATOM_SCALE units, so source
+    and target partial sums meet at every group boundary and no piece of
+    the sweep crosses one. Returns the integer units, the (k, 3) rows
+    (source, target, units) in group order, and each group's cost.
+    """
+    su = np.zeros(len(smass), np.int64)
+    tu = np.zeros(len(tmass), np.int64)
+    for q in range(len(s_edges) - 1):
+        s = slice(s_edges[q], s_edges[q + 1])
+        t = slice(t_edges[q], t_edges[q + 1])
+        s_total, t_total = smass[s].sum(), tmass[t].sum()
+        units = int(round(s_total * ATOM_SCALE))
+        su[s] = quantize_masses(smass[s] / s_total * units, units)
+        tu[t] = quantize_masses(tmass[t] / t_total * units, units)
+    rows = _quantile_pairs(su, tu)
+    i, j, m = rows.T
+    terms = m * np.abs(spos[i] - tpos[j])
+    cut = np.searchsorted(i, s_edges)
+    costs = np.array([_running_sum(terms[lo:hi]) for lo, hi in zip(cut[:-1], cut[1:])])
+    return su, tu, rows, costs / ATOM_SCALE
 
 
 def monotone_rearrangement(source_atoms, target_atoms) -> MonotoneMap1D:
@@ -66,26 +99,25 @@ def monotone_rearrangement(source_atoms, target_atoms) -> MonotoneMap1D:
         raise MassMismatch(f"total masses differ: {s_total} vs {t_total}")
     if s_total <= 0:
         return MonotoneMap1D(spos, np.zeros(0, np.int64), tpos,
-                             np.zeros(0, np.int64), [], 0.0, True)
-    total_units = int(round(s_total * ATOM_SCALE))
-    su = quantize_masses(smass / s_total * total_units, total_units)
-    tu = quantize_masses(tmass / t_total * total_units, total_units)
-    assignment = _quantile_pairs(su, tu)
-    cost = float(sum(m * abs(spos[i] - tpos[j]) for i, j, m in assignment)) / ATOM_SCALE
-    splits = np.zeros(len(su), dtype=int)
-    for i, _, m in assignment:
-        if m > 0:
-            splits[i] += 1
-    return MonotoneMap1D(spos, su, tpos, tu, assignment, cost, bool((splits <= 1).all()))
+                             np.zeros(0, np.int64), np.zeros((0, 3), np.int64), 0.0, True)
+    su, tu, assignment, (cost,) = _couple(spos, smass, [0, len(smass)],
+                                          tpos, tmass, [0, len(tmass)])
+    is_map = bool((np.bincount(assignment[:, 0], minlength=len(su)) <= 1).all())
+    return MonotoneMap1D(spos, su, tpos, tu, assignment, float(cost), is_map)
 
 
 @dataclasses.dataclass
 class PlanConditioning:
-    """Per-ray moving atoms from the plan pushforward, plus passthrough pairs."""
+    """Positive-mass plan pairs split by the ray map, as record arrays.
 
-    sources_by_ray: list[list[tuple[int, float]]]
-    targets_by_ray: list[list[tuple[int, float]]]
-    passthrough: list[tuple[int, int, float]]
+    `moving` (fields ray, i, j, mass) holds the pairs i != j with both ends
+    on one ray: the sources are that ray's moving atoms and the targets its
+    conditioned ones. `passthrough` (fields i, j, mass) holds every other
+    pair. Both keep plan order.
+    """
+
+    moving: np.ndarray
+    passthrough: np.ndarray
 
 
 def condition_target_via_plan(decomposition: RayDecomposition,
@@ -97,20 +129,16 @@ def condition_target_via_plan(decomposition: RayDecomposition,
     ray are passed through verbatim (identity extension / defect report).
     """
     ray_of = decomposition.ray_of_point(n)
-    nrays = len(decomposition.rays)
-    sources = [[] for _ in range(nrays)]
-    targets = [[] for _ in range(nrays)]
-    passthrough = []
-    for (i, j), mass in zip(solution.pairs, solution.masses):
-        if mass <= 0:
-            continue
-        q = ray_of[i]
-        if q >= 0 and i != j and ray_of[j] == q:
-            sources[q].append((int(i), float(mass)))
-            targets[q].append((int(j), float(mass)))
-        else:
-            passthrough.append((int(i), int(j), float(mass)))
-    return PlanConditioning(sources, targets, passthrough)
+    pairs = np.asarray(solution.pairs, dtype=np.int64).reshape(-1, 2)
+    masses = np.asarray(solution.masses, dtype=float)
+    i, j = pairs[:, 0], pairs[:, 1]
+    live = masses > 0
+    on_ray = live & (i != j) & (ray_of[i] >= 0) & (ray_of[i] == ray_of[j])
+    k = np.flatnonzero(on_ray)
+    p = np.flatnonzero(live & ~on_ray)
+    return PlanConditioning(
+        np.rec.fromarrays([ray_of[i[k]], i[k], j[k], masses[k]], names="ray,i,j,mass"),
+        np.rec.fromarrays([i[p], j[p], masses[p]], names="i,j,mass"))
 
 
 @dataclasses.dataclass
@@ -135,94 +163,44 @@ class MongeCoupling:
         }
 
 
-def _param_lookup(ray):
-    return {int(p): float(t) for p, t in zip(ray.points, ray.params)}
-
-
 def assemble_monge_map(space: MMSpace, decomposition: RayDecomposition,
                        disint0: Disintegration | None,
-                       disint1: Disintegration | PlanConditioning) -> MongeCoupling:
+                       cond: PlanConditioning) -> MongeCoupling:
     """Glue per-ray monotone rearrangements into a global coupling.
 
-    `disint1` is either the plan conditioning (default route, exact
-    balance by construction) or a strict Disintegration of mu1 over the
-    same rays; in the strict route a per-ray mass imbalance (above 1e-9
-    relative to 1 + ray mass) or an off-ray pointwise one (above 1e-9)
-    raises RayMarginalMismatch with the defect.
+    On each ray, the moving sources and targets are ordered by arclength
+    parameter (stably, so plan order breaks ties), quantized to the ray's
+    own integer units and coupled by the quantile sweep; one sweep serves
+    every ray. The passthrough pairs follow, verbatim, so the marginals
+    balance exactly by construction of `cond`. `disint0` is not read: it
+    stays in the signature for callers that pass a Disintegration of mu0.
+    `is_map` holds when no source has two distinct targets.
     """
     D = space.D
-    out_pairs: list[tuple[int, int]] = []
-    out_masses: list[float] = []
-    per_ray_costs = np.zeros(len(decomposition.rays))
-    source_targets: dict[int, set[int]] = {}
-
-    def emit(i, j, m):
-        out_pairs.append((i, j))
-        out_masses.append(m)
-        source_targets.setdefault(i, set()).add(j)
-
-    if isinstance(disint1, PlanConditioning):
-        cond = disint1
-        for q, ray in enumerate(decomposition.rays):
-            src = cond.sources_by_ray[q]
-            tgt = cond.targets_by_ray[q]
-            if not src:
-                continue
-            look = _param_lookup(ray)
-            s_atoms = [(look[i], m) for i, m in src]
-            t_atoms = [(look[j], m) for j, m in tgt]
-            s_pts = [i for i, _ in src]
-            t_pts = [j for j, _ in tgt]
-            s_order = np.argsort([a[0] for a in s_atoms], kind="stable")
-            t_order = np.argsort([a[0] for a in t_atoms], kind="stable")
-            mono = monotone_rearrangement([s_atoms[k] for k in s_order],
-                                          [t_atoms[k] for k in t_order])
-            per_ray_costs[q] = mono.cost
-            for ii, jj, m in mono.assignment:
-                emit(s_pts[s_order[ii]], t_pts[t_order[jj]], m / ATOM_SCALE)
-        pcost = 0.0
-        pmass = 0.0
-        for i, j, m in cond.passthrough:
-            emit(i, j, m)
-            pcost += m * D[i, j]
-            pmass += m if i != j else 0.0
-    else:
-        d0, d1 = disint0, disint1
-        for q, ray in enumerate(decomposition.rays):
-            m0 = d0.quotient_weights[q]
-            m1 = d1.quotient_weights[q]
-            if abs(m0 - m1) > _MASS_TOL * (1.0 + m0):
-                raise RayMarginalMismatch(
-                    f"ray {q}: mu0 mass {m0} vs mu1 mass {m1}", defect=abs(m0 - m1))
-            if m0 <= 0:
-                continue
-            s_atoms = list(zip(ray.params, d0.measure[ray.points]))
-            t_atoms = list(zip(ray.params, d1.measure[ray.points]))
-            mono = monotone_rearrangement(s_atoms, t_atoms)
-            per_ray_costs[q] = mono.cost
-            for ii, jj, m in mono.assignment:
-                emit(int(ray.points[ii]), int(ray.points[jj]), m / ATOM_SCALE)
-        # off-ray mass must match pointwise for the identity extension
-        on_ray = np.zeros(space.n, dtype=bool)
-        for ray in decomposition.rays:
-            on_ray[ray.points] = True
-        r0 = d0.measure.copy()
-        r1 = d1.measure.copy()
-        r0[on_ray] = 0.0
-        r1[on_ray] = 0.0
-        defect = float(np.abs(r0 - r1).max())
-        if defect > _MASS_TOL:
-            raise RayMarginalMismatch(
-                f"off-ray masses differ pointwise by {defect}", defect=defect)
-        pcost = 0.0
-        pmass = 0.0
-        for i in np.where(r0 > 0)[0]:
-            emit(int(i), int(i), float(r0[i]))
-
-    pairs = np.array(out_pairs, dtype=int).reshape(-1, 2)
-    masses = np.array(out_masses, dtype=float)
+    rays = decomposition.rays
+    param = np.zeros(space.n)
+    for ray in rays:
+        param[ray.points] = ray.params
+    mv = cond.moving
+    # lexsort is stable: by ray, then by parameter, then in plan order
+    s_order = np.lexsort((param[mv["i"]], mv["ray"]))
+    t_order = np.lexsort((param[mv["j"]], mv["ray"]))
+    s_pts, t_pts = mv["i"][s_order], mv["j"][t_order]
+    hit, edges = np.unique(mv["ray"][s_order], return_index=True)
+    edges = np.append(edges, len(mv))
+    _, _, rows, costs = _couple(param[s_pts], mv["mass"][s_order], edges,
+                                param[t_pts], mv["mass"][t_order], edges)
+    per_ray_costs = np.zeros(len(rays))
+    per_ray_costs[hit] = costs
+    pt = cond.passthrough
+    pairs = np.concatenate([np.stack([s_pts[rows[:, 0]], t_pts[rows[:, 1]]], axis=1),
+                            np.stack([pt["i"], pt["j"]], axis=1)])
+    masses = np.concatenate([rows[:, 2] / ATOM_SCALE, pt["mass"]])
     cost = float((masses * D[pairs[:, 0], pairs[:, 1]]).sum()) if len(masses) else 0.0
-    is_map = all(len(t) <= 1 for t in source_targets.values())
+    pcost = _running_sum(pt["mass"] * D[pt["i"], pt["j"]])
+    pmass = _running_sum(np.where(pt["i"] != pt["j"], pt["mass"], 0.0))
+    sources = np.unique(pairs[:, 0] * space.n + pairs[:, 1]) // space.n   # one per distinct pair
+    is_map = bool((np.diff(sources) > 0).all())
     return MongeCoupling(pairs, masses, cost, is_map, per_ray_costs, pcost, pmass)
 
 

@@ -190,18 +190,16 @@ def build_transport_structure(space: MMSpace, gamma: GammaSet) -> TransportStruc
 def _select_representative(space: MMSpace, points: np.ndarray, phi: np.ndarray) -> tuple[int, float]:
     """Representative of one ray: the point whose phi is closest to the
     median phi over the ray (ties to the point earlier in `points`, which on
-    a ray is the one with the larger phi); weight = m-mass."""
+    a ray is the one with the larger phi); weight = m-mass.
+
+    `points` must be ordered by non-increasing phi, as a ray's chain is, so
+    the median is the middle value or the mean of the middle two.
+    """
     vals = phi[points]
-    med = np.median(vals)
+    mid = len(vals) // 2
+    med = vals[mid] if len(vals) % 2 else (vals[mid - 1] + vals[mid]) / 2
     rep = points[int(np.argmin(np.abs(vals - med)))]
     return int(rep), float(space.weights[points].sum())
-
-
-def select_quotient(space: MMSpace, decomposition: "RayDecomposition",
-                    solution: W1Solution) -> list[tuple[int, float]]:
-    """Median-phi representative and m-mass quotient weight for each ray."""
-    return [_select_representative(space, ray.points, solution.potential)
-            for ray in decomposition.rays]
 
 
 def partition_rays(space: MMSpace, structure: TransportStructure,

@@ -113,24 +113,20 @@ def quantize_masses(raw: np.ndarray, total: int) -> np.ndarray:
     return base
 
 
-def _quantile_pairs(units0, units1):
-    """Monotone (quantile) integer coupling of two atom lists sorted by position."""
-    out = []
-    i = j = 0
-    r0 = units0.copy()
-    r1 = units1.copy()
-    while i < len(r0) and j < len(r1):
-        if r0[i] == 0:
-            i += 1
-            continue
-        if r1[j] == 0:
-            j += 1
-            continue
-        m = min(int(r0[i]), int(r1[j]))
-        out.append((i, j, m))
-        r0[i] -= m
-        r1[j] -= m
-    return out
+def _quantile_pairs(units0, units1) -> np.ndarray:
+    """Monotone (quantile) integer coupling of two atom lists sorted by position.
+
+    Rows (i, j, m) of a (k, 3) int64 array: [0, min total] is cut at every
+    partial sum of either list, and each piece couples the source and
+    target atoms whose mass intervals contain it. Zero atoms get no row.
+    """
+    c0 = np.cumsum(units0, dtype=np.int64)
+    c1 = np.cumsum(units1, dtype=np.int64)
+    top = min(c0[-1], c1[-1]) if len(c0) and len(c1) else 0
+    cuts = np.union1d(c0, c1)
+    cuts = cuts[(cuts > 0) & (cuts <= top)]
+    return np.stack([np.searchsorted(c0, cuts), np.searchsorted(c1, cuts),
+                     np.diff(cuts, prepend=0)], axis=1).astype(np.int64, copy=False)
 
 
 def _engine_line(space: MMSpace, mu0, mu1):
@@ -140,8 +136,8 @@ def _engine_line(space: MMSpace, mu0, mu1):
     u0, u1 = (quantize_masses(m * MASS_SCALE, int(round(m.sum() * MASS_SCALE)))
               for m in (mu0[order], mu1[order]))
     couple = _quantile_pairs(u0, u1)
-    pairs = np.array([[order[i], order[j]] for i, j, _ in couple], dtype=int).reshape(-1, 2)
-    masses = np.array([m for _, _, m in couple], dtype=float) / MASS_SCALE
+    pairs = order[couple[:, :2]]
+    masses = couple[:, 2] / MASS_SCALE
 
     # phi' = -1 where mass still to move rightward (F0 > F1), +1 leftward.
     c0 = np.cumsum(u0)
@@ -704,33 +700,3 @@ def check_cyclic_monotonicity(space: MMSpace, gamma: GammaSet, k: int = 4,
     shifted = space.D[x, np.roll(y, -1, axis=1)].sum(axis=1)
     worst = float((matched - shifted).max())
     return {"worst_violation": worst, "trials": trials, "k": k, "vacuous": False}
-
-
-def check_geodesic_stability(space: MMSpace, gamma: GammaSet, samples: int = 200,
-                             rng=None) -> dict:
-    """Fraction of chain sub-pairs of sampled Gamma pairs that leave Gamma.
-
-    Chains come from `space.snapped_chain`: the geodesic oracle, or on
-    sphere samples the snapped approximate chain (mesh-scale deviation,
-    see module docs). Each chain of more than two points gives 20 random
-    sub-pairs.
-    """
-    rng = rng or np.random.default_rng(0)
-    pairs = gamma.pairs()
-    if len(pairs) == 0:
-        return {"failure_fraction": 0.0, "tested": 0, "vacuous": True}
-    take = rng.integers(0, len(pairs), size=min(samples, len(pairs)))
-    tested = failed = 0
-    for x, y in pairs[take]:
-        chain = space.snapped_chain(int(x), int(y))
-        if len(chain) <= 2:
-            continue
-        c = np.array(chain)
-        iu = rng.integers(0, len(c) - 1, size=20)
-        iv = rng.integers(0, len(c) - 1, size=20)
-        lo = np.minimum(iu, iv)
-        hi = np.maximum(iu, iv) + 1
-        tested += len(lo)
-        failed += int((~gamma.mask[c[lo], c[hi]]).sum())
-    frac = failed / tested if tested else 0.0
-    return {"failure_fraction": frac, "tested": tested, "vacuous": tested == 0}

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from needlekit import disint as di
 from needlekit import mmspace as ms
 from needlekit import monge1d as mg
 from needlekit import rays as ry
 from needlekit import w1solve as w1
-from needlekit.errors import MassMismatch, RayMarginalMismatch
+from needlekit.errors import MassMismatch
 from needlekit.selftest import _grid_construction
+from monge_oracle import condition_and_assemble, quantile_pairs
 from ssp_oracle import ssp_cost
+from test_decompose import _cap, _cloud, _grid, _line
 
 
 def test_translation_pair():
@@ -161,27 +162,62 @@ def test_assemble_cost_matches_solver():
                                               abs=1e-6 * (1 + sol.primal_value))
 
 
-def test_strict_mode_ray_marginal_mismatch():
+def test_assembled_grid_cost_is_the_optimum():
     sp, sol, f, st, dec = _grid_construction()
-    d0 = di.disintegrate(sp, dec, sol.mu0)
-    # tilt mu1 mass across rows: per-ray masses no longer match
-    ray_of = dec.ray_of_point(sp.n)
-    bad = sol.mu1 * (1.0 + 0.5 * (ray_of % 2))
-    d1 = di.disintegrate(sp, dec, bad / bad.sum())
-    with pytest.raises(RayMarginalMismatch) as exc:
-        mg.assemble_monge_map(sp, dec, d0, d1)
-    assert exc.value.defect > 0
-
-
-def test_strict_mode_matches_plan_mode_on_grid():
-    sp, sol, f, st, dec = _grid_construction()
-    d0 = di.disintegrate(sp, dec, sol.mu0)
-    d1 = di.disintegrate(sp, dec, sol.mu1)
-    strict = mg.assemble_monge_map(sp, dec, d0, d1)
     cond = mg.condition_target_via_plan(dec, sol, sp.n)
-    plan_mode = mg.assemble_monge_map(sp, dec, d0, cond)
-    assert strict.cost == pytest.approx(plan_mode.cost, abs=1e-10)
-    assert strict.cost == pytest.approx(sol.primal_value, abs=1e-9)
+    coupling = mg.assemble_monge_map(sp, dec, None, cond)
+    assert coupling.cost == pytest.approx(sol.primal_value, abs=1e-9)
+
+
+def _split_interval():
+    space, sol, dec = _interval_instance(7)
+    # a source split across targets puts equal params side by side in a ray
+    assert len(np.unique(sol.pairs[:, 0])) < len(sol.pairs)
+    return space, sol, dec
+
+
+def _decomposed(build):
+    space, sol = build()
+    structure = ry.build_transport_structure(space, w1.gamma_set(space, sol))
+    return space, sol, ry.partition_rays(space, structure, sol)
+
+
+@pytest.mark.parametrize("build", [_line, _cap, _cloud, _grid, None],
+                         ids=["line", "cap", "cloud", "grid", "interval-400-split"])
+def test_assembly_equals_loop_oracle(build):
+    space, sol, dec = _split_interval() if build is None else _decomposed(build)
+    cond = mg.condition_target_via_plan(dec, sol, space.n)
+    mine = mg.assemble_monge_map(space, dec, None, cond)
+    ref = condition_and_assemble(space, dec, sol)
+    for field in ("pairs", "masses", "per_ray_costs"):
+        a, b = getattr(mine, field), getattr(ref, field)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    for field in ("cost", "passthrough_cost", "passthrough_mass"):
+        assert float(getattr(mine, field)).hex() == float(getattr(ref, field)).hex()
+    assert mine.is_map is ref.is_map
+
+
+@st.composite
+def _equal_total_units(draw):
+    """Two int64 unit vectors with equal totals. Zero atoms are inserted at
+    drawn positions, ends included; vectors of length 1 occur."""
+    u0 = draw(st.lists(st.integers(0, 10**12), min_size=1, max_size=12))
+    total = sum(u0)
+    cuts = sorted(draw(st.lists(st.integers(0, total), max_size=11)))
+    u1 = np.diff([0, *cuts, total])
+    return [np.insert(np.asarray(u, np.int64), draw(st.lists(st.integers(0, len(u)), max_size=3)), 0)
+            for u in (u0, u1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_equal_total_units())
+@example([np.array([7], np.int64), np.array([7], np.int64)])
+@example([np.array([0, 4, 0, 3, 0], np.int64), np.array([0, 0, 7, 0], np.int64)])
+def test_sweep_equals_loop_oracle(units):
+    u0, u1 = units
+    got = w1._quantile_pairs(u0, u1)
+    assert got.dtype == np.int64 and got.shape == (len(got), 3)
+    assert got.tolist() == [list(row) for row in quantile_pairs(u0, u1)]
 
 
 @settings(max_examples=60, deadline=None)
