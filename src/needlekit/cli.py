@@ -172,7 +172,7 @@ def cmd_solve_monge(args):
 def cmd_decompose(args):
     t0 = time.time()
     space, needles = _decompose_pipeline(args)
-    sol, structure = needles.solution, needles.structure
+    sol, structure, coupling = needles.solution, needles.structure, needles.coupling
     bm = structure.branching_mass(space.weights)
     report = {
         "solution": {
@@ -190,6 +190,8 @@ def cmd_decompose(args):
             "A_minus": structure.branching_bwd.tolist(),
             "mass_fraction": bm["fraction"],
         },
+        "coupling": {"cost": coupling.cost, "is_map": coupling.is_map,
+                     "passthrough_mass": coupling.passthrough_mass, "pairs": len(coupling.pairs)},
         "manifest": _manifest(args, t0),
     }
     _write_report(args.out, _sanitize(report))

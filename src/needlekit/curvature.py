@@ -98,6 +98,20 @@ def tau(K: float, N: float, t, theta):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """np.interp(x, xp, fp) bit for bit while slopes are finite: the bracket
+    xp[j] <= x < xp[j + 1] is guessed from the mean step, checked, and searched on a miss."""
+    last = len(xp) - 2
+    g = (x - xp[0]) * ((last + 1) / (xp[-1] - xp[0]))
+    j = np.minimum(np.where(g > 0, g, 0), last).astype(np.intp)
+    miss = np.flatnonzero(~((xp[j] <= x) & (x < xp[j + 1])))
+    j[miss] = np.clip(np.searchsorted(xp, x[miss], side="right") - 1, 0, last)
+    out = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
+    out[x < xp[0]] = fp[0]
+    out[x >= xp[-1]] = fp[-1]
+    return np.where(np.isnan(x), x, out)
+
+
 def _profile(density: Density1D, N: float) -> np.ndarray:
     return density.values ** (1.0 / (N - 1.0))
 
@@ -141,9 +155,9 @@ def cd_density_check(density: Density1D, K: float, N: float, triples,
     grid = density.grid
     theta = t1 - t0
     mid = (1 - s) * t0 + s * t1
-    f0 = np.interp(t0, grid, f)
-    f1 = np.interp(t1, grid, f)
-    fm = np.interp(mid, grid, f)
+    f0 = _interp(t0, grid, f)
+    f1 = _interp(t1, grid, f)
+    fm = _interp(mid, grid, f)
     sig0 = sigma(K, N - 1, 1 - s, theta)
     sig1 = sigma(K, N - 1, s, theta)
     with np.errstate(invalid="ignore"):
@@ -190,8 +204,8 @@ def mcp_density_check(density: Density1D, K: float, N: float, quadruples,
         return CDReport(False, -np.inf, tuple(quads[k]), len(quads), rel_tol,
                         reason="sine argument >= pi: domain too long for claimed curvature")
     g = density.grid
-    hs = np.interp(s, g, density.values)
-    ht = np.interp(tu, g, density.values)
+    hs = _interp(s, g, density.values)
+    ht = _interp(tu, g, density.values)
     if np.any(hs == 0):
         raise DegenerateDensity("h vanishes at a tested base point")
     ratio = ht / hs

@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import BadDiameter, BadDimension, BadVolume, MeshTooCoarse
-from .mmspace import MMSpace, _row_blocks
+from .mmspace import MMSpace
 from .w1solve import solve_w1
 
 
@@ -172,8 +172,7 @@ def _pairs_within(space: MMSpace, R: float):
     distances), built in row blocks. The zero diagonal keeps every row
     non-empty, which `np.minimum.reduceat` over indptr needs."""
     indptr, cols, data = [np.zeros(1, np.int64)], [], []
-    for lo, hi in _row_blocks(space.n, space.n):
-        block = space.D[lo:hi]
+    for lo, hi, block in space.row_blocks():
         near = block < R
         indptr.append(indptr[-1][-1] + np.cumsum(near.sum(axis=1)))
         cols.append(np.nonzero(near)[1].astype(np.int32))
@@ -256,7 +255,13 @@ def empirical_profile(space: MMSpace, v: float, candidate_budget: int = 32,
     """
     if not 0.0 < v < 1.0:
         raise BadVolume(f"v={v} outside (0, 1)")
-    rng = rng or np.random.default_rng(0)
+    pairs = _pairs_within(space, default_eps_window(space)[-1])
+    return _empirical_profile(space, v, candidate_budget, rng or np.random.default_rng(0),
+                              include_potential, pairs)
+
+
+def _empirical_profile(space, v, candidate_budget, rng, include_potential, pairs):
+    # `pairs`: those within default_eps_window(space)[-1], where every window ends
     coarse = default_eps_window(space, 6)
     fine = default_eps_window(space, 16)
     scores = []
@@ -264,13 +269,12 @@ def empirical_profile(space: MMSpace, v: float, candidate_budget: int = 32,
     n_balls = max(candidate_budget - n_pot, 1)
     bases = rng.choice(space.n, size=min(n_balls, space.n), replace=False)
     for base in bases:
-        scores.append((f"ball@{int(base)}", space.D[int(base)]))
+        scores.append((f"ball@{int(base)}", space.rows([int(base)])[0]))
     split = zero_mean_split(space, rng) if include_potential else None
     if split is not None:
         sol = solve_w1(space, *split)
         scores.append(("potential+", sol.potential))
         scores.append(("potential-", -sol.potential))
-    pairs = _pairs_within(space, fine[-1])    # linspace ends exactly: coarse[-1] == fine[-1]
     ranked = []
     for name, score in scores:
         mask, attained = _threshold_to_mass(space, score, v)
@@ -313,14 +317,14 @@ def levy_gromov_check(space: MMSpace, spec: ModelProfileSpec, v_grid,
     mspec = ModelProfileSpec(spec.K, spec.N, D_used)
     v_grid = list(v_grid)
     streams = rng.spawn(len(v_grid))
+    pairs = _pairs_within(space, default_eps_window(space)[-1])    # serves every volume
 
     def one(iv):
         i, v = iv
         if v <= 0.0 or v >= 1.0:
             return {"v": float(v), "v_attained": float(v), "empirical": 0.0,
                     "model": 0.0, "slack": 0.0, "allowance": 0.0}
-        ep = empirical_profile(space, v, candidate_budget, streams[i],
-                               include_potential=include_potential)
+        ep = _empirical_profile(space, v, candidate_budget, streams[i], include_potential, pairs)
         model = model_profile(mspec, ep.v)
         allow = allowance if allowance is not None else max(0.05 * model, 4.0 * space.mesh)
         return {"v": float(v), "v_attained": ep.v, "empirical": ep.content,

@@ -36,6 +36,7 @@ EXHAUSTIVE_TRIPLE_LIMIT = 300
 SAMPLED_TRIPLES = 10**6
 TRIPLE_BLOCK = 2**16    # sampled triples drawn and checked at a time
 _BLOCK = 1 << 18    # matrix entries per row block of the dense n x n passes
+_ROW_BLOCK = 1 << 15    # entries per block of MMSpace.row_blocks, sized for a core's cache
 
 
 def _row_blocks(n, cols):
@@ -84,12 +85,13 @@ class MMSpace:
     "sphere2"); `line_coord` is a 1D isometric embedding when one exists,
     `coords` are ambient coordinates for sphere samples, `predecessors`
     the Dijkstra tree for graph spaces, and `density` the generating
-    Density1D for interval models. `D` is never changed after
-    construction, so `max_distance` and `mesh` are computed once.
+    Density1D for interval models. Distances are read through `rows`,
+    `row_blocks` and `dist`: interval models compute |t_i - t_j| (`D` is
+    built afresh on each call); other spaces store a matrix, never changed.
     """
 
     point_ids: list
-    D: np.ndarray
+    _matrix: np.ndarray | None
     weights: np.ndarray
     kind: str = "matrix"
     line_coord: np.ndarray | None = None
@@ -101,20 +103,57 @@ class MMSpace:
     def n(self) -> int:
         return len(self.point_ids)
 
+    @property
+    def D(self) -> np.ndarray:
+        """The n x n distance matrix (built afresh on interval models)."""
+        return self._matrix if self._matrix is not None else self.rows(slice(None))
+
+    def rows(self, idx, cols=None, out=None) -> np.ndarray:
+        """Distances from the points `idx` (a slice or index array) to `cols`
+        (an index array, or all points), computed into `out` if given."""
+        M, t = self._matrix, self.line_coord
+        if M is None:
+            diff = np.subtract(t[idx, None], t[None, :] if cols is None else t[None, cols], out=out)
+            return np.abs(diff, out=diff)
+        return M[idx] if cols is None else M[np.ix_(np.arange(self.n)[idx], cols)]
+
+    def row_blocks(self, idx=None, cols=None):
+        """Yield (lo, hi, rows(idx[lo:hi], cols)) (idx: all points) in blocks of
+        about _ROW_BLOCK entries. Interval models reuse one buffer: a block is
+        valid until the next one is yielded."""
+        m = self.n if idx is None else len(idx)
+        width = self.n if cols is None else len(cols)
+        step = max(1, _ROW_BLOCK // max(width, 1))
+        buf = np.empty((min(step, m), width)) if self._matrix is None else None
+        for lo in range(0, m, step):
+            hi = min(lo + step, m)
+            out = None if buf is None else buf[:hi - lo]
+            yield lo, hi, self.rows(slice(lo, hi) if idx is None else idx[lo:hi], cols, out)
+
+    def dist(self, i, j) -> np.ndarray:
+        """d(i, j) elementwise, for broadcastable index arrays."""
+        t = self.line_coord
+        return self._matrix[i, j] if self._matrix is not None else np.abs(t[i] - t[j])
+
     @functools.cached_property
     def max_distance(self) -> float:
-        return float(self.D.max())
+        if self._matrix is None:     # float subtraction is monotone: the ends are farthest
+            return float(self.line_coord.max() - self.line_coord.min())
+        return float(self._matrix.max())
 
     @functools.cached_property
     def mesh(self) -> float:
         """Largest nearest-neighbor distance (covering scale of the sample)."""
         if self.n < 2:
             return 0.0
+        if self._matrix is None:     # each point's nearest neighbour is adjacent in order
+            gaps = np.diff(np.sort(self.line_coord))
+            return float(np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf)).max())
         cols = np.arange(self.n)
         mesh = -np.inf
-        for lo, hi in _row_blocks(self.n, self.n):
+        for lo, hi, block in self.row_blocks():
             offdiag = cols != cols[lo:hi, None]
-            mesh = max(mesh, self.D[lo:hi].min(axis=1, initial=np.inf, where=offdiag).max())
+            mesh = max(mesh, block.min(axis=1, initial=np.inf, where=offdiag).max())
         return float(mesh)
 
     def index_of(self, point_id) -> int:
@@ -296,9 +335,7 @@ def generate_interval_model(K: float, N: float, D: float, n: int) -> tuple[MMSpa
     cell = 0.5 * dt * (vals[:-1] + vals[1:])
     masses[:-1] += 0.5 * cell
     masses[1:] += 0.5 * cell
-    Dmat = grid[:, None] - grid[None, :]
-    np.abs(Dmat, out=Dmat)
-    space = MMSpace(list(range(n)), Dmat, masses / masses.sum(), kind="interval",
+    space = MMSpace(list(range(n)), None, masses / masses.sum(), kind="interval",
                     line_coord=grid.copy(), density=dens)
     return space, dens
 

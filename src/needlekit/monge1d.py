@@ -176,7 +176,6 @@ def assemble_monge_map(space: MMSpace, decomposition: RayDecomposition,
     stays in the signature for callers that pass a Disintegration of mu0.
     `is_map` holds when no source has two distinct targets.
     """
-    D = space.D
     rays = decomposition.rays
     param = np.zeros(space.n)
     for ray in rays:
@@ -196,8 +195,8 @@ def assemble_monge_map(space: MMSpace, decomposition: RayDecomposition,
     pairs = np.concatenate([np.stack([s_pts[rows[:, 0]], t_pts[rows[:, 1]]], axis=1),
                             np.stack([pt["i"], pt["j"]], axis=1)])
     masses = np.concatenate([rows[:, 2] / ATOM_SCALE, pt["mass"]])
-    cost = float((masses * D[pairs[:, 0], pairs[:, 1]]).sum()) if len(masses) else 0.0
-    pcost = _running_sum(pt["mass"] * D[pt["i"], pt["j"]])
+    cost = float((masses * space.dist(pairs[:, 0], pairs[:, 1])).sum()) if len(masses) else 0.0
+    pcost = _running_sum(pt["mass"] * space.dist(pt["i"], pt["j"]))
     pmass = _running_sum(np.where(pt["i"] != pt["j"], pt["mass"], 0.0))
     sources = np.unique(pairs[:, 0] * space.n + pairs[:, 1]) // space.n   # one per distinct pair
     is_map = bool((np.diff(sources) > 0).all())

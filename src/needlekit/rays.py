@@ -32,20 +32,25 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from .mmspace import MMSpace, _row_blocks
-from .w1solve import GammaSet, W1Solution
+from .mmspace import MMSpace
+from .w1solve import GammaSet, W1Solution, _packed, _unpacked
 
 
 @dataclasses.dataclass
 class TransportStructure:
     gamma: GammaSet
-    R: np.ndarray                  # symmetric closure, bool (n, n)
+    r: np.ndarray                  # symmetric closure R, as bit rows (`_packed`)
     initial_points: np.ndarray     # indices with no strict Gamma-predecessor
     final_points: np.ndarray       # indices with no strict Gamma-successor
     transport_set_e: np.ndarray    # T_e
     branching_fwd: np.ndarray      # A+
     branching_bwd: np.ndarray      # A-
     transport_set: np.ndarray      # T = T_e minus (A+ u A-)
+
+    @property
+    def R(self) -> np.ndarray:
+        """R as an (n, n) bool array, unpacked afresh on each call."""
+        return _unpacked(self.r, len(self.r))
 
     def branching_mass(self, weights: np.ndarray) -> dict:
         te = float(weights[self.transport_set_e].sum())
@@ -93,19 +98,6 @@ class RayDecomposition:
             "orphans": self.orphan_points.tolist(),
             "diagnostics": self.diagnostics,
         }
-
-
-def _packed(M: np.ndarray, axis: int) -> np.ndarray:
-    """Rows (axis=1) or columns (axis=0) of bool M as bit rows in zero-padded uint64 words."""
-    if axis == 1:
-        bits = np.packbits(M, axis=1)
-    else:   # np.packbits(M, axis=0) reads M by columns; 8 row slices run ~6x faster
-        bits = np.zeros((-(-len(M) // 8), M.shape[1]), dtype=np.uint8)
-        for k in range(8):
-            rows = M[k::8].view(np.uint8)
-            bits[:len(rows)] |= rows << (7 - k)
-        bits = np.ascontiguousarray(bits.T)
-    return np.pad(bits, ((0, 0), (0, -bits.shape[1] % 8))).view(np.uint64)
 
 
 def _branching(G: np.ndarray, not_r: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -159,14 +151,13 @@ def _clique_cover(P: np.ndarray, rows: np.ndarray, may_cover) -> np.ndarray:
 
 def build_transport_structure(space: MMSpace, gamma: GammaSet) -> TransportStructure:
     """End points, T_e, branching sets and T, straight from the definitions."""
-    D, n = space.D, space.n
+    n, fwd, bwd = space.n, gamma.fwd, gamma.bwd
     has_succ, has_pred = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-    for lo, hi in _row_blocks(n, n):
-        nontrivial = gamma.mask[lo:hi] & (D[lo:hi] > 0)
+    for lo, hi, block in space.row_blocks():
+        nontrivial = _unpacked(fwd[lo:hi], n) & (block > 0)
         has_succ[lo:hi] = nontrivial.any(axis=1)
         has_pred |= nontrivial.any(axis=0)
     te = np.where(has_succ | has_pred)[0]
-    fwd, bwd = _packed(gamma.mask, 1), _packed(gamma.mask, 0)
     r = fwd | bwd
     not_r = ~r
 
@@ -177,7 +168,7 @@ def build_transport_structure(space: MMSpace, gamma: GammaSet) -> TransportStruc
     a_plus, a_minus = branching(fwd), branching(bwd)
     return TransportStructure(
         gamma=gamma,
-        R=np.unpackbits(r.view(np.uint8), axis=1, count=n).view(bool),
+        r=r,
         initial_points=np.where(~has_pred)[0],
         final_points=np.where(~has_succ)[0],
         transport_set_e=te,
@@ -208,7 +199,6 @@ def partition_rays(space: MMSpace, structure: TransportStructure,
     T = structure.transport_set
     n = space.n
     phi = solution.potential
-    D = space.D
     tol = structure.gamma.tol
     diagnostics: list[str] = []
     rays: list[Ray] = []
@@ -221,40 +211,45 @@ def partition_rays(space: MMSpace, structure: TransportStructure,
     # the rows of heads and of rows that cannot be covered
     in_t = np.zeros((1, n), dtype=bool)
     in_t[0, T] = True
-    rt = _packed(structure.R, 1) & _packed(in_t, 1)
+    rt = structure.r & _packed(in_t, 1)
 
     def no_duplicate(c):
-        w = T[structure.R[c, T]]
-        return ((D[c, w] > 0) | (w == c)).all()
+        w = np.flatnonzero(np.unpackbits(rt[c].view(np.uint8), count=n))    # R(c) in T
+        return ((space.dist(c, w) > 0) | (w == c)).all()
 
     cover = _clique_cover(rt, T, no_duplicate)[T]
     keep = np.flatnonzero((cover < 0) | (cover == T))
     rows, cols = [], []
-    for lo, hi in _row_blocks(len(keep), n):
+    for lo, hi, block in space.row_blocks(T[keep]):
         pts = T[keep[lo:hi]]
-        r, c = np.nonzero((structure.R[pts] & (D[pts] > 0))[:, T])
+        r, c = np.nonzero((_unpacked(structure.r[pts], n) & (block > 0))[:, T])
         rows.append(keep[lo + r])
         cols.append(c)
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     graph = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(T), len(T)))
     ncomp, labels = connected_components(graph, directed=False)
-    for comp in range(ncomp):
-        pts = T[labels == comp]
-        if len(pts) < 2:
-            orphans.extend(int(p) for p in pts)
-            diagnostics.append(f"singleton component at point {int(pts[0])}")
+    # all chains at once: by component, then by decreasing phi, then by index
+    order = np.lexsort((T, -phi[T], labels))
+    chains, comp = T[order], labels[order]
+    edges = np.searchsorted(comp, np.arange(ncomp + 1))
+    a, b = chains[:-1], chains[1:]
+    steps = space.dist(a, b)
+    in_gamma = structure.gamma.fwd.view(np.uint8)[a, b >> 3] >> (7 - (b & 7)) & 1
+    broken = np.zeros(ncomp, dtype=bool)
+    broken[comp[:-1][(comp[:-1] == comp[1:]) & ((in_gamma == 0) | (steps <= 0))]] = True
+    for k in range(ncomp):
+        chain = chains[edges[k]:edges[k + 1]]
+        if len(chain) < 2:
+            orphans.extend(int(p) for p in chain)
+            diagnostics.append(f"singleton component at point {int(chain[0])}")
             continue
-        order = np.lexsort((pts, -phi[pts]))
-        chain = pts[order]
-        steps = D[chain[:-1], chain[1:]]
-        in_gamma = structure.gamma.mask[chain[:-1], chain[1:]]
-        if not in_gamma.all() or np.any(steps <= 0):
+        if broken[k]:
             orphans.extend(int(p) for p in chain)
             diagnostics.append(
-                f"NonChainComponent: component of size {len(pts)} not totally "
+                f"NonChainComponent: component of size {len(chain)} not totally "
                 f"ordered by phi within tol={tol:g}; orphaned")
             continue
-        s = np.concatenate([[0.0], np.cumsum(steps)])
+        s = np.concatenate([[0.0], np.cumsum(steps[edges[k]:edges[k + 1] - 1])])
         rep, mass = _select_representative(space, chain, phi)
         rep_pos = int(np.where(chain == rep)[0][0])
         rays.append(Ray(points=chain, params=s - s[rep_pos],

@@ -73,6 +73,17 @@ def test_solve_monge_and_decompose(interval_spec, tmp_path):
     assert "mass_fraction" in rep2["branching"]
 
 
+def test_decompose_reports_the_coupling(interval_spec, tmp_path):
+    out = str(tmp_path / "dec.json")
+    assert cli.main(["decompose", "--space", interval_spec, "--seed", "5", "--out", out]) == 0
+    rep = json.load(open(out))
+    coupling = rep["coupling"]
+    assert set(coupling) == {"cost", "is_map", "passthrough_mass", "pairs"}
+    assert abs(coupling["cost"] - rep["solution"]["primal_value"]) <= 1e-9
+    assert coupling["pairs"] > 0 and 0 <= coupling["passthrough_mass"] <= 1
+    assert isinstance(coupling["is_map"], bool)
+
+
 def test_marginals_file(interval_spec, tmp_path):
     n = 400
     mu0 = np.zeros(n)

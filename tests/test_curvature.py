@@ -314,3 +314,29 @@ def test_interval_model_full_domain_triple(seed):
     flat = ms.model_density(0.0, 2.0, 1.0, 2000)
     tri = cv.sample_triples(flat.grid, 20_000, np.random.default_rng(seed))
     assert not cv.cd_density_check(flat, 1.0, 2.0, tri).verdict
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 300), st.booleans(), st.integers(0, 2**32 - 1))
+def test_bracket_interp_matches_numpy(n, uniform, seed):
+    # uniform and non-uniform grids; queries out of range, on nodes, one ulp
+    # off them, at +-inf and NaN, and model-check midpoints
+    rng = np.random.default_rng(seed)
+    xp = np.linspace(-1.0, 2.0, n) if uniform else np.cumsum(rng.random(n) + 1e-3)
+    fp = rng.normal(size=n)
+    i, k = np.sort(rng.integers(0, n, size=(2, 200)), axis=0)
+    s = rng.random(200)
+    x = np.concatenate([rng.uniform(xp[0] - 1, xp[-1] + 1, 300), xp,
+                        np.nextafter(xp, np.inf), np.nextafter(xp, -np.inf),
+                        (1 - s) * xp[i] + s * xp[k], [np.nan, np.inf, -np.inf]])
+    assert np.array_equal(cv._interp(x, xp, fp), np.interp(x, xp, fp), equal_nan=True)
+
+
+@pytest.mark.parametrize("n", [2000, 2001])
+@pytest.mark.parametrize("model", [(1.0, 2.0, np.pi), (1.0, 3.0, np.pi), (-1.0, 2.0, 2.0)])
+def test_bracket_interp_on_model_triples(model, n):
+    dens = ms.model_density(*model, n)
+    t0, t1, s = cv.sample_triples(dens.grid, 20_000, np.random.default_rng(n)).T
+    for x in (t0, t1, (1 - s) * t0 + s * t1):
+        assert np.array_equal(cv._interp(x, dens.grid, dens.values),
+                              np.interp(x, dens.grid, dens.values))

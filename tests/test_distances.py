@@ -1,0 +1,128 @@
+"""Distances by row: the `MMSpace` accessors, and guards that a space built
+from coordinates never gets its n x n matrix built by the library."""
+
+import ast
+import pathlib
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from needlekit import isoperim as iso
+from needlekit import mmspace as ms
+from needlekit import monge1d as mg
+from needlekit import w1solve as w1
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "needlekit"
+
+
+def _dense(t):
+    D = t[:, None] - t[None, :]
+    return np.abs(D, out=D)
+
+
+def _coordinate_space(t):
+    return ms.MMSpace(list(range(len(t))), None, np.full(len(t), 1 / len(t)),
+                      kind="interval", line_coord=t)
+
+
+def _cloud(n, seed):
+    pts = np.random.default_rng(seed).random((n, 2))
+    D = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
+    return ms.build_space(list(range(n)), {"type": "matrix", "data": D})
+
+
+@pytest.mark.parametrize("case", ["interval", "unsorted-coordinates", "cloud"])
+def test_accessors_match_the_dense_matrix(case):
+    # 1100 points: row blocks of 29 rows, the last one short
+    if case == "interval":
+        space = ms.generate_interval_model(1.0, 2.0, np.pi, 1100)[0]
+        D = _dense(space.line_coord)
+    elif case == "unsorted-coordinates":
+        t = np.random.default_rng(3).normal(size=1100) * 7
+        t[10:15] = t[500]                  # distinct points at distance 0
+        space, D = _coordinate_space(t), _dense(t)
+    else:
+        space = _cloud(1100, 1)
+        D = space.D
+    n = space.n
+    assert np.array_equal(space.D, D)
+    idx, cols = np.array([5, 0, n - 1, 5]), np.array([3, 3, 1000])
+    assert np.array_equal(space.rows(idx, cols), D[np.ix_(idx, cols)])
+    assert np.array_equal(space.rows(slice(10, 20), cols), D[10:20][:, cols])
+    assert np.array_equal(space.rows([7])[0], D[7])
+    assert np.array_equal(space.dist(idx[:, None], cols), D[idx[:, None], cols])
+    blocks = [block.copy() for _, _, block in space.row_blocks()]
+    assert len(blocks) > 3 and len(blocks[-1]) < len(blocks[0])
+    assert np.array_equal(np.vstack(blocks), D)
+    picked = [block.copy() for _, _, block in space.row_blocks(idx, cols)]
+    assert np.array_equal(np.vstack(picked), D[np.ix_(idx, cols)])
+    assert space.max_distance == float(D.max())
+    assert space.mesh == float((D + np.diag(np.full(n, np.inf))).min(axis=1).max())
+
+
+def test_coordinate_matrix_is_built_afresh():
+    space, _ = ms.generate_interval_model(0.0, 2.0, 1.0, 50)
+    first = space.D
+    first[0, 1] = -1.0
+    assert space.D[0, 1] == space.line_coord[1] and space.D is not space.D
+
+
+def test_interval_pipeline_never_builds_the_matrix():
+    # solve -> decompose and Levy-Gromov read distances by row blocks and
+    # pairs only; space.D would build all n x n of them
+    space, _ = ms.generate_interval_model(1.0, 2.0, np.pi, 2000)
+    shapes = []
+    rows = ms.MMSpace.rows
+
+    def spy(self, idx, cols=None, out=None):
+        block = rows(self, idx, cols, out)
+        shapes.append(block.shape)
+        return block
+
+    def forbidden(self):
+        pytest.fail("space.D read on an interval space")
+
+    with mock.patch.object(ms.MMSpace, "rows", spy), \
+            mock.patch.object(ms.MMSpace, "D", property(forbidden)):
+        sol = w1.solve_w1(space, *iso.zero_mean_split(space, np.random.default_rng(0)))
+        mg.decompose(space, sol)
+        rep = iso.levy_gromov_check(space, iso.ModelProfileSpec(1.0, 2.0, np.pi), [0.5],
+                                    candidate_budget=4)
+    assert rep["verdict"] == "pass"
+    assert shapes and max(r for r, _ in shapes) < space.n // 8
+
+
+def test_interval_pipeline_memory_is_below_two_n_squared():
+    # a dense D alone is 8 n^2 bytes; a dense Gamma mask and R, 2 n^2
+    n = 8000
+    space, _ = ms.generate_interval_model(1.0, 2.0, np.pi, n)
+    rng = np.random.default_rng(0)
+    a, b = rng.random(n) + 1e-3, rng.random(n) + 1e-3
+    tracemalloc.start()
+    try:
+        needles = mg.decompose(space, w1.solve_w1(space, a / a.sum(), b / b.sum()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert needles.rays.rays
+    assert peak <= 2 * n * n
+
+
+def test_only_mmspace_reads_the_matrix():
+    # the rest of src/ reads distances through rows, row_blocks and dist;
+    # ModelProfileSpec.D (the model's diameter) is another attribute
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "mmspace.py":
+            continue
+        tree = ast.parse(path.read_text())
+        spec = {id(node) for cls in ast.walk(tree)
+                if isinstance(cls, ast.ClassDef) and cls.name == "ModelProfileSpec"
+                for node in ast.walk(cls)}
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr in ("D", "_matrix")
+                      and id(node) not in spec
+                      and not (isinstance(node.value, ast.Name) and node.value.id == "spec")]
+    assert offenders == []

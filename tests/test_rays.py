@@ -177,7 +177,7 @@ def test_non_chain_component_orphaned():
     g = w1.GammaSet(mask, tol=1e-6)
     R = np.ones((3, 3), dtype=bool)        # fabricated: everything related
     st = ry.TransportStructure(
-        gamma=g, R=R,
+        gamma=g, r=ry._packed(R, 1),
         initial_points=np.array([0]), final_points=np.array([2]),
         transport_set_e=np.array([0, 1, 2]),
         branching_fwd=np.array([], dtype=int), branching_bwd=np.array([], dtype=int),

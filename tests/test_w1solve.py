@@ -181,7 +181,9 @@ def test_cyclic_monotonicity_valid_and_adversarial():
     slack = sp.D - (phi[:, None] - phi[None, :])
     bad = np.unravel_index(np.argmax(slack), slack.shape)
     assert slack[bad] > 0.1
-    g.mask[bad] = True
+    mask = g.mask
+    mask[bad] = True
+    g = w1.GammaSet(mask, g.tol)
     worst = 0.0
     for k in (2, 3, 4):
         rep = w1.check_cyclic_monotonicity(sp, g, k=k, trials=20000, rng=rng)
@@ -703,7 +705,7 @@ def test_planted_negative_cycle_is_proven():
     # a suboptimal plan is a negative cycle at every equality slack
     Dm = np.array([[0, 5, 1, 3], [5, 0, 3, 1], [1, 3, 0, 5], [3, 1, 5, 0]], dtype=float)
     with pytest.raises(SolverFailure, match="negative cycle"):
-        w1._tighten_potential(Dm, np.arange(4), np.array([[0, 3], [1, 2]]), None)
+        w1._tighten_potential(Dm, 1 + Dm.max(), np.array([[0, 3], [1, 2]]), None)
 
 
 def test_slack_floor_does_not_depend_on_the_seed():
@@ -720,8 +722,9 @@ def test_slack_floor_does_not_depend_on_the_seed():
     rows, cols = linear_sum_assignment(D_sub)
     pairs = np.stack([rows, 250 + cols], axis=1)
     moved = np.concatenate([src, snk])
-    _, floor_zero, _, rungs_zero = w1._tighten_potential(sp.D, moved, pairs, None)
-    _, floor_duals, _, rungs_duals = w1._tighten_potential(sp.D, moved, pairs, duals)
+    Dm, scale = sp.D[np.ix_(moved, moved)], 1 + sp.max_distance
+    _, floor_zero, _, rungs_zero = w1._tighten_potential(Dm, scale, pairs, None)
+    _, floor_duals, _, rungs_duals = w1._tighten_potential(Dm, scale, pairs, duals)
     assert floor_zero > 0
     assert floor_duals == floor_zero
     assert [r["outcome"] for r in rungs_duals] == [r["outcome"] for r in rungs_zero]
