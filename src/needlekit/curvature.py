@@ -148,6 +148,8 @@ def cd_density_check(density: Density1D, K: float, N: float, triples,
         raise BadDimension("N must be >= 1")
     _degeneracy_scan(density)
     triples = np.asarray(triples, dtype=float).reshape(-1, 3)
+    if len(triples) == 0:
+        raise BadParameter("no triples to check")
     t0, t1, s = triples[:, 0], triples[:, 1], triples[:, 2]
     if np.any(t1 <= t0):
         raise ValueError("triples need t0 < t1")
@@ -293,11 +295,11 @@ def sample_triples(grid: np.ndarray, count: int, rng=None,
     if include_extremes:
         # widest pair with a node midpoint, plus symmetric inner pairs
         j = n - 1 if (n - 1) % 2 == 0 else n - 2
-        extra = [(grid[0], grid[j], 0.5)]
+        extra = [(grid[0], grid[j], 0.5)] if j > 0 else []
         for k in (n // 8, n // 4, 3 * n // 8):
             if 0 < k < j - k:
                 extra.append((grid[k], grid[j - k], 0.5))
-        triples = np.concatenate([np.array(extra), triples], axis=0)
+        triples = np.concatenate([np.array(extra).reshape(-1, 3), triples], axis=0)
     return triples
 
 
@@ -319,10 +321,3 @@ def load_density_csv(path) -> Density1D:
         return Density1D(np.atleast_1d(data[cols["t"]]), np.atleast_1d(data[cols["h"]]))
     raw = np.loadtxt(path, delimiter=",")
     return Density1D(raw[:, 0], raw[:, 1])
-
-
-def save_density_csv(path, density: Density1D):
-    with open(path, "w") as fh:
-        fh.write("t,h\n")
-        for t, h in zip(density.grid, density.values):
-            fh.write(f"{float(t)!r},{float(h)!r}\n")

@@ -4,9 +4,8 @@ In the finite setting the disintegration is plain bookkeeping: the
 conditional of a measure on a ray is its restriction renormalized, the
 quotient weight is the ray mass, and mass off the rays (branch points,
 orphans, untouched points) goes to `residual_mass` rather than being
-force-assigned anywhere. The consistency identity and the reconstruction
-identity are exact and any failure is a bug, which is what the check
-functions assert.
+force-assigned anywhere. The consistency identity is exact, and any
+failure is a bug, which is what `check_consistency` asserts.
 """
 
 from __future__ import annotations
@@ -28,15 +27,6 @@ class Disintegration:
     zero_mass_rays: np.ndarray          # indices of rays with zero measure
     measure: np.ndarray
     decomposition: RayDecomposition
-
-    def reconstruct(self, n: int) -> np.ndarray:
-        """Sum_q q(q) m_q as a pointwise vector (residual part excluded)."""
-        out = np.zeros(n)
-        for w, cond, ray in zip(self.quotient_weights, self.conditionals,
-                                self.decomposition.rays):
-            if len(cond):
-                out[ray.points] += w * cond
-        return out
 
 
 def disintegrate(space: MMSpace, decomposition: RayDecomposition,

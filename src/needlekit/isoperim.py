@@ -150,9 +150,6 @@ class MinkowskiEstimate:
     value: float
     raw: list[tuple[float, float]]
 
-    def __float__(self):
-        return self.value
-
 
 def default_eps_window(space: MMSpace, k: int = 16) -> np.ndarray:
     """Epsilon ladder for content estimation: a window of mesh multiples.
@@ -316,6 +313,9 @@ def levy_gromov_check(space: MMSpace, spec: ModelProfileSpec, v_grid,
     D_used = space.max_distance
     mspec = ModelProfileSpec(spec.K, spec.N, D_used)
     v_grid = list(v_grid)
+    for v in v_grid:
+        if not 0.0 <= v <= 1.0:
+            raise BadVolume(f"v={v} outside [0, 1]")
     streams = rng.spawn(len(v_grid))
     pairs = _pairs_within(space, default_eps_window(space)[-1])    # serves every volume
 

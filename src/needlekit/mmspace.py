@@ -4,10 +4,6 @@ A space is a triple (points, metric, weights) with unit total mass. Metrics
 come in as dense matrices or as connected weighted graphs (expanded to
 shortest-path distances). The interval and sphere generators produce the
 model spaces used by the curvature and isoperimetry checks.
-
-A finite sample is never geodesic; the geodesic oracle returns chains of
-sample points that are exactly metrically straight (grid/graph spaces) or
-just the endpoints (generic dense spaces).
 """
 
 from __future__ import annotations
@@ -35,14 +31,13 @@ REL_TOL = 1e-12
 EXHAUSTIVE_TRIPLE_LIMIT = 300
 SAMPLED_TRIPLES = 10**6
 TRIPLE_BLOCK = 2**16    # sampled triples drawn and checked at a time
-_BLOCK = 1 << 18    # matrix entries per row block of the dense n x n passes
-_ROW_BLOCK = 1 << 15    # entries per block of MMSpace.row_blocks, sized for a core's cache
+_ROW_BLOCK = 1 << 15    # entries per block of every row-block pass, sized for a core's cache
 
 
-def _row_blocks(n, cols):
-    """Row ranges of an n x cols matrix, about _BLOCK entries each."""
-    rows = max(1, _BLOCK // max(cols, 1))
-    return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+def _row_ranges(m, width):
+    """(lo, hi) ranges of the rows of an m x width pass, about _ROW_BLOCK entries each."""
+    step = max(1, _ROW_BLOCK // max(width, 1))
+    return [(lo, min(lo + step, m)) for lo in range(0, m, step)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,9 +78,8 @@ class MMSpace:
 
     `kind` records the construction ("matrix", "graph", "interval",
     "sphere2"); `line_coord` is a 1D isometric embedding when one exists,
-    `coords` are ambient coordinates for sphere samples, `predecessors`
-    the Dijkstra tree for graph spaces, and `density` the generating
-    Density1D for interval models. Distances are read through `rows`,
+    `coords` are ambient coordinates for sphere samples, and `density` the
+    generating Density1D for interval models. Distances are read through `rows`,
     `row_blocks` and `dist`: interval models compute |t_i - t_j| (`D` is
     built afresh on each call); other spaces store a matrix, never changed.
     """
@@ -96,7 +90,6 @@ class MMSpace:
     kind: str = "matrix"
     line_coord: np.ndarray | None = None
     coords: np.ndarray | None = None
-    predecessors: np.ndarray | None = None
     density: Density1D | None = None
 
     @property
@@ -123,10 +116,9 @@ class MMSpace:
         valid until the next one is yielded."""
         m = self.n if idx is None else len(idx)
         width = self.n if cols is None else len(cols)
-        step = max(1, _ROW_BLOCK // max(width, 1))
-        buf = np.empty((min(step, m), width)) if self._matrix is None else None
-        for lo in range(0, m, step):
-            hi = min(lo + step, m)
+        ranges = _row_ranges(m, width)
+        buf = np.empty((ranges[0][1], width)) if self._matrix is None and ranges else None
+        for lo, hi in ranges:
             out = None if buf is None else buf[:hi - lo]
             yield lo, hi, self.rows(slice(lo, hi) if idx is None else idx[lo:hi], cols, out)
 
@@ -159,39 +151,6 @@ class MMSpace:
     def index_of(self, point_id) -> int:
         return self.point_ids.index(point_id)
 
-    def chain(self, i: int, j: int) -> list[int]:
-        """Ordered sample points on a shortest chain from i to j.
-
-        The returned chain is exactly metrically straight: consecutive leg
-        lengths sum to d(i, j). Dense spaces without extra structure get
-        the trivial chain [i, j].
-        """
-        if i == j:
-            return [i]
-        if self.line_coord is not None:
-            t = self.line_coord
-            lo, hi = (i, j) if t[i] <= t[j] else (j, i)
-            between = np.where((t > t[lo]) & (t < t[hi]))[0]
-            ordered = [lo] + list(between[np.argsort(t[between])]) + [hi]
-            return ordered if ordered[0] == i else ordered[::-1]
-        if self.predecessors is not None:
-            path = [j]
-            k = j
-            while k != i:
-                k = int(self.predecessors[i, k])
-                if k < 0:
-                    raise DisconnectedGraph(f"no path between {i} and {j}")
-                path.append(k)
-            return path[::-1]
-        return [i, j]
-
-    def to_spec(self) -> dict:
-        return {
-            "points": list(self.point_ids),
-            "metric": {"type": "matrix", "data": self.D.tolist()},
-            "weights": self.weights.tolist(),
-        }
-
 
 def _validate_weights(weights, n) -> np.ndarray:
     if weights is None:
@@ -213,7 +172,7 @@ def _validate_metric(D: np.ndarray, rng: np.random.Generator | None = None):
     n = D.shape[0]
     scale = max(D.max(), 1.0)
     tol = REL_TOL * scale
-    blocks = _row_blocks(n, n)
+    blocks = _row_ranges(n, n)
     if not all(np.isfinite(D[lo:hi]).all() for lo, hi in blocks):
         raise MetricViolation("metric contains non-finite entries")
     if np.any(np.abs(np.diag(D)) > tol):
@@ -249,7 +208,7 @@ def _detect_line(D: np.ndarray) -> np.ndarray | None:
     a = int(np.argmax(D[0]))
     t = D[a]
     err = max(np.abs(np.abs(t[lo:hi, None] - t[None, :]) - D[lo:hi]).max()
-              for lo, hi in _row_blocks(len(D), len(D)))
+              for lo, hi in _row_ranges(len(D), len(D)))
     if err <= 1e-13 * max(D.max(), 1.0):
         return t
     return None
@@ -262,7 +221,6 @@ def build_space(points, metric_spec, weights=None) -> MMSpace:
     if n == 0:
         raise EmptySpace("no points")
     kind = metric_spec.get("type", "matrix") if isinstance(metric_spec, dict) else "matrix"
-    predecessors = None
     if kind == "matrix":
         data = metric_spec["data"] if isinstance(metric_spec, dict) else metric_spec
         D = np.asarray(data, dtype=float)
@@ -280,18 +238,16 @@ def build_space(points, metric_spec, weights=None) -> MMSpace:
             cols += [int(j), int(i)]
             vals += [float(w), float(w)]
         adj = csr_matrix((vals, (rows, cols)), shape=(n, n))
-        D, predecessors = shortest_path(
-            adj, method="D", directed=False, return_predecessors=True
-        )
+        D = shortest_path(adj, method="D", directed=False)
         if np.any(np.isinf(D)):
             raise DisconnectedGraph("graph is not connected")
     else:
         raise ConfigError(f"unknown metric type {kind!r}")
-    D = 0.5 * (D + D.T)
-    np.fill_diagonal(D, 0.0)
     _validate_metric(D)
+    D = 0.5 * (D + D.T)     # exact symmetry and zero diagonal for what validation let through
+    np.fill_diagonal(D, 0.0)
     w = _validate_weights(weights, n)
-    space = MMSpace(points, D, w, kind=kind, predecessors=predecessors)
+    space = MMSpace(points, D, w, kind=kind)
     if kind == "matrix" and n >= 2:
         space.line_coord = _detect_line(D)
     return space

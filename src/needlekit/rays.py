@@ -33,7 +33,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from .mmspace import MMSpace
-from .w1solve import GammaSet, W1Solution, _packed, _unpacked
+from .w1solve import GammaSet, W1Solution, _bit, _packed, _set_bits, _unpacked
 
 
 @dataclasses.dataclass
@@ -100,17 +100,14 @@ class RayDecomposition:
         }
 
 
-def _branching(G: np.ndarray, not_r: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Mask of the x in `rows` with some z in G(x) and G(x) & ~R(z) != 0, on
-    packed rows; the AND spans G(x)'s nonzero words, so the test is exact."""
-    out = np.zeros(len(G), dtype=bool)
-    for x in rows:
-        nz = np.flatnonzero(G[x])
-        if nz.size:
-            g = G[x, nz[0]:nz[-1] + 1]
-            z = 64 * nz[0] + np.flatnonzero(np.unpackbits(g.view(np.uint8)))
-            out[x] = (not_r[z, nz[0]:nz[-1] + 1] & g).any()
-    return out
+def _branching(G: np.ndarray, not_r: np.ndarray, x: int) -> bool:
+    """Whether some z in G(x) has G(x) & ~R(z) != 0, on packed rows; the AND
+    spans G(x)'s nonzero words, so the test is exact."""
+    nz = np.flatnonzero(G[x])
+    if not nz.size:
+        return False
+    lo, hi = nz[0], nz[-1] + 1
+    return bool((not_r[_set_bits(G, x, lo, hi), lo:hi] & G[x, lo:hi]).any())
 
 
 def _clique_cover(P: np.ndarray, rows: np.ndarray, may_cover) -> np.ndarray:
@@ -139,7 +136,7 @@ def _clique_cover(P: np.ndarray, rows: np.ndarray, may_cover) -> np.ndarray:
             continue
         cover[c] = c
         lo, hi = first[c], last[c] + 1
-        y = 64 * lo + np.flatnonzero(np.unpackbits(P[c, lo:hi].view(np.uint8)))
+        y = _set_bits(P, c, lo, hi)
         y = y[todo[y]]
         if y.size:
             y = y[(first[y] >= lo) & (last[y] < hi)]
@@ -162,7 +159,7 @@ def build_transport_structure(space: MMSpace, gamma: GammaSet) -> TransportStruc
     not_r = ~r
 
     def branching(G):   # a row covered by a clique is not branching; a failed one is
-        cover = _clique_cover(G, te, lambda c: not _branching(G, not_r, [c])[c])
+        cover = _clique_cover(G, te, lambda c: not _branching(G, not_r, c))
         return te[cover[te] < 0]
 
     a_plus, a_minus = branching(fwd), branching(bwd)
@@ -214,7 +211,7 @@ def partition_rays(space: MMSpace, structure: TransportStructure,
     rt = structure.r & _packed(in_t, 1)
 
     def no_duplicate(c):
-        w = np.flatnonzero(np.unpackbits(rt[c].view(np.uint8), count=n))    # R(c) in T
+        w = _set_bits(rt, c)    # R(c) in T
         return ((space.dist(c, w) > 0) | (w == c)).all()
 
     cover = _clique_cover(rt, T, no_duplicate)[T]
@@ -234,9 +231,9 @@ def partition_rays(space: MMSpace, structure: TransportStructure,
     edges = np.searchsorted(comp, np.arange(ncomp + 1))
     a, b = chains[:-1], chains[1:]
     steps = space.dist(a, b)
-    in_gamma = structure.gamma.fwd.view(np.uint8)[a, b >> 3] >> (7 - (b & 7)) & 1
+    in_gamma = _bit(structure.gamma.fwd, a, b)
     broken = np.zeros(ncomp, dtype=bool)
-    broken[comp[:-1][(comp[:-1] == comp[1:]) & ((in_gamma == 0) | (steps <= 0))]] = True
+    broken[comp[:-1][(comp[:-1] == comp[1:]) & (~in_gamma | (steps <= 0))]] = True
     for k in range(ncomp):
         chain = chains[edges[k]:edges[k + 1]]
         if len(chain) < 2:

@@ -36,7 +36,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
 from .errors import SolverFailure, TolTooSmall, UnbalancedMarginals
-from .mmspace import MMSpace, _row_blocks
+from .mmspace import MMSpace, _row_ranges
 
 MASS_SCALE = 10**14
 DEFAULT_GAMMA_TOL_FACTOR = 1e-6
@@ -64,12 +64,9 @@ class W1Solution:
     # count; empty on the line, identity and assignment routes
     colgen: dict = dataclasses.field(default_factory=dict)
 
-    def plan_triples(self):
-        return [(int(i), int(j), float(m)) for (i, j), m in zip(self.pairs, self.masses)]
-
     def to_json(self) -> dict:
         return {
-            "plan": self.plan_triples(),
+            "plan": [(int(i), int(j), float(m)) for (i, j), m in zip(self.pairs, self.masses)],
             "potential": self.potential.tolist(),
             "primal_value": self.primal_value,
             "residuals": {
@@ -101,6 +98,16 @@ def _unpacked(P: np.ndarray, n: int) -> np.ndarray:     # bit rows P as (len(P),
     return np.unpackbits(P.view(np.uint8), axis=1, count=n).view(bool)
 
 
+def _set_bits(P: np.ndarray, x: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Column indices of the set bits of bit row P[x] within its words lo:hi."""
+    return 64 * lo + np.flatnonzero(np.unpackbits(P[x, lo:hi].view(np.uint8)))
+
+
+def _bit(P: np.ndarray, i, j) -> np.ndarray:
+    """Bit (i, j) of the bit rows P, elementwise for broadcastable index arrays."""
+    return (P.view(np.uint8)[i, j >> 3] >> (7 - (j & 7)) & 1) == 1
+
+
 @dataclasses.dataclass
 class GammaSet:
     """Pairs with phi(x) - phi(y) >= d(x,y) - tol, diagonal included, as bit rows
@@ -118,10 +125,6 @@ class GammaSet:
     def mask(self) -> np.ndarray:
         """The (n, n) bool mask, unpacked afresh on each call."""
         return _unpacked(self.fwd, len(self.fwd))
-
-    def pairs(self, include_diagonal: bool = False) -> np.ndarray:
-        p = np.argwhere(self.mask)
-        return p if include_diagonal else p[p[:, 0] != p[:, 1]]
 
     @property
     def count(self) -> int:
@@ -411,7 +414,7 @@ class _ActiveSet:
         self.exempt[x, y] = self.exempt[y, x] = True
         k = min(_KNN, m - 1)
         near = []                            # edge keys j * m + i
-        for lo, hi in _row_blocks(m, m):
+        for lo, hi in _row_ranges(m, m):
             d = np.where(self.exempt[lo:hi], np.inf, Dm[lo:hi])
             i = np.repeat(np.arange(lo, hi), k)
             j = np.argpartition(d, k - 1, axis=1)[:, :k].ravel()
@@ -432,7 +435,7 @@ class _ActiveSet:
     def _violated(self, c, t, atol):
         """Each target's best in-edge per row block, where it beats c by more than atol."""
         srcs, dsts = [], []
-        for lo, hi in _row_blocks(len(c), len(c)):
+        for lo, hi in _row_ranges(len(c), len(c)):
             B = c[lo:hi, None] + self.Dm[lo:hi]
             B -= t
             B[self.exempt[lo:hi]] = np.inf
@@ -719,7 +722,8 @@ def check_cyclic_monotonicity(space: MMSpace, gamma: GammaSet, k: int = 4,
     if k < 2:
         raise ValueError("k must be >= 2")
     rng = rng or np.random.default_rng(0)
-    pairs = gamma.pairs()
+    pairs = np.argwhere(gamma.mask)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     if len(pairs) == 0:
         return {"worst_violation": 0.0, "trials": 0, "k": k, "vacuous": True}
     idx = rng.integers(0, len(pairs), size=(trials, k))

@@ -117,6 +117,15 @@ def test_config_error_exit_code(tmp_path):
     assert cli.main(["check-cd", "--space", missing, "--K", "1", "--N", "2"]) == 1
 
 
+def test_two_node_density_csv_exits_1(tmp_path, capsys):
+    # two nodes hold no triple t0 < s < t1 of grid points
+    path = tmp_path / "two.csv"
+    path.write_text("t,h\n0,1\n1,1\n")
+    assert cli.main(["check-cd", "--space", str(path), "--K", "0", "--N", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [BadParameter]:") and "Traceback" not in err
+
+
 def test_non_interval_space_rejected_for_cd(tmp_path):
     path = tmp_path / "sphere.json"
     path.write_text(json.dumps({"metric": {"type": "sphere2", "n": 120, "seed": 0}}))
@@ -223,6 +232,7 @@ def test_check_tol_is_used_as_given(interval_spec, tmp_path):
     (["check-mcp", "--K", "1", "--N", "2", "--samples", "0"], "BadParameter"),
     (["check-cd", "--K", "1", "--N", "2", "--seed", "-1"], "ConfigError"),
     (["profile", "--v-grid", "0.5,x"], "ConfigError"),
+    (["levy-gromov", "--K", "1", "--N", "2", "--v-grid", "1.5,-0.3"], "BadVolume"),
 ])
 def test_out_of_range_input_exits_1(interval_spec, argv, error, capsys):
     assert cli.main(argv[:1] + ["--space", interval_spec] + argv[1:]) == 1

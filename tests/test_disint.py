@@ -66,9 +66,12 @@ def test_reconstruction_identity():
     sp, sol, f, st, dec = _grid_construction()
     for measure in (sp.weights, sol.mu0):
         d = di.disintegrate(sp, dec, measure)
-        rebuilt = d.reconstruct(sp.n)
+        # sum over rays of quotient weight times conditional, pointwise
+        rebuilt = np.zeros(sp.n)
         on_ray = np.zeros(sp.n, dtype=bool)
-        for ray in dec.rays:
+        for w, cond, ray in zip(d.quotient_weights, d.conditionals, dec.rays):
+            if len(cond):
+                rebuilt[ray.points] += w * cond
             on_ray[ray.points] = True
         residual = np.where(on_ray, 0.0, measure)
         assert np.abs(rebuilt + residual - measure).max() <= 1e-12

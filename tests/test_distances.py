@@ -126,3 +126,57 @@ def test_only_mmspace_reads_the_matrix():
                       and id(node) not in spec
                       and not (isinstance(node.value, ast.Name) and node.value.id == "spec")]
     assert offenders == []
+
+
+def _calls(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            yield node
+
+
+def test_one_owner_for_bit_rows_and_row_blocks():
+    # only w1solve packs, unpacks or byte-views bit rows; only mmspace
+    # sizes a row block (TRIPLE_BLOCK counts sampled triples)
+    bits, blocks = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name != "w1solve.py":
+            bits += [f"{path.name}:{node.lineno}" for node in _calls(tree)
+                     if node.func.attr in ("packbits", "unpackbits")
+                     or (node.func.attr == "view" and ast.unparse(node.args) == "np.uint8")]
+        names = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 for target in node.targets if isinstance(target, ast.Name)}
+        blocks += [f"{path.name}:{name}" for name in sorted(names) if "BLOCK" in name]
+    assert bits == []
+    assert blocks == ["mmspace.py:TRIPLE_BLOCK", "mmspace.py:_ROW_BLOCK"]
+    assert not hasattr(ms, "_row_blocks") and not hasattr(ms, "_BLOCK")
+
+
+def _needles_record(space, mu0, mu1):
+    sol = w1.solve_w1(space, mu0, mu1)
+    needles = mg.decompose(space, sol)
+    rays = [(ray.points.tobytes(), ray.params.tobytes(), ray.representative)
+            for ray in needles.rays.rays]
+    return (sol.pairs.tobytes(), sol.masses.tobytes(), sol.potential.tobytes(),
+            sol.slack_floor, [(r["margin"], r["eq"], r["outcome"]) for r in sol.tightening["rungs"]],
+            needles.gamma.fwd.tobytes(), needles.gamma.bwd.tobytes(), rays,
+            needles.rays.orphan_points.tobytes())
+
+
+@pytest.mark.parametrize("case", ["cap", "cloud"])
+def test_row_block_size_changes_no_result(case):
+    # the block size sets only how many violated edges a tightening round adds
+    if case == "cap":
+        space = ms.generate_sphere_sample(2, 200, 0)
+        order = np.argsort(-space.coords[:, 2], kind="stable")
+        mu0, mu1 = np.zeros(space.n), np.zeros(space.n)
+        mu0[order[:50]] = mu1[order[-50:]] = 1.0 / 50
+    else:
+        space = _cloud(150, 4)
+        rng = np.random.default_rng(4)
+        a, b = rng.random(space.n) + 1e-3, rng.random(space.n) + 1e-3
+        mu0, mu1 = a / a.sum(), b / b.sum()
+    expected = _needles_record(space, mu0, mu1)
+    for size in (64, 1 << 20):
+        with mock.patch.object(ms, "_ROW_BLOCK", size):
+            assert _needles_record(space, mu0, mu1) == expected

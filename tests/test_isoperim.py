@@ -224,6 +224,13 @@ def test_levy_gromov_trivial_volumes():
     assert rep["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("v", [1.5, -0.3, float("nan")])
+def test_levy_gromov_rejects_volumes_outside_unit_interval(v):
+    space, _ = ms.generate_interval_model(1.0, 2.0, np.pi, 100)
+    with pytest.raises(BadVolume):
+        iso.levy_gromov_check(space, iso.ModelProfileSpec(1.0, 2.0, np.pi), [0.5, v])
+
+
 def test_sphere_hemisphere_content_sanity():
     sphere = ms.generate_sphere_sample(2, 1000, 0)
     ep = iso.empirical_profile(sphere, 0.5, candidate_budget=12,

@@ -29,7 +29,13 @@ def test_weights_normalized():
 def test_path_graph_shortest_path():
     sp = ms.build_space([0, 1, 2], {"type": "graph", "edges": [[0, 1, 1.0], [1, 2, 1.0]]})
     assert sp.D[0, 2] == pytest.approx(2.0, abs=1e-15)
-    assert sp.chain(0, 2) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("bad", [[[0, 1], [3, 0]], [[5, 1], [1, 0]]])
+def test_raw_matrix_is_validated(bad):
+    # asymmetry and a nonzero diagonal are caught before symmetrization hides them
+    with pytest.raises(MetricViolation):
+        ms.build_space([0, 1], {"type": "matrix", "data": bad})
 
 
 def test_triangle_violation():
@@ -169,28 +175,11 @@ def test_mesh_memory():
     assert peak <= 4 * 2**20
 
 
-@pytest.mark.parametrize("builder", ["interval", "graph"])
-def test_chain_is_metrically_straight(builder):
-    if builder == "interval":
-        sp, _ = ms.generate_interval_model(0.0, 2.0, 1.0, 64)
-        pairs = [(0, 63), (5, 40)]
-    else:
-        rng = np.random.default_rng(3)
-        edges = [[i, i + 1, float(rng.random() + 0.1)] for i in range(19)]
-        edges += [[0, 10, 5.0]]
-        sp = ms.build_space(list(range(20)), {"type": "graph", "edges": edges})
-        pairs = [(0, 19), (3, 17)]
-    for i, j in pairs:
-        chain = sp.chain(i, j)
-        legs = sum(sp.D[a, b] for a, b in zip(chain[:-1], chain[1:]))
-        assert abs(legs - sp.D[i, j]) <= 1e-9
-
-
 def test_line_detection():
     space, _ = ms.generate_interval_model(0.0, 2.0, 1.0, 50)
-    spec = space.to_spec()
-    rebuilt = ms.from_spec({"points": spec["points"], "metric": spec["metric"],
-                            "weights": spec["weights"]})
+    rebuilt = ms.from_spec({"points": space.point_ids,
+                            "metric": {"type": "matrix", "data": space.D.tolist()},
+                            "weights": space.weights.tolist()})
     assert rebuilt.line_coord is not None
 
 

@@ -205,10 +205,14 @@ def _snapped_chain(space, i, j):
 
     On sphere samples: interpolates the great circle and snaps to nearest
     sample points. Not metrically straight; the deviation is mesh-scale.
-    Other spaces get the geodesic oracle's chain.
+    On a line, the sample points between i and j in order; elsewhere [i, j].
     """
+    if space.line_coord is not None:
+        t = space.line_coord
+        inner = np.flatnonzero((t > min(t[i], t[j])) & (t < max(t[i], t[j])))
+        return [i, *inner[np.argsort(np.sign(t[j] - t[i]) * t[inner])].tolist(), j]
     if space.kind != "sphere2" or space.coords is None:
-        return space.chain(i, j)
+        return [i, j]
     if i == j:
         return [i]
     a, b = space.coords[i], space.coords[j]
@@ -235,7 +239,8 @@ def _geodesic_stability(space, gamma, samples=200, rng=None):
     gives 20 random sub-pairs.
     """
     rng = rng or np.random.default_rng(0)
-    pairs = gamma.pairs()
+    pairs = np.argwhere(gamma.mask)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     if len(pairs) == 0:
         return {"failure_fraction": 0.0, "tested": 0, "vacuous": True}
     take = rng.integers(0, len(pairs), size=min(samples, len(pairs)))
