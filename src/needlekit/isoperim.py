@@ -2,9 +2,10 @@
 
 The model profile minimizes boundary content over the one-parameter
 family of truncated ODE densities [max(J,0)]^{N-1}, J'' + K/(N-1) J = 0
-(sin / affine / sinh branches), with half-line candidate sets {t <= r}
-and {t >= r}. Restricting the infimum to this family imports the known
-characterization of the 1D minimizers; it is not re-derived here.
+(J = cos(p) X + sin(p) Y on a basis X, Y tabulated once per value),
+with half-line candidate sets {t <= r} and {t >= r}. Restricting the
+infimum to this family imports the known characterization of the 1D
+minimizers; it is not re-derived here.
 
 Empirical profiles are upper bounds obtained from candidate sets (metric
 balls and potential sublevels) thresholded to the requested mass; their
@@ -52,49 +53,47 @@ class ProfilePoint:
 QUAD_N = 4096
 
 
-def _candidate_content(J: np.ndarray, grid: np.ndarray, N: float, v: float) -> float:
-    """Best half-line cut content of the truncated density [max(J,0)]^{N-1}."""
-    h = np.clip(J, 0.0, None) ** (N - 1.0) if N > 1 else np.ones_like(J)
-    cell = 0.5 * np.diff(grid) * (h[:-1] + h[1:])
-    mass = cell.sum()
-    if mass <= 0:
-        return np.inf
-    cdf = np.concatenate([[0.0], np.cumsum(cell)]) / mass
-    hn = h / mass
-    best = np.inf
-    for target in (v, 1.0 - v):
-        k = np.searchsorted(cdf, target)
-        if k == 0 or k >= len(grid):
-            val = hn[min(k, len(grid) - 1)]
-        else:
-            t0, t1 = cdf[k - 1], cdf[k]
-            lam = 0.0 if t1 == t0 else (target - t0) / (t1 - t0)
-            val = (1 - lam) * hn[k - 1] + lam * hn[k]
-        best = min(best, float(val))
-    return best
-
-
 def _profile_objective(spec: ModelProfileSpec, v: float):
+    """(evaluate, lo, hi): evaluate(p) is the best half-line cut content at
+    mass v of [max(J_p, 0)]^{N-1} on [0, D], J_p = cos(p) X + sin(p) Y for
+    p in [lo, hi]. The grid and the basis are tabulated once per spec:
+    X, Y = sin wt, cos wt for K > 0 (the angle-addition form of
+    sin(wt + p)); cosh wt, sinh wt for K < 0; 1, t for K = 0."""
     K, N, D = spec.K, spec.N, spec.D
     grid = np.linspace(0.0, D, QUAD_N + 1)
+    half = 0.5 * np.diff(grid)
     if K > 0:
         om = np.sqrt(K / (N - 1.0))
-
-        def evaluate(xi):
-            return _candidate_content(np.sin(om * grid + xi), grid, N, v)
-
+        X, Y = np.sin(om * grid), np.cos(om * grid)
         lo, hi = -om * D, np.pi
     else:
         om = np.sqrt(-K / (N - 1.0)) if K < 0 else 0.0
-
-        def evaluate(a):
-            if K < 0:
-                J = np.cos(a) * np.cosh(om * grid) + np.sin(a) * np.sinh(om * grid)
-            else:
-                J = np.cos(a) + np.sin(a) * grid
-            return _candidate_content(J, grid, N, v)
-
+        X, Y = (np.cosh(om * grid), np.sinh(om * grid)) if K < 0 else (np.ones_like(grid), grid)
         lo, hi = -np.pi / 2 + 1e-9, np.pi - 1e-9
+    J, sY, cell, cdf = np.empty_like(grid), np.empty_like(grid), np.empty_like(half), np.zeros_like(grid)
+
+    def evaluate(p):
+        np.multiply(np.cos(p), X, out=J)
+        np.add(J, np.multiply(np.sin(p), Y, out=sY), out=J)
+        h = np.clip(J, 0.0, None, out=J)
+        h **= N - 1.0
+        np.multiply(half, np.add(h[:-1], h[1:], out=cell), out=cell)
+        mass = cell.sum()
+        if mass <= 0:
+            return np.inf
+        np.divide(np.cumsum(cell, out=cdf[1:]), mass, out=cdf[1:])
+        best = np.inf
+        for target in (v, 1.0 - v):
+            k = cdf.searchsorted(target)
+            if k == 0 or k > QUAD_N:
+                val = h[min(k, QUAD_N)] / mass
+            else:
+                t0, t1 = cdf[k - 1], cdf[k]
+                lam = 0.0 if t1 == t0 else (target - t0) / (t1 - t0)
+                val = (1 - lam) * (h[k - 1] / mass) + lam * (h[k] / mass)
+            best = min(best, float(val))
+        return best
+
     return evaluate, lo, hi
 
 
@@ -118,19 +117,22 @@ def _golden(fun, a, b, iters=60):
 def model_profile(spec: ModelProfileSpec, v: float) -> float:
     """Model profile I_{K,N,D}(v): inf of cut content over the ODE family.
 
-    Returns 0 at v in {0, 1}; 0 when K <= 0 and D is infinite (the model
-    profile trivializes); for N = 1 the family is the constant densities
-    and the value is 1/D. Otherwise the family parameter is scanned at
-    128 points and the three best are refined by golden section.
+    Returns 0 at v in {0, 1}. For K > 0 and N > 1, D is clamped to the
+    Bonnet-Myers diameter pi*sqrt((N-1)/K): a longer window would hold
+    several humps of sin, whose zeros give cuts of content 0. Otherwise
+    an infinite D gives 0 (the profile trivializes); for N = 1 the family
+    is the constant densities and the value is 1/D. Otherwise the family
+    parameter is scanned at 128 points and the three best are refined by
+    golden section, all on one tabulated basis (`_profile_objective`).
     """
     if not 0.0 <= v <= 1.0:
         raise BadVolume(f"v={v} outside [0, 1]")
     if v in (0.0, 1.0):
         return 0.0
-    if not np.isfinite(spec.D):
-        if spec.K <= 0:
-            return 0.0
-        spec = ModelProfileSpec(spec.K, spec.N, np.pi * np.sqrt((spec.N - 1) / spec.K))
+    if spec.K > 0 and spec.N > 1:     # Bonnet-Myers: no CD(K, N) model is longer
+        spec = ModelProfileSpec(spec.K, spec.N, min(spec.D, np.pi * np.sqrt((spec.N - 1) / spec.K)))
+    elif not np.isfinite(spec.D):
+        return 0.0
     if spec.N == 1:
         return 1.0 / spec.D
     fun, lo, hi = _profile_objective(spec, v)

@@ -190,10 +190,11 @@ def _validate_metric(D: np.ndarray, rng: np.random.Generator | None = None):
                 )
     else:
         rng = rng or np.random.default_rng(0)
-        worst = -np.inf
+        worst, flat = -np.inf, D.ravel()    # flat takes: faster than D[x, z]
         for lo in range(0, SAMPLED_TRIPLES, TRIPLE_BLOCK):
             x, y, z = rng.integers(0, n, size=(min(TRIPLE_BLOCK, SAMPLED_TRIPLES - lo), 3)).T
-            worst = max(worst, (D[x, z] - D[x, y] - D[y, z]).max())
+            viol = flat.take(x * n + z) - flat.take(x * n + y) - flat.take(y * n + z)
+            worst = max(worst, viol.max())
         if worst > tol:
             raise MetricViolation(f"triangle inequality fails on sampled triple by {worst:.3e}")
 

@@ -2,6 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from needlekit import curvature as cv
 from needlekit import isoperim as iso
@@ -80,6 +83,94 @@ def test_model_profile_unbounded():
 
 def test_model_profile_constant_n1():
     assert iso.model_profile(iso.ModelProfileSpec(0.0, 1.0, 2.0), 0.4) == pytest.approx(0.5)
+
+
+def _direct_candidate_content(J, grid, N, v):
+    # oracle: best half-line cut content of [max(J,0)]^{N-1}, from fresh arrays
+    h = np.clip(J, 0.0, None) ** (N - 1.0) if N > 1 else np.ones_like(J)
+    cell = 0.5 * np.diff(grid) * (h[:-1] + h[1:])
+    mass = cell.sum()
+    if mass <= 0:
+        return np.inf
+    cdf = np.concatenate([[0.0], np.cumsum(cell)]) / mass
+    hn = h / mass
+    best = np.inf
+    for target in (v, 1.0 - v):
+        k = np.searchsorted(cdf, target)
+        if k == 0 or k >= len(grid):
+            val = hn[min(k, len(grid) - 1)]
+        else:
+            t0, t1 = cdf[k - 1], cdf[k]
+            lam = 0.0 if t1 == t0 else (target - t0) / (t1 - t0)
+            val = (1 - lam) * hn[k - 1] + lam * hn[k]
+        best = min(best, float(val))
+    return best
+
+
+def _direct_model_profile(spec, v):
+    # oracle: model_profile with every family member evaluated directly,
+    # sin(wt + xi) for K > 0 (N > 1, 0 < v < 1, D within the Bonnet-Myers bound)
+    K, N, D = spec.K, spec.N, spec.D
+    grid = np.linspace(0.0, D, iso.QUAD_N + 1)
+    if K > 0:
+        om = np.sqrt(K / (N - 1.0))
+        family, lo, hi = (lambda xi: np.sin(om * grid + xi)), -om * D, np.pi
+    else:
+        om = np.sqrt(-K / (N - 1.0)) if K < 0 else 0.0
+        lo, hi = -np.pi / 2 + 1e-9, np.pi - 1e-9
+        if K < 0:
+            def family(a):
+                return np.cos(a) * np.cosh(om * grid) + np.sin(a) * np.sinh(om * grid)
+        else:
+            def family(a):
+                return np.cos(a) + np.sin(a) * grid
+
+    def fun(p):
+        return _direct_candidate_content(family(p), grid, N, v)
+
+    params = np.linspace(lo, hi, 128)
+    vals = np.array([fun(p) for p in params])
+    best = np.inf
+    for k in np.argsort(vals)[:3]:
+        best = min(best, iso._golden(fun, params[max(k - 1, 0)], params[min(k + 1, 127)])[1])
+    return float(best)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(-3.0, 3.0), st.floats(1.1, 6.0),
+       st.one_of(st.just(1.0), st.floats(0.05, 1.0)), st.floats(0.01, 0.99))
+def test_model_profile_matches_direct_evaluation(K, N, frac, v):
+    # the tabulated basis (angle addition for K > 0) against direct evaluation
+    cap = np.pi * np.sqrt((N - 1.0) / K) if K > 0 else 6.0
+    spec = iso.ModelProfileSpec(K, N, frac * min(cap, 6.0))
+    val, ref = iso.model_profile(spec, v), _direct_model_profile(spec, v)
+    if K > 0:
+        assert val == pytest.approx(ref, rel=1e-12, abs=0.0)
+    else:
+        assert val == ref
+
+
+def test_model_profile_clamps_to_bonnet_myers_diameter():
+    # a window longer than pi*sqrt((N-1)/K) held several humps of sin, and
+    # cuts at their zeros gave content 0
+    assert iso.model_profile(iso.ModelProfileSpec(1.0, 2.0, 10.0), 0.5) == \
+        iso.model_profile(iso.ModelProfileSpec(1.0, 2.0, np.pi), 0.5)
+    assert iso.model_profile(iso.ModelProfileSpec(2.0, 2.0, np.pi), 0.5) == \
+        iso.model_profile(iso.ModelProfileSpec(2.0, 2.0, np.pi / np.sqrt(2.0)), 0.5)
+    assert iso.model_profile(iso.ModelProfileSpec(2.0, 2.0, np.pi), 0.5) == \
+        pytest.approx(np.sqrt(2.0) / 2, abs=1e-4)
+
+
+@pytest.mark.parametrize("K", [1.0, 2.0])
+@pytest.mark.parametrize("v", [0.1, 0.25, 0.5, 0.8])
+def test_model_profile_round_sphere_n3(K, v):
+    # closed-form oracle for N = 3: the 3-sphere of radius s = sqrt(2/K) has
+    # needle density sin^2(t/s) on [0, pi s]; in t/s the cap of mass v ends at
+    # r with (r - sin r cos r)/pi = v, and its content is sin^2 r/(pi/2)/s
+    s = np.sqrt(2.0 / K)
+    r = brentq(lambda r: (r - np.sin(r) * np.cos(r)) / np.pi - v, 0.0, np.pi)
+    val = iso.model_profile(iso.ModelProfileSpec(K, 3.0, np.pi * s), v)
+    assert val == pytest.approx(np.sin(r) ** 2 / (np.pi / 2) / s, abs=1e-4)
 
 
 def test_minkowski_uniform_interval():
@@ -216,6 +307,17 @@ def test_levy_gromov_flat_fails_claimed_curvature():
     rep = iso.levy_gromov_check(space, iso.ModelProfileSpec(1.0, 2.0, 1.0), [0.5],
                                 rng=np.random.default_rng(6), allowance=0.02)
     assert rep["verdict"] == "fail"
+
+
+def test_levy_gromov_sphere_against_steeper_models():
+    # the unit sphere clears its own model (K = 1) and not the K = 2 model,
+    # which the diameter clamp keeps from collapsing to 0
+    sphere = ms.generate_sphere_sample(2, 1000, 0)
+    reps = [iso.levy_gromov_check(sphere, iso.ModelProfileSpec(K, 2.0, np.pi), [0.25],
+                                  include_potential=False, allowance=0.05) for K in (1.0, 2.0)]
+    assert [r["verdict"] for r in reps] == ["pass", "fail"]
+    assert reps[1]["rows"][0]["model"] == pytest.approx(np.sqrt(2.0) * np.sin(np.pi / 3) / 2,
+                                                        abs=1e-4)
 
 
 def test_levy_gromov_trivial_volumes():
