@@ -7,13 +7,14 @@ with half-line candidate sets {t <= r} and {t >= r}. Restricting the
 infimum to this family imports the known characterization of the 1D
 minimizers; it is not re-derived here.
 
-Empirical profiles are upper bounds obtained from candidate sets (metric
+Empirical profiles are estimates obtained from candidate sets (metric
 balls and potential sublevels) thresholded to the requested mass; their
 boundary measure is a Richardson-extrapolated Minkowski quotient, since
 raw quotients at fixed eps systematically overestimate on discrete
-spaces. Candidates never hit the mass exactly on atomic spaces; the
-attained mass and its defect are recorded and the model is compared at
-the attained mass.
+spaces. They are not upper bounds: the eps window carries a first-order
+curvature bias, which the Levy-Gromov allowance absorbs. Candidates
+never hit the mass exactly on atomic spaces; the attained mass and its
+defect are recorded and the model is compared at the attained mass.
 """
 
 from __future__ import annotations
@@ -243,7 +244,8 @@ def zero_mean_split(space: MMSpace, rng):
 
 def empirical_profile(space: MMSpace, v: float, candidate_budget: int = 32,
                       rng=None, include_potential: bool = True) -> ProfilePoint:
-    """Upper bound on the isoperimetric profile by candidate search.
+    """Estimate of the isoperimetric profile by candidate search; it
+    carries the eps window's curvature bias (see the module docstring).
 
     Candidates are sublevel sets of distance functions to random base
     points (metric balls) and of the Kantorovich potential of a random

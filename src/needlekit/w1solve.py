@@ -17,11 +17,13 @@ the distance cones. Relaxation runs over a sparse active set of
 constraints (support pairs and nearest neighbours), a blocked dense check
 adds every violated constraint until none is left, and an attempt fails
 only on a proven negative cycle, so which slack margin is accepted
-depends on the instance alone, not on the seed or a pass budget. The
-result is 1-Lipschitz to machine precision and saturates every support
-pair up to the recorded `support_residual` (zero except on
-near-degenerate instances whose engine vertex is marginally suboptimal),
-so strong duality holds with no solver tolerance in the loop.
+depends on the instance alone, not on the seed or a pass budget (the
+undeflated system runs only when every deflated margin fails, and cycles
+are sought among all tight in-edges). The result is 1-Lipschitz to
+machine precision and saturates every support pair up to the recorded
+`support_residual` (zero except on near-degenerate instances whose
+engine vertex is marginally suboptimal), so strong duality holds with
+no solver tolerance in the loop.
 """
 
 from __future__ import annotations
@@ -345,53 +347,58 @@ _KNN = 8            # nearest moved neighbours per point in the starting edge se
 _CYCLE_CHECK = 16   # relaxation passes between negative-cycle checks
 
 
-def _relax(c, src, dst, w, starts, atol):
+def _relax(c, src, dst, w, starts, atol, proof=None):
     """Jacobi Bellman-Ford for  c[dst] <= c[src] + w  over an edge list
     sorted by target (`starts` indexes each target's first edge).
 
     Returns the maximal solution below `c` and the passes taken, or None
     once a negative cycle is proven. Every _CYCLE_CHECK passes, each point
-    lowered in that pass points at its tight in-edge (pointers persist
-    between checks); a pointer cycle whose weight is below -atol is a
-    negative cycle. Otherwise values still dropping by more than `atol`
-    after m + 1 passes prove one, since shortest walks would need more
-    than m edges. The absolute tolerance absorbs exact-zero cycles that
-    float rounding turns into 1e-16-rate descent."""
+    whose new value equals a non-self in-edge points at that edge (points
+    with none keep their last pointer); a pointer cycle whose weight is
+    below -atol is a negative cycle (Cherkassky-Goldberg's parent-graph
+    check). Otherwise values still dropping by more than `atol` after
+    m + 1 passes prove one, since shortest walks would need more than m
+    edges. The absolute tolerance absorbs exact-zero cycles that float
+    rounding turns into 1e-16-rate descent. On a proof, the dict `proof`
+    gets "proof": "cycle" with "cycle_length" and "cycle_weight", or
+    "proof": "pass-bound"."""
     m = len(c)
     edge = np.full(m, -1)
+    loop = src == dst
+    proof = {} if proof is None else proof
     for k in range(1, m + 2):
         vals = c[src] + w
-        best = np.minimum.reduceat(vals, starts)
-        c2 = np.minimum(c, best)
+        c2 = np.minimum(c, np.minimum.reduceat(vals, starts))
         if (c - c2).max() <= atol:
             return c2, k
         if k % _CYCLE_CHECK == 0:
-            e = np.flatnonzero((vals == best[dst]) & (c2 < c)[dst])
+            e = np.flatnonzero((vals == c2[dst]) & ~loop)
             edge[dst[e]] = e
-            if _parent_cycle_weight(edge, src, w) < -atol:
+            weight, length = _parent_cycle_weight(edge, src, w)
+            if weight < -atol:
+                proof.update(proof="cycle", cycle_length=length, cycle_weight=weight)
                 return None, k
         c = c2
+    proof.update(proof="pass-bound")
     return None, m + 1
 
 
 def _parent_cycle_weight(edge, src, w):
-    """Least weight of a cycle in the pointer graph x <- src[edge[x]]
-    (edge -1: no pointer), or 0.0 when it has none."""
+    """Least weight of a cycle in the pointer graph src[edge[x]] -> x (edge
+    -1: no pointer) and its length, or (0.0, 0) when it has none. Each
+    point has one pointer at most, so each strong component of more than
+    one point is a single cycle, made of its points' pointer edges."""
     m = len(edge)
-    pred = np.where(edge >= 0, src[edge], -1)
-    far = pred
-    for _ in range(m.bit_length()):      # far = pred^(2^b), 2^b > m
-        far = np.where(far >= 0, far[far], -1)
-    seen = np.zeros(m, dtype=bool)
-    worst = 0.0
-    for x in np.unique(far[far >= 0]):   # one point on each cycle, or more
-        weight = 0.0
-        while not seen[x]:
-            seen[x] = True
-            weight += w[edge[x]]
-            x = pred[x]
-        worst = min(worst, weight)
-    return worst
+    x = np.flatnonzero(edge >= 0)
+    graph = sparse.csr_matrix((np.ones(len(x)), (src[edge[x]], x)), shape=(m, m))
+    label = connected_components(graph, directed=True, connection="strong")[1]
+    size = np.bincount(label)
+    x = x[size[label[x]] > 1]
+    if len(x) == 0:
+        return 0.0, 0
+    weight = np.bincount(label[x], weights=w[edge[x]])
+    k = label[x][np.argmin(weight[label[x]])]
+    return float(weight[k]), int(size[k])
 
 
 class _ActiveSet:
@@ -447,16 +454,17 @@ class _ActiveSet:
     def solve(self, t, eq, start, atol):
         """Maximal solution below `start` at deflation margin t and
         equality slack eq, or None when a negative cycle is proven.
-        Returns (values, record)."""
+        Returns (values, record); a negative-cycle record says how the
+        cycle was proven (`_relax`'s `proof`)."""
         m, p = len(self.Dm), self.n_sat
-        c, passes, rounds = start, 0, 0
+        c, passes, rounds, proof = start, 0, 0, {}
         while True:
             rounds += 1
             w = self.base.copy()
             w[m + 2 * p:] -= t
             w[m:m + p] = np.minimum(w[m:m + p], eq - w[m:m + p])
             o = self.order
-            c, k = _relax(c, self.src[o], self.dst[o], w[o], self.starts, atol)
+            c, k = _relax(c, self.src[o], self.dst[o], w[o], self.starts, atol, proof)
             passes += k
             if c is None:
                 break
@@ -465,7 +473,7 @@ class _ActiveSet:
                 break
             self._set(np.concatenate([self.src, src]), np.concatenate([self.dst, dst]))
         record = {"margin": t, "eq": eq, "outcome": "negative-cycle" if c is None else "feasible",
-                  "passes": passes, "rounds": rounds, "active_edges": len(self.src)}
+                  "passes": passes, "rounds": rounds, "active_edges": len(self.src), **proof}
         return c, record
 
 
@@ -490,11 +498,15 @@ def _tighten_potential(Dm, scale, pairs_local, seed):
     feasible margin is returned (0.0 when every deflation is infeasible;
     the undeflated solution is then used).
 
-    When the engine's plan is marginally suboptimal (near-degenerate
-    exchange ties below its pivot tolerance), exact support equalities
-    are themselves a negative cycle; the equality constraints are then
-    relaxed along their own tiny ladder, trading up to `eq` saturation
-    slack on support pairs for feasibility.
+    The ladder runs first, at exact support equalities (eq = 0):
+    deflation only lowers constraints, so a feasible rung proves the
+    undeflated system feasible too, which is attempted only when every
+    rung fails. When the engine's plan is marginally suboptimal
+    (near-degenerate exchange ties below its pivot tolerance), exact
+    support equalities are themselves a negative cycle; the equality
+    constraints are then relaxed along their own tiny ladder, trading up
+    to `eq` saturation slack on support pairs for feasibility, and the
+    rungs above 2 eq rerun at the first feasible eq.
 
     Each attempt relaxes over a sparse active edge set (`_ActiveSet`),
     then checks the full m x m system densely, in row blocks; violated
@@ -506,8 +518,9 @@ def _tighten_potential(Dm, scale, pairs_local, seed):
     instance, not of the seed or of a pass budget.
 
     Returns (values, margin, eq, rungs), where `rungs` records every
-    attempt, undeflated ones included: margin, eq, outcome
-    ("feasible" / "negative-cycle"), passes, rounds and active edges.
+    attempt in the order run, undeflated ones included: margin, eq,
+    outcome ("feasible" / "negative-cycle"), passes, rounds, active edges
+    and, on a negative cycle, how it was proven (`_relax`).
     """
     m = len(Dm)
     if m == 0:
@@ -522,15 +535,19 @@ def _tighten_potential(Dm, scale, pairs_local, seed):
         rungs.append(record)
         return c
 
+    for rel in SLACK_LADDER:
+        c = attempt(rel * scale, 0.0)
+        if c is not None:
+            return c, rel * scale, 0.0, rungs
     for eq_rel in (0.0, 1e-12, 1e-11, 1e-10):
         eq = eq_rel * scale
         c0 = attempt(0.0, eq)
         if c0 is not None:
             break
-    if c0 is None:
+    else:
         raise SolverFailure("potential tightening found a negative cycle at every "
                             "equality slack: the plan is not optimal")
-    for rel in SLACK_LADDER:
+    for rel in SLACK_LADDER if eq > 0 else ():      # at eq = 0 each rung failed above
         if rel * scale <= 2 * eq:
             break
         c = attempt(rel * scale, eq)

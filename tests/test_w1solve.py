@@ -703,9 +703,9 @@ def test_planted_negative_cycle_is_proven():
     sol = w1.solve_w1(sp, [0.5, 0.5, 0, 0], [0, 0, 0.5, 0.5])
     rungs = sol.tightening["rungs"]
     assert sol.slack_floor == 0.0 and sol.tightening["eq"] == 0.0
-    assert rungs[0]["margin"] == 0.0 and rungs[0]["outcome"] == "feasible"
-    assert [r["margin"] > 0 for r in rungs[1:]] == [True] * len(w1.SLACK_LADDER)
-    assert all(r["outcome"] == "negative-cycle" and r["passes"] <= 5 for r in rungs[1:])
+    assert rungs[-1]["margin"] == 0.0 and rungs[-1]["outcome"] == "feasible"
+    assert [r["margin"] > 0 for r in rungs[:-1]] == [True] * len(w1.SLACK_LADDER)
+    assert all(r["outcome"] == "negative-cycle" and r["passes"] <= 5 for r in rungs[:-1])
 
     # a suboptimal plan is a negative cycle at every equality slack
     Dm = np.array([[0, 5, 1, 3], [5, 0, 3, 1], [1, 3, 0, 5], [3, 1, 5, 0]], dtype=float)
@@ -733,3 +733,154 @@ def test_slack_floor_does_not_depend_on_the_seed():
     assert floor_zero > 0
     assert floor_duals == floor_zero
     assert [r["outcome"] for r in rungs_duals] == [r["outcome"] for r in rungs_zero]
+
+
+def test_cycle_is_proven_one_check_after_a_lap():
+    # a 40-point ring of weight -1e-9 among m = 400 points that have only
+    # self-loops: a drop runs round the ring in 40 passes, after which
+    # every ring point is tight on its ring in-edge, so the check at pass
+    # 48 proves the cycle (pointers on lowered points alone need m + 1)
+    L, m = 40, 400
+    ring = np.arange(L)
+    src = np.concatenate([np.arange(m), ring])
+    dst = np.concatenate([np.arange(m), (ring + 1) % L])
+    w = np.concatenate([np.zeros(m), [-1e-9 - 0.1 * (L - 1)], np.full(L - 1, 0.1)])
+    order = np.argsort(dst, kind="stable")
+    starts = np.searchsorted(dst[order], np.arange(m))
+    proof = {}
+    c, passes = w1._relax(np.zeros(m), src[order], dst[order], w[order], starts, 1e-13, proof)
+    assert c is None and passes == 48
+    assert proof["proof"] == "cycle" and proof["cycle_length"] == L
+    assert proof["cycle_weight"] == pytest.approx(-1e-9, rel=1e-4)
+
+
+def _undeflated_first(Dm, scale, pairs_local, seed):
+    """Oracle: the tightening ladder in its earlier order. The undeflated
+    system first, at the least equality slack where it is feasible, then
+    the deflated rungs at that slack. Returns (values, margin, eq, the
+    accepted record)."""
+    active = w1._ActiveSet(Dm, pairs_local)
+    seed = np.zeros(len(Dm)) if seed is None else seed
+    atol = 1e-13 * scale
+    for eq_rel in (0.0, 1e-12, 1e-11, 1e-10):
+        eq = eq_rel * scale
+        c0, record0 = active.solve(0.0, eq, seed, atol)
+        if c0 is not None:
+            break
+    for rel in w1.SLACK_LADDER:
+        if rel * scale <= 2 * eq:
+            break
+        c, record = active.solve(rel * scale, eq, seed, atol)
+        if c is not None:
+            return c, rel * scale, eq, record
+    return c0, 0.0, eq, record0
+
+
+def _lattice(seed, S=10):
+    """The Manhattan lattice instance of `test_active_set_relaxation_matches_dense_oracle`
+    with its optimal plan."""
+    from scipy.optimize import linear_sum_assignment
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(49, size=2 * S, replace=False)
+    pts = np.stack([cells // 7, cells % 7], axis=1)
+    Dm = np.abs(pts[:, None] - pts[None, :]).sum(-1).astype(float)
+    rows, cols = linear_sum_assignment(Dm[:S, S:])
+    return Dm, np.stack([rows, S + cols], axis=1)
+
+
+def _uniform_cap(n=1000):
+    """Moved-point distances and the assignment plan of the uniform polar
+    caps (top quarter to bottom quarter) on an n-point S^2 sample."""
+    from scipy.optimize import linear_sum_assignment
+    sp = ms.generate_sphere_sample(2, n, seed=0)
+    order = np.argsort(-sp.coords[:, 2], kind="stable")
+    k = n // 4
+    moved = np.concatenate([order[:k], order[-k:]])
+    Dm = sp.D[np.ix_(moved, moved)]
+    rows, cols = linear_sum_assignment(Dm[:k, k:])
+    return Dm, 1 + sp.max_distance, np.stack([rows, k + cols], axis=1)
+
+
+@pytest.mark.parametrize("case", [f"lattice-{seed}" for seed in range(8)] + ["cap-n1000"])
+def test_ladder_order_matches_undeflated_first_oracle(case):
+    # a deflated rung feasible at eq = 0 makes the undeflated system
+    # feasible there, so trying the rungs first accepts what the earlier
+    # order accepted, with the same maximal values
+    if case == "cap-n1000":
+        Dm, scale, pairs = _uniform_cap()
+    else:
+        Dm, pairs = _lattice(int(case.split("-")[1]))
+        scale = 1 + Dm.max()
+    want, want_margin, want_eq, want_record = _undeflated_first(Dm, scale, pairs, None)
+    got, margin, eq, rungs = w1._tighten_potential(Dm, scale, pairs, None)
+    assert (margin, eq) == (want_margin, want_eq)
+    accepted = rungs[-1]
+    assert (accepted["margin"], accepted["eq"], accepted["outcome"]) == (
+        want_record["margin"], want_record["eq"], want_record["outcome"])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+    if case == "cap-n1000":     # the 1e-8 rung certifies, and no undeflated attempt runs
+        assert margin > 0 and all(r["margin"] > 0 for r in rungs)
+
+
+def test_negative_cycle_rungs_say_how_they_were_proven():
+    # the 2x2 tie's deflated rungs end at the m + 1 pass bound (m = 4); a
+    # lattice's deflated rungs close pointer cycles at the first check
+    pts = np.array([[0, 0], [1, 1], [1, 0], [0, 1]], dtype=float)
+    D = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
+    tie = w1.solve_w1(ms.build_space(list(range(4)), {"type": "matrix", "data": D}),
+                      [0.5, 0.5, 0, 0], [0, 0, 0.5, 0.5])
+    Dm, _ = _lattice(0)
+    mu0, mu1 = np.zeros(20), np.zeros(20)
+    mu0[:10] = mu1[10:] = 0.1
+    lattice = w1.solve_w1(ms.build_space(list(range(20)), {"type": "matrix", "data": Dm}),
+                          mu0, mu1)
+    base = {"margin", "eq", "outcome", "passes", "rounds", "active_edges"}
+    proofs = []
+    for sol in (tie, lattice):
+        rungs = sol.to_json()["tightening"]["rungs"]
+        assert rungs == sol.tightening["rungs"]
+        for r in rungs:
+            if r["outcome"] == "feasible":
+                assert set(r) == base
+            elif r["proof"] == "pass-bound":
+                assert set(r) == base | {"proof"}
+            else:
+                assert set(r) == base | {"proof", "cycle_length", "cycle_weight"}
+                assert r["proof"] == "cycle" and type(r["cycle_length"]) is int
+                assert r["cycle_length"] >= 2 and r["cycle_weight"] < 0
+        proofs.append({r.get("proof") for r in rungs} - {None})
+    assert proofs == [{"pass-bound"}, {"cycle"}]
+
+
+def _walked_cycle(edge, src, w):
+    """Oracle: the least-weight pointer cycle (weight, length) found by
+    walking from every point, or (0.0, 0) when there is none."""
+    best = (np.inf, 0)
+    for start in range(len(edge)):
+        path, x = [], start
+        while edge[x] >= 0 and x not in path:
+            path.append(x)
+            x = src[edge[x]]
+        if edge[x] >= 0 and x in path:
+            cycle = path[path.index(x):]
+            weight = sum(w[edge[y]] for y in cycle)
+            if weight < best[0]:
+                best = (weight, len(cycle))
+    return best if best[1] else (0.0, 0)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_parent_cycle_weight_matches_walk(seed):
+    # random pointer graphs (one pointer per point, some none) over a
+    # random edge list: strong components find the cycles the walk finds
+    rng = np.random.default_rng(seed)
+    m, k = 30, 90
+    src, w = rng.integers(0, m, size=k), rng.normal(size=k)
+    edge = np.full(m, -1)
+    for x in rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False):
+        into = np.flatnonzero(src != x)
+        edge[x] = rng.choice(into)
+    weight, length = w1._parent_cycle_weight(edge, src, w)
+    want_weight, want_length = _walked_cycle(edge, src, w)
+    assert length == want_length
+    assert weight == pytest.approx(want_weight, rel=0, abs=1e-12)
