@@ -27,7 +27,6 @@ from . import monge1d as mg
 from . import selftest as stest
 from . import w1solve as w1
 from .errors import ConfigError, NeedleError
-from .isoperim import _pmap
 
 EXIT_PASS = 0
 EXIT_ERROR = 1
@@ -75,20 +74,15 @@ def _load_marginals(path, space: ms.MMSpace):
     return vec(data["mu0"]), vec(data["mu1"])
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not serializable: {type(obj)}")
-
-
 def _sanitize(value):
-    """Tag non-finite floats so every report numeric is explicit."""
+    """Plain JSON values: numpy scalars and arrays become Python ones, and
+    non-finite floats are tagged so every report numeric is explicit."""
     if isinstance(value, dict):
         return {k: _sanitize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_sanitize(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return _sanitize(value.tolist())
     if isinstance(value, (float, np.floating)):
         v = float(value)
         if np.isnan(v):
@@ -96,6 +90,8 @@ def _sanitize(value):
         if np.isinf(v):
             return "inf" if v > 0 else "-inf"
         return v
+    if isinstance(value, (np.integer, np.bool_)):
+        return value.item()
     return value
 
 
@@ -116,7 +112,7 @@ def _write(path, text):
 
 
 def _write_report(path, payload):
-    _write(path, json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
+    _write(path, json.dumps(_sanitize(payload), indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(report_path, rows, header):
@@ -165,7 +161,7 @@ def cmd_solve_monge(args):
         "cost_vs_w1": abs(coupling.cost - sol.primal_value),
         "manifest": _manifest(args, t0),
     }
-    _write_report(args.out, _sanitize(report))
+    _write_report(args.out, report)
     return EXIT_PASS
 
 
@@ -194,7 +190,7 @@ def cmd_decompose(args):
                      "passthrough_mass": coupling.passthrough_mass, "pairs": len(coupling.pairs)},
         "manifest": _manifest(args, t0),
     }
-    _write_report(args.out, _sanitize(report))
+    _write_report(args.out, report)
     return EXIT_PASS
 
 
@@ -216,7 +212,7 @@ def _check_command(sample, check):
         points = sample(dens.grid, args.samples, np.random.default_rng(args.seed))
         rep = check(dens, args.K, args.N, points, rel_tol=args.tol)
         report = {"check": rep.to_json(), "manifest": _manifest(args, t0)}
-        _write_report(args.out, _sanitize(report))
+        _write_report(args.out, report)
         return EXIT_PASS if rep.verdict else EXIT_FAIL
     return cmd
 
@@ -225,16 +221,15 @@ def cmd_profile(args):
     t0 = time.time()
     space = _read("space spec", ms.load_spec, args.space)
 
-    def one(iv):
-        i, v = iv
-        return iso.empirical_profile(space, v, rng=np.random.default_rng(args.seed + i))
+    def one(i):
+        return iso.empirical_profile(space, args.v_grid[i], rng=np.random.default_rng(args.seed + i))
 
-    points = _pmap(one, list(enumerate(args.v_grid)), args.threads)
+    points = iso._map_volumes(one, range(len(args.v_grid)), space, include_potential=True)
     report = {
         "points": [dataclasses.asdict(p) for p in points],
         "manifest": _manifest(args, t0),
     }
-    _write_report(args.out, _sanitize(report))
+    _write_report(args.out, report)
     _write_csv(args.out, [(p.requested_v, p.v, p.content) for p in points],
                ["v_requested", "v_attained", "content"])
     return EXIT_PASS
@@ -244,11 +239,9 @@ def cmd_levy_gromov(args):
     t0 = time.time()
     space = _read("space spec", ms.load_spec, args.space)
     spec = iso.ModelProfileSpec(args.K, args.N, space.max_distance)
-    rep = iso.levy_gromov_check(space, spec, args.v_grid,
-                                rng=np.random.default_rng(args.seed),
-                                threads=args.threads)
+    rep = iso.levy_gromov_check(space, spec, args.v_grid, rng=np.random.default_rng(args.seed))
     report = {"levy_gromov": rep, "manifest": _manifest(args, t0)}
-    _write_report(args.out, _sanitize(report))
+    _write_report(args.out, report)
     _write_csv(args.out, [(r["v"], r["empirical"], r["model"]) for r in rep["rows"]],
                ["v", "empirical", "model"])
     return EXIT_PASS if rep["verdict"] == "pass" else EXIT_FAIL
@@ -263,7 +256,7 @@ def cmd_selftest(args):
         "manifest": _manifest(args, t0),
     }
     if args.out:
-        _write_report(args.out, _sanitize(report))
+        _write_report(args.out, report)
     return EXIT_PASS if report["all_pass"] else EXIT_FAIL
 
 
@@ -285,7 +278,6 @@ def build_parser():
         "--v-grid": dict(type=floats, default="0.25,0.5,0.75"),
         "--seed": dict(type=natural, default=0),
         "--samples": dict(type=natural, default=5000),
-        "--threads": dict(type=natural, default=os.environ.get("NEEDLE_THREADS", "1")),
         "--out": dict(default=None, help="report JSON path (stdout if omitted)"),
     }
     gamma_tol = dict(type=float, default=None, help="Gamma tolerance (default: w1solve.gamma_tol)")
@@ -297,8 +289,8 @@ def build_parser():
         ("decompose", cmd_decompose, pipeline, gamma_tol),
         ("check-cd", _check_command(cv.sample_triples, cv.cd_density_check), check, rel_tol),
         ("check-mcp", _check_command(cv.sample_quadruples, cv.mcp_density_check), check, rel_tol),
-        ("profile", cmd_profile, "--space --v-grid --seed --threads --out", None),
-        ("levy-gromov", cmd_levy_gromov, "--space --K --N --v-grid --seed --threads --out", None),
+        ("profile", cmd_profile, "--space --v-grid --seed --out", None),
+        ("levy-gromov", cmd_levy_gromov, "--space --K --N --v-grid --seed --out", None),
         ("selftest", cmd_selftest, "--out", None),
     ]:
         p = sub.add_parser(name)

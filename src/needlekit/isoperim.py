@@ -20,6 +20,7 @@ defect are recorded and the model is compared at the attained mass.
 from __future__ import annotations
 
 import dataclasses
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -52,6 +53,7 @@ class ProfilePoint:
 
 
 QUAD_N = 4096
+FLAT_OMEGA_D = 1e-7     # below this w*D a K > 0 model is the K = 0 one to O((w D)^2)
 
 
 def _profile_objective(spec: ModelProfileSpec, v: float):
@@ -120,7 +122,10 @@ def model_profile(spec: ModelProfileSpec, v: float) -> float:
 
     Returns 0 at v in {0, 1}. For K > 0 and N > 1, D is clamped to the
     Bonnet-Myers diameter pi*sqrt((N-1)/K): a longer window would hold
-    several humps of sin, whose zeros give cuts of content 0. Otherwise
+    several humps of sin, whose zeros give cuts of content 0. Below
+    w*D = FLAT_OMEGA_D (w = sqrt(K/(N-1))) the K = 0 family is used: the
+    sin basis can no longer resolve the members that vanish inside [0, D],
+    and the two models differ by O((w D)^2), about 1e-14. Otherwise
     an infinite D gives 0 (the profile trivializes); for N = 1 the family
     is the constant densities and the value is 1/D. Otherwise the family
     parameter is scanned at 128 points and the three best are refined by
@@ -131,7 +136,9 @@ def model_profile(spec: ModelProfileSpec, v: float) -> float:
     if v in (0.0, 1.0):
         return 0.0
     if spec.K > 0 and spec.N > 1:     # Bonnet-Myers: no CD(K, N) model is longer
-        spec = ModelProfileSpec(spec.K, spec.N, min(spec.D, np.pi * np.sqrt((spec.N - 1) / spec.K)))
+        D = min(spec.D, np.pi * np.sqrt((spec.N - 1) / spec.K))
+        flat = np.sqrt(spec.K / (spec.N - 1)) * D < FLAT_OMEGA_D
+        spec = ModelProfileSpec(0.0 if flat else spec.K, spec.N, D)
     elif not np.isfinite(spec.D):
         return 0.0
     if spec.N == 1:
@@ -167,38 +174,6 @@ def default_eps_window(space: MMSpace, k: int = 16) -> np.ndarray:
     return np.linspace(2.0 * m, hi, k)
 
 
-def _pairs_within(space: MMSpace, R: float):
-    """The pairs at distance below R as CSR (indptr, int32 columns, exact
-    distances), built in row blocks. The zero diagonal keeps every row
-    non-empty, which `np.minimum.reduceat` over indptr needs."""
-    indptr, cols, data = [np.zeros(1, np.int64)], [], []
-    for lo, hi, block in space.row_blocks():
-        near = block < R
-        indptr.append(indptr[-1][-1] + np.cumsum(near.sum(axis=1)))
-        cols.append(np.nonzero(near)[1].astype(np.int32))
-        data.append(block[near])
-    return np.concatenate(indptr), np.concatenate(cols), np.concatenate(data)
-
-
-def _content(space: MMSpace, pairs, A: np.ndarray, eps_arr: np.ndarray) -> MinkowskiEstimate:
-    """`minkowski_content` on sorted, checked eps whose largest is at most
-    the radius of `pairs`: within it, dist(., A) < e reads the same off
-    the pairs as off the dense matrix."""
-    if A.sum() == 0:
-        return MinkowskiEstimate(0.0, [(float(e), 0.0) for e in eps_arr])
-    mass_A = space.weights[A].sum()
-    indptr, cols, data = pairs
-    dist = np.minimum.reduceat(np.where(A[cols], data, np.inf), indptr[:-1])
-    masses = np.array([space.weights[dist < e].sum() for e in eps_arr])
-    raw = [(float(e), float((g - mass_A) / e)) for e, g in zip(eps_arr, masses)]
-    if len(eps_arr) >= 2:
-        slope = np.polyfit(eps_arr, masses, 1)[0]
-        value = float(slope)
-    else:
-        value = raw[0][1]
-    return MinkowskiEstimate(max(value, 0.0), raw)
-
-
 def minkowski_content(space: MMSpace, set_indicator, eps_list) -> MinkowskiEstimate:
     """Boundary content from the growth of eps-neighborhood masses.
 
@@ -208,8 +183,9 @@ def minkowski_content(space: MMSpace, set_indicator, eps_list) -> MinkowskiEstim
     first-order neighborhood growth while averaging out the staircase
     noise that raw single-eps quotients carry on atomic spaces. The raw
     quotient sequence is returned alongside. The neighbourhoods are read
-    off the pairs of points within the largest eps, so the cost follows
-    the number of such pairs, not n * |A|.
+    off the pairs of points within the largest eps (`space.pairs_within`,
+    kept on the space for the next call with the same largest eps), so
+    the cost follows the number of such pairs, not n * |A|.
     """
     eps_arr = np.sort(np.asarray([float(e) for e in eps_list]))
     if np.any(eps_arr <= 0):
@@ -218,7 +194,15 @@ def minkowski_content(space: MMSpace, set_indicator, eps_list) -> MinkowskiEstim
     if eps_arr[0] < 2.0 * mesh * (1 - 1e-12):
         raise MeshTooCoarse(f"min eps {eps_arr[0]} below 2*mesh = {2*mesh}")
     A = np.asarray(set_indicator, dtype=bool)
-    return _content(space, _pairs_within(space, eps_arr[-1]), A, eps_arr)
+    if A.sum() == 0:
+        return MinkowskiEstimate(0.0, [(float(e), 0.0) for e in eps_arr])
+    mass_A = space.weights[A].sum()
+    indptr, cols, data = space.pairs_within(eps_arr[-1])
+    dist = np.minimum.reduceat(np.where(A[cols], data, np.inf), indptr[:-1])
+    masses = np.array([space.weights[dist < e].sum() for e in eps_arr])
+    raw = [(float(e), float((g - mass_A) / e)) for e, g in zip(eps_arr, masses)]
+    value = float(np.polyfit(eps_arr, masses, 1)[0]) if len(eps_arr) >= 2 else raw[0][1]
+    return MinkowskiEstimate(max(value, 0.0), raw)
 
 
 def _threshold_to_mass(space: MMSpace, score: np.ndarray, v: float):
@@ -252,17 +236,12 @@ def empirical_profile(space: MMSpace, v: float, candidate_budget: int = 32,
     zero-mean function, each thresholded to the nearest attainable mass.
     Candidates are ranked with a short eps ladder, then the few best are
     re-estimated on the full ladder: taking a minimum over many noisy
-    estimates would bias the profile downward.
+    estimates would bias the profile downward. Both ladders end at the
+    same eps, so every content reads one pair graph of the space.
     """
     if not 0.0 < v < 1.0:
         raise BadVolume(f"v={v} outside (0, 1)")
-    pairs = _pairs_within(space, default_eps_window(space)[-1])
-    return _empirical_profile(space, v, candidate_budget, rng or np.random.default_rng(0),
-                              include_potential, pairs)
-
-
-def _empirical_profile(space, v, candidate_budget, rng, include_potential, pairs):
-    # `pairs`: those within default_eps_window(space)[-1], where every window ends
+    rng = rng or np.random.default_rng(0)
     coarse = default_eps_window(space, 6)
     fine = default_eps_window(space, 16)
     scores = []
@@ -279,63 +258,61 @@ def _empirical_profile(space, v, candidate_budget, rng, include_potential, pairs
     ranked = []
     for name, score in scores:
         mask, attained = _threshold_to_mass(space, score, v)
-        est = _content(space, pairs, mask, coarse)
+        est = minkowski_content(space, mask, coarse)
         ranked.append((est.value, name, mask, attained))
     ranked.sort(key=lambda r: r[0])
     best = None
     for _, name, mask, attained in ranked[:3]:
-        est = _content(space, pairs, mask, fine)
+        est = minkowski_content(space, mask, fine)
         if best is None or est.value < best.content:
             best = ProfilePoint(v=attained, content=est.value, requested_v=v,
                                 mass_defect=abs(attained - v), candidate=name)
     return best
 
 
-def _pmap(fn, items, threads):
-    """[fn(x) for x in items], across `threads` worker threads when more than one."""
-    if threads <= 1 or len(items) <= 1:
+def _map_volumes(fn, items, space: MMSpace, include_potential: bool) -> list:
+    """[fn(x) for x in items], across threads exactly when each item solves
+    a W1 LP (potential candidates on a space off the line engine). Only
+    there did threads pay: ball-only and line-space volumes ran no faster."""
+    if not include_potential or space.line_coord is not None:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
         return list(pool.map(fn, items))
 
 
 def levy_gromov_check(space: MMSpace, spec: ModelProfileSpec, v_grid,
                       candidate_budget: int = 32, rng=None,
                       include_potential: bool = True,
-                      allowance: float | None = None, threads: int = 1) -> dict:
-    """Empirical profile against the model profile at the space diameter.
-
-    The model is taken at D = `space.max_distance`, reported as `D_used`;
-    only K and N are read from `spec`, never `spec.D`.
+                      allowance: float | None = None) -> dict:
+    """Empirical profile against the model profile I_{K,N,D} of `spec`
+    (`spec.D` is reported as `D_used`).
 
     Passes when every empirical content clears the model value minus the
     discretization allowance (default max(5% of the model, 4 * mesh)).
-    Grid points run independently (optionally across `threads` workers)
-    on spawned random streams, so results do not depend on ordering.
+    Grid points run independently on spawned random streams, so results
+    do not depend on ordering or on `_map_volumes` running them in threads.
     """
     rng = rng or np.random.default_rng(0)
-    D_used = space.max_distance
-    mspec = ModelProfileSpec(spec.K, spec.N, D_used)
     v_grid = list(v_grid)
     for v in v_grid:
         if not 0.0 <= v <= 1.0:
             raise BadVolume(f"v={v} outside [0, 1]")
     streams = rng.spawn(len(v_grid))
-    pairs = _pairs_within(space, default_eps_window(space)[-1])    # serves every volume
 
-    def one(iv):
-        i, v = iv
+    def one(i):
+        v = v_grid[i]
         if v <= 0.0 or v >= 1.0:
             return {"v": float(v), "v_attained": float(v), "empirical": 0.0,
-                    "model": 0.0, "slack": 0.0, "allowance": 0.0}
-        ep = _empirical_profile(space, v, candidate_budget, streams[i], include_potential, pairs)
-        model = model_profile(mspec, ep.v)
+                    "model": 0.0, "slack": 0.0, "allowance": 0.0,
+                    "candidate": "", "mass_defect": 0.0}
+        ep = empirical_profile(space, v, candidate_budget, streams[i], include_potential)
+        model = model_profile(spec, ep.v)
         allow = allowance if allowance is not None else max(0.05 * model, 4.0 * space.mesh)
         return {"v": float(v), "v_attained": ep.v, "empirical": ep.content,
                 "model": model, "slack": ep.content - model, "allowance": allow,
                 "candidate": ep.candidate, "mass_defect": ep.mass_defect}
 
-    rows = _pmap(one, list(enumerate(v_grid)), threads)
+    rows = _map_volumes(one, range(len(v_grid)), space, include_potential)
     ok = all(r["slack"] >= -r["allowance"] for r in rows)
-    return {"verdict": "pass" if ok else "fail", "rows": rows, "D_used": D_used,
+    return {"verdict": "pass" if ok else "fail", "rows": rows, "D_used": spec.D,
             "K": spec.K, "N": spec.N}

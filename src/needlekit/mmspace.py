@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import threading
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -80,8 +81,9 @@ class MMSpace:
     "sphere2"); `line_coord` is a 1D isometric embedding when one exists,
     `coords` are ambient coordinates for sphere samples, and `density` the
     generating Density1D for interval models. Distances are read through `rows`,
-    `row_blocks` and `dist`: interval models compute |t_i - t_j| (`D` is
-    built afresh on each call); other spaces store a matrix, never changed.
+    `row_blocks`, `dist` and `pairs_within`: interval models compute
+    |t_i - t_j| (`D` is built afresh on each call); other spaces store a
+    matrix, never changed.
     """
 
     point_ids: list
@@ -91,6 +93,9 @@ class MMSpace:
     line_coord: np.ndarray | None = None
     coords: np.ndarray | None = None
     density: Density1D | None = None
+    _pairs: tuple | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
+    _pairs_lock: threading.Lock = dataclasses.field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -126,6 +131,23 @@ class MMSpace:
         """d(i, j) elementwise, for broadcastable index arrays."""
         t = self.line_coord
         return self._matrix[i, j] if self._matrix is not None else np.abs(t[i] - t[j])
+
+    def pairs_within(self, R: float) -> tuple:
+        """The pairs at distance below R as CSR (indptr, int32 columns, exact
+        distances), built in row blocks. The graph of the last R asked for
+        is kept for the next call with that R (threads share one build).
+        The zero diagonal keeps every row non-empty for R > 0, which
+        `np.minimum.reduceat` over indptr needs."""
+        with self._pairs_lock:
+            if self._pairs is None or self._pairs[0] != R:
+                indptr, cols, data = [np.zeros(1, np.int64)], [], []
+                for lo, hi, block in self.row_blocks():
+                    near = block < R
+                    indptr.append(indptr[-1][-1] + np.cumsum(near.sum(axis=1)))
+                    cols.append(np.nonzero(near)[1].astype(np.int32))
+                    data.append(block[near])
+                self._pairs = R, (np.concatenate(indptr), np.concatenate(cols), np.concatenate(data))
+            return self._pairs[1]
 
     @functools.cached_property
     def max_distance(self) -> float:

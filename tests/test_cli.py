@@ -144,23 +144,6 @@ def test_marginals_keyed_by_point_id(interval_spec, tmp_path):
     assert rep["w1"]["primal_value"] > 3.0   # nearly the full interval length
 
 
-def test_explicit_threads_flag_beats_environment(interval_spec, tmp_path, monkeypatch):
-    seen = []
-    serial = cli._pmap
-
-    def record(fn, items, threads):
-        seen.append(threads)
-        return serial(fn, items, threads)
-
-    monkeypatch.setattr(cli, "_pmap", record)
-    monkeypatch.setenv("NEEDLE_THREADS", "3")
-    out = str(tmp_path / "p.json")
-    argv = ["profile", "--space", interval_spec, "--v-grid", "0.5", "--out", out]
-    assert cli.main(argv + ["--threads", "1"]) == 0
-    assert cli.main(argv) == 0
-    assert seen == [1, 3]
-
-
 # The option strings each subcommand accepts (besides -h); a flag a
 # subcommand does not read must not come back.
 FLAGS = {
@@ -168,8 +151,8 @@ FLAGS = {
     "decompose": "--space --marginals --seed --tol --out",
     "check-cd": "--space --K --N --seed --samples --tol --out",
     "check-mcp": "--space --K --N --seed --samples --tol --out",
-    "profile": "--space --v-grid --seed --threads --out",
-    "levy-gromov": "--space --K --N --v-grid --seed --threads --out",
+    "profile": "--space --v-grid --seed --out",
+    "levy-gromov": "--space --K --N --v-grid --seed --out",
     "selftest": "--out",
 }
 
@@ -179,7 +162,7 @@ def test_accepted_flags_are_pinned():
     accepted = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
                 for name, p in subparsers.items()}
     assert accepted == {name: set(flags.split()) for name, flags in FLAGS.items()}
-    assert sum(len(flags) for flags in accepted.values()) == 37
+    assert sum(len(flags) for flags in accepted.values()) == 35
 
 
 def test_manifest_config_echoes_exactly_the_flags(interval_spec, tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from needlekit import curvature as cv
 from needlekit import mmspace as ms
-from needlekit.errors import DegenerateDensity
+from needlekit.errors import BadDimension, DegenerateDensity
 
 
 def test_sigma_k0_is_t():
@@ -341,3 +341,37 @@ def test_bracket_interp_on_model_triples(model, n):
     for x in (t0, t1, (1 - s) * t0 + s * t1):
         assert np.array_equal(cv._interp(x, dens.grid, dens.values),
                               np.interp(x, dens.grid, dens.values))
+
+
+_FLAT = ms.Density1D(np.linspace(0.0, 1.0, 9), np.ones(9))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: cv.sigma(1.0, -1.0, 0.5, 1.0), BadDimension),
+    (lambda: cv.sigma(1.0, 2.0, 1.5, 1.0), ValueError),          # t outside [0, 1]
+    (lambda: cv.sigma(1.0, 2.0, 0.5, -1.0), ValueError),         # negative theta
+    (lambda: cv.tau(1.0, 0.5, 0.5, 1.0), BadDimension),
+    (lambda: cv.cd_density_check(_FLAT, 0.0, 2.0, [[0.5, 0.25, 0.5]]), ValueError),
+    (lambda: cv.mcp_density_check(_FLAT, 1.0, 2.0, [[0.5, 0.25, 0.75, 1.0]]), ValueError),
+    (lambda: cv.mcp_density_check(ms.Density1D([0.0, 0.5, 1.0], [1.0, 1.0, 0.0]), 1.0, 2.0,
+                                  [[0.0, 1.0, 1.0, 1.0 + 1e-3]]), DegenerateDensity),
+    (lambda: cv.mollify_density(_FLAT, 1.0, 0.1), BadDimension),
+    (lambda: cv.mollify_density(_FLAT, 2.0, 0.0), ValueError),
+])
+def test_typed_input_errors(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_mcp_on_a_domain_too_long_for_the_curvature():
+    # a sine argument >= pi is a failed check with its quadruple, not an error
+    rep = cv.mcp_density_check(_FLAT, 100.0, 2.0, [[0.0, 0.25, 0.5, 1.0]])
+    assert not rep.verdict and rep.margin == -np.inf
+    assert rep.worst_triple == (0.0, 0.25, 0.5, 1.0) and "pi" in rep.reason
+
+
+def test_density_csv_without_header(tmp_path):
+    path = tmp_path / "plain.csv"
+    path.write_text("0,1\n0.5,2\n1,1\n")
+    dens = cv.load_density_csv(path)
+    assert dens.grid.tolist() == [0.0, 0.5, 1.0] and dens.values.tolist() == [1.0, 2.0, 1.0]

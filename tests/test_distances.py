@@ -3,7 +3,10 @@ from coordinates never gets its n x n matrix built by the library."""
 
 import ast
 import pathlib
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -180,3 +183,39 @@ def test_row_block_size_changes_no_result(case):
     for size in (64, 1 << 20):
         with mock.patch.object(ms, "_ROW_BLOCK", size):
             assert _needles_record(space, mu0, mu1) == expected
+
+
+def test_pairs_within_is_built_once_under_contention():
+    # more threads than cores ask for one graph at once, at a short switch
+    # interval; the lock leaves one build, which every thread gets, and a
+    # new radius replaces it
+    space = ms.generate_interval_model(0.0, 2.0, 1.0, 1500)[0]
+    R, threads = 0.01, 16
+    built = []
+    row_blocks = ms.MMSpace.row_blocks
+
+    def counting(self, idx=None, cols=None):
+        built.append(self)
+        return row_blocks(self, idx, cols)
+
+    start = threading.Barrier(threads)
+
+    def ask(_):
+        start.wait(timeout=60)
+        return space.pairs_within(R)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(ms.MMSpace, "row_blocks", counting), \
+                ThreadPoolExecutor(max_workers=threads) as pool:
+            graphs = list(pool.map(ask, range(threads), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(built) == 1 and all(g is graphs[0] for g in graphs)
+    indptr, cols, data = graphs[0]
+    D = space.D
+    near = D < R
+    assert np.array_equal(indptr, np.r_[0, np.cumsum(near.sum(axis=1))])
+    assert np.array_equal(cols, np.nonzero(near)[1]) and np.array_equal(data, D[near])
+    assert space.pairs_within(R) is graphs[0] and space.pairs_within(R / 2) is not graphs[0]

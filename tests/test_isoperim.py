@@ -1,11 +1,13 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from needlekit import cli
 from needlekit import curvature as cv
 from needlekit import isoperim as iso
 from needlekit import mmspace as ms
@@ -107,16 +109,29 @@ def _direct_candidate_content(J, grid, N, v):
     return best
 
 
+# Below this w*D the K > 0 member differs from the K = 0 family only by
+# O((w D)^2), well inside rel=1e-12, while sin(wt + xi) keeps only a few
+# digits of wt against xi even in extended precision.
+SMALL_OMEGA_D = 1e-6
+
+
 def _direct_model_profile(spec, v):
     # oracle: model_profile with every family member evaluated directly,
-    # sin(wt + xi) for K > 0 (N > 1, 0 < v < 1, D within the Bonnet-Myers bound)
+    # sin(wt + xi) in np.longdouble for K > 0 (N > 1, 0 < v < 1, D within
+    # the Bonnet-Myers bound); specs with w*D below SMALL_OMEGA_D take the
+    # K = 0 family
     K, N, D = spec.K, spec.N, spec.D
     grid = np.linspace(0.0, D, iso.QUAD_N + 1)
+    om = np.sqrt(abs(K) / (N - 1.0))
+    if K > 0 and om * D < SMALL_OMEGA_D:
+        K = 0.0
     if K > 0:
-        om = np.sqrt(K / (N - 1.0))
-        family, lo, hi = (lambda xi: np.sin(om * grid + xi)), -om * D, np.pi
+        omt = np.sqrt(np.longdouble(K) / (np.longdouble(N) - 1)) * grid.astype(np.longdouble)
+        lo, hi = -om * D, np.pi
+
+        def family(xi):
+            return np.sin(omt + np.longdouble(xi)).astype(float)
     else:
-        om = np.sqrt(-K / (N - 1.0)) if K < 0 else 0.0
         lo, hi = -np.pi / 2 + 1e-9, np.pi - 1e-9
         if K < 0:
             def family(a):
@@ -139,6 +154,10 @@ def _direct_model_profile(spec, v):
 @settings(max_examples=25, deadline=None)
 @given(st.floats(-3.0, 3.0), st.floats(1.1, 6.0),
        st.one_of(st.just(1.0), st.floats(0.05, 1.0)), st.floats(0.01, 0.99))
+@example(K=5.459051890944621e-135, N=2.0, frac=1.0, v=0.75)   # w*D = 1e-67
+@example(K=2.220446049250313e-16, N=1.9375, frac=1.0, v=0.75)  # w*D = 9e-8
+@example(K=7e-15, N=2.0, frac=1.0, v=0.4)                      # w*D = 5e-7
+@example(K=1e-10, N=2.0, frac=1.0, v=0.3)                      # w*D = 6e-5
 def test_model_profile_matches_direct_evaluation(K, N, frac, v):
     # the tabulated basis (angle addition for K > 0) against direct evaluation
     cap = np.pi * np.sqrt((N - 1.0) / K) if K > 0 else 6.0
@@ -346,3 +365,85 @@ def test_sphere_profile_with_potential_candidates():
                                rng=np.random.default_rng(8), include_potential=True)
     assert 0 < ep.content < 2.0
     assert 0.3 < ep.v < 0.5
+
+
+def test_levy_gromov_rows_share_one_key_set():
+    space, _ = ms.generate_interval_model(1.0, 2.0, np.pi, 300)
+    rep = iso.levy_gromov_check(space, iso.ModelProfileSpec(1.0, 2.0, np.pi), [0.0, 0.5, 1.0],
+                                candidate_budget=4)
+    keys = {"v", "v_attained", "empirical", "model", "slack", "allowance",
+            "candidate", "mass_defect"}
+    assert [set(row) for row in rep["rows"]] == [keys] * 3
+    assert [(row["candidate"], row["mass_defect"]) for row in rep["rows"][::2]] == [("", 0.0)] * 2
+
+
+def test_levy_gromov_takes_the_model_at_spec_D():
+    space, _ = ms.generate_interval_model(0.0, 2.0, 1.0, 400)
+    spec = iso.ModelProfileSpec(0.0, 2.0, 2.0)
+    rep = iso.levy_gromov_check(space, spec, [0.3], candidate_budget=4)
+    row = rep["rows"][0]
+    assert rep["D_used"] == 2.0
+    assert row["model"] == iso.model_profile(spec, row["v_attained"])
+    assert row["model"] < iso.model_profile(iso.ModelProfileSpec(0.0, 2.0, 1.0), row["v_attained"])
+
+
+@pytest.mark.parametrize("metric, include_potential, threaded", [
+    ({"type": "sphere2", "n": 400, "seed": 0}, True, True),
+    ({"type": "sphere2", "n": 400, "seed": 0}, False, False),
+    ({"type": "interval", "K": 1.0, "N": 2.0, "D": np.pi, "n": 1000}, True, False),
+])
+def test_volumes_share_one_pair_graph_threaded_or_not(metric, include_potential, threaded,
+                                                      monkeypatch, tmp_path):
+    # a 3-volume check and `needlekit profile` build the eps-pair graph once
+    # per space and radius; volumes run in threads exactly when each solves
+    # a W1 LP off the line engine, and give the rows that serial volumes give
+    spec_path = tmp_path / "space.json"
+    spec_path.write_text(json.dumps({"metric": metric}))
+    builds = []
+    pairs_within = ms.MMSpace.pairs_within
+
+    def spy(self, R):
+        graph = pairs_within(self, R)
+        builds.append((self, R, graph))     # held, so no id is reused
+        return graph
+
+    monkeypatch.setattr(ms.MMSpace, "pairs_within", spy)
+
+    def run():
+        builds.clear()
+        space = ms.from_spec({"metric": metric})
+        rows = iso.levy_gromov_check(space, iso.ModelProfileSpec(1.0, 2.0, space.max_distance),
+                                     [0.25, 0.5, 0.75], rng=np.random.default_rng(5),
+                                     include_potential=include_potential)["rows"]
+        out = tmp_path / "profile.json"
+        if include_potential:     # `profile` always tries the potential candidates
+            assert cli.main(["profile", "--space", str(spec_path), "--out", str(out)]) == 0
+        points = json.loads(out.read_text())["points"] if include_potential else None
+        graphs = {}
+        for owner, R, graph in builds:
+            graphs.setdefault((id(owner), R), set()).add(id(graph))
+        assert len(builds) > 3 * len(graphs)
+        assert all(len(ids) == 1 for ids in graphs.values())
+        return rows, points
+
+    made = []
+
+    class SerialPool:
+        """A ThreadPoolExecutor stand-in that maps in the calling thread."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    found = run()
+    monkeypatch.setattr(iso, "ThreadPoolExecutor", SerialPool)
+    assert run() == found
+    assert bool(made) == threaded

@@ -8,8 +8,11 @@ from needlekit import mmspace as ms
 from needlekit.errors import (
     BadDiameter,
     BadDimension,
+    BadParameter,
+    ConfigError,
     DisconnectedGraph,
     EmptySpace,
+    InvalidWeights,
     MetricViolation,
 )
 
@@ -200,3 +203,44 @@ def test_density1d_validation():
     d = ms.Density1D([0.0, 1.0, 2.0], [1.0, 2.0, 1.0])
     assert d.integral() == pytest.approx(3.0)
     assert d(0.5) == pytest.approx(1.5)
+
+
+_TWO = {"type": "matrix", "data": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: ms.Density1D([[0, 1]], [[1, 1]]), ValueError),               # 2D grid
+    (lambda: ms.Density1D([0, 1], [0, 0]), ValueError),                   # zero integral
+    (lambda: ms.build_space([0, 1], _TWO, [1.0]), InvalidWeights),        # weight count
+    (lambda: ms.build_space([0, 1], _TWO, [1.0, -0.5]), InvalidWeights),
+    (lambda: ms.build_space([0, 1], _TWO, [1.0, np.nan]), InvalidWeights),
+    (lambda: ms.build_space([0, 1], _TWO, [0.0, 0.0]), InvalidWeights),   # no mass
+    (lambda: ms.build_space([0, 1], {"type": "matrix", "data": [[0, np.inf], [np.inf, 0]]}),
+     MetricViolation),
+    (lambda: ms.build_space([0, 1], {"type": "matrix", "data": [[0, -1], [-1, 0]]}),
+     MetricViolation),
+    (lambda: ms.build_space([0, 1, 2], _TWO), MetricViolation),           # shape vs points
+    (lambda: ms.build_space([0, 1], {"type": "graph", "edges": []}), DisconnectedGraph),
+    (lambda: ms.build_space([0, 1], {"type": "graph", "edges": [[0, 1, -1.0]]}),
+     MetricViolation),
+    (lambda: ms.build_space([0, 1], {"type": "torus"}), ConfigError),
+    (lambda: ms.generate_interval_model(0.0, 2.0, 0.0, 100), BadDiameter),
+    (lambda: ms.generate_sphere_sample(3, 200), BadDimension),
+    (lambda: ms.generate_sphere_sample(2, 50), BadParameter),
+    (lambda: ms.from_spec({"points": [0, 1]}), ConfigError),
+    (lambda: ms.from_spec({"metric": {"type": "torus"}}), ConfigError),
+])
+def test_typed_input_errors(make, error):
+    with pytest.raises(error):
+        make()
+
+
+@pytest.mark.parametrize("metric", [
+    {"type": "matrix", "data": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+    {"type": "graph", "edges": [[0, 1, 1.0], [1, 2, 1.0]]},
+])
+def test_spec_without_points_numbers_them(metric):
+    # the points default to 0..n-1: the matrix size, or one past the largest node
+    space = ms.from_spec({"metric": metric})
+    assert space.point_ids == [0, 1, 2]
+    assert space.dist(0, 2) == 2.0

@@ -167,6 +167,18 @@ def test_unbalanced_marginals():
         w1.solve_w1(sp, np.array([0.5, 0.5, 0, 0, 0.1]), np.full(5, 0.2))
 
 
+@pytest.mark.parametrize("mu0, match", [
+    (np.full(4, 0.25), "shape"),                              # one entry short
+    (np.array([0.5, 0.5, 0.5, -0.5, 0.0]), "nonnegative"),
+    (np.array([0.5, 0.5, np.nan, 0.0, 0.0]), "nonnegative"),
+    (np.array([0.2, 0.2, 0.2, 0.2, 0.2 + 5e-9]), "different total mass"),
+])
+def test_marginals_are_checked_before_solving(mu0, match):
+    # 1 + 5e-9 passes the 1e-8 sum check but not the 1e-10 balance check
+    with pytest.raises(UnbalancedMarginals, match=match):
+        w1.solve_w1(_cloud(5, 5), mu0, np.full(5, 0.2))
+
+
 def test_cyclic_monotonicity_valid_and_adversarial():
     sp = _cloud(30, 6)
     mu0, mu1 = _marginals(30, 6)
