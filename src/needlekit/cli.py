@@ -220,11 +220,7 @@ def _check_command(sample, check):
 def cmd_profile(args):
     t0 = time.time()
     space = _read("space spec", ms.load_spec, args.space)
-
-    def one(i):
-        return iso.empirical_profile(space, args.v_grid[i], rng=np.random.default_rng(args.seed + i))
-
-    points = iso._map_volumes(one, range(len(args.v_grid)), space, include_potential=True)
+    points = iso.empirical_profiles(space, args.v_grid, rng=np.random.default_rng(args.seed))
     report = {
         "points": [dataclasses.asdict(p) for p in points],
         "manifest": _manifest(args, t0),

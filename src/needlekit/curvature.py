@@ -59,9 +59,9 @@ def sigma(K: float, N: float, t, theta):
     scalar = t_arr.ndim == 0 and th_arr.ndim == 0
     t_arr, th_arr = np.broadcast_arrays(np.atleast_1d(t_arr), np.atleast_1d(th_arr))
     if np.any(t_arr < -1e-15) or np.any(t_arr > 1 + 1e-15):
-        raise ValueError("t must lie in [0, 1]")
+        raise BadParameter("t must lie in [0, 1]")
     if np.any(th_arr < 0):
-        raise ValueError("theta must be nonnegative")
+        raise BadParameter("theta must be nonnegative")
     out = np.empty_like(t_arr)
     kt2 = K * th_arr**2
     zero = kt2 == 0
@@ -152,7 +152,7 @@ def cd_density_check(density: Density1D, K: float, N: float, triples,
         raise BadParameter("no triples to check")
     t0, t1, s = triples[:, 0], triples[:, 1], triples[:, 2]
     if np.any(t1 <= t0):
-        raise ValueError("triples need t0 < t1")
+        raise BadParameter("triples need t0 < t1")
     f = _profile(density, N)
     grid = density.grid
     theta = t1 - t0
@@ -198,7 +198,7 @@ def mcp_density_check(density: Density1D, K: float, N: float, quadruples,
         raise BadParameter("no quadruples to check")
     sm, s, tu, sp = quads[:, 0], quads[:, 1], quads[:, 2], quads[:, 3]
     if np.any(~((sm < s) & (s <= tu) & (tu < sp))):
-        raise ValueError("quadruples need sigma- < s <= tau < sigma+")
+        raise BadParameter("quadruples need sigma- < s <= tau < sigma+")
     om = np.sqrt(K / (N - 1.0))
     args = np.stack([(sp - tu) * om, (sp - s) * om, (tu - sm) * om, (s - sm) * om])
     if np.any(args >= np.pi):
@@ -260,7 +260,7 @@ def mollify_density(density: Density1D, N: float, eps: float) -> Density1D:
     if N <= 1:
         raise BadDimension("mollification needs N > 1")
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise BadParameter("eps must be positive")
     a, b = density.domain
     step_in = np.diff(density.grid).min()
     step = step_in / 10

@@ -29,25 +29,22 @@ class Disintegration:
     decomposition: RayDecomposition
 
 
+def _ray_sums(decomposition: RayDecomposition, values: np.ndarray) -> np.ndarray:
+    """Float sum of `values` over each ray's points, from the ray map."""
+    on = decomposition.ray_of >= 0
+    sums = np.bincount(decomposition.ray_of[on], values[on], minlength=len(decomposition.rays))
+    return sums.astype(float, copy=False)     # bincount gives int64 when there are no rays
+
+
 def disintegrate(space: MMSpace, decomposition: RayDecomposition,
                  measure) -> Disintegration:
     """Conditional = measure restricted to each ray, renormalized."""
     measure = np.asarray(measure, dtype=float)
-    weights = []
-    conds = []
-    zero = []
-    for k, ray in enumerate(decomposition.rays):
-        vals = measure[ray.points]
-        mass = float(vals.sum())
-        weights.append(mass)
-        if mass > 0:
-            conds.append(vals / mass)
-        else:
-            conds.append(np.zeros(0))
-            zero.append(k)
-    weights = np.array(weights)
+    weights = _ray_sums(decomposition, measure)
+    conds = [measure[ray.points] / w if w > 0 else np.zeros(0)
+             for ray, w in zip(decomposition.rays, weights)]
     residual = float(measure.sum() - weights.sum())
-    return Disintegration(weights, conds, residual, np.array(zero, dtype=int),
+    return Disintegration(weights, conds, residual, np.flatnonzero(~(weights > 0)),
                           measure.copy(), decomposition)
 
 
@@ -58,23 +55,24 @@ def check_consistency(disint: Disintegration, n_pairs: int = 100,
     Explicit point sets B (`test_sets`, boolean masks) and ray-index sets
     C (`ray_subsets`) can be supplied; otherwise random ones are drawn,
     plus the trivial pairs (whole space, all rays) and (empty set, all
-    rays). Both sides are computed by direct summation; max absolute
-    discrepancy returned.
+    rays). The right side reads each point's q(q) m_q(x) off the ray map,
+    so both sides are sums over B n Q^{-1}(C); max absolute discrepancy
+    returned.
     """
     rng = rng or np.random.default_rng(0)
     n = len(disint.measure)
-    nrays = len(disint.decomposition.rays)
-    ray_points = [ray.points for ray in disint.decomposition.rays]
+    dec = disint.decomposition
+    nrays = len(dec.rays)
+    density = np.zeros(n)        # q(q) m_q(x) at each point x of ray q
+    for w, cond, ray in zip(disint.quotient_weights, disint.conditionals, dec.rays):
+        if len(cond):
+            density[ray.points] = w * cond
 
     def both_sides(B_mask, C_idx):
-        lhs = 0.0
-        rhs = 0.0
-        for q in C_idx:
-            pts = ray_points[q]
-            lhs += disint.measure[pts[B_mask[pts]]].sum()
-            if len(disint.conditionals[q]):
-                rhs += disint.quotient_weights[q] * disint.conditionals[q][B_mask[pts]].sum()
-        return lhs, rhs
+        in_c = np.zeros(nrays + 1, dtype=bool)     # slot -1: off the rays
+        in_c[C_idx] = True
+        mask = B_mask & in_c[dec.ray_of]
+        return disint.measure[mask].sum(), density[mask].sum()
 
     if test_sets is not None:
         cases = list(zip([np.asarray(b, dtype=bool) for b in test_sets],
@@ -104,24 +102,12 @@ def check_balance(space: MMSpace, decomposition: RayDecomposition, f) -> dict:
     total = float(f @ space.weights)
     if abs(total) > 1e-10:
         raise NotMeanZero(f"global integral of f is {total}")
-    dis = disintegrate(space, decomposition, space.weights)
-    per_ray = []
-    for cond, ray in zip(dis.conditionals, decomposition.rays):
-        if len(cond):
-            per_ray.append(float(f[ray.points] @ cond))
-        else:
-            per_ray.append(0.0)
-    per_ray = np.array(per_ray)
-    if len(per_ray):
-        wmean = float((np.abs(per_ray) * dis.quotient_weights).sum()
-                      / max(dis.quotient_weights.sum(), 1e-300))
-        max_abs = float(np.abs(per_ray).max())
-    else:
-        wmean = 0.0
-        max_abs = 0.0
+    q = _ray_sums(decomposition, space.weights)
+    fm = _ray_sums(decomposition, f * space.weights)
+    per_ray = np.divide(fm, q, out=np.zeros_like(fm), where=q > 0)
     return {
         "per_ray": per_ray,
-        "max_abs": max_abs,
-        "weighted_mean": wmean,
+        "max_abs": float(np.abs(per_ray).max(initial=0.0)),
+        "weighted_mean": float((np.abs(per_ray) * q).sum() / max(q.sum(), 1e-300)),
         "n_rays": len(per_ray),
     }

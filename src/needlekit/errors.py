@@ -61,7 +61,7 @@ class MeshTooCoarse(NeedleError):
     pass
 
 
-class BadVolume(NeedleError):
+class BadVolume(BadParameter):
     pass
 
 

@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import BadDiameter, BadDimension, BadVolume, MeshTooCoarse
+from .errors import BadDiameter, BadDimension, BadParameter, BadVolume, MeshTooCoarse
 from .mmspace import MMSpace
 from .w1solve import solve_w1
 
@@ -170,7 +170,6 @@ def default_eps_window(space: MMSpace, k: int = 16) -> np.ndarray:
     """
     m = max(space.mesh, 1e-12)
     hi = min(8.0 * m, max(5.0 * m, 0.12 * space.max_distance))
-    hi = max(hi, 2.5 * m)
     return np.linspace(2.0 * m, hi, k)
 
 
@@ -189,7 +188,7 @@ def minkowski_content(space: MMSpace, set_indicator, eps_list) -> MinkowskiEstim
     """
     eps_arr = np.sort(np.asarray([float(e) for e in eps_list]))
     if np.any(eps_arr <= 0):
-        raise ValueError("eps values must be positive")
+        raise BadParameter("eps values must be positive")
     mesh = space.mesh
     if eps_arr[0] < 2.0 * mesh * (1 - 1e-12):
         raise MeshTooCoarse(f"min eps {eps_arr[0]} below 2*mesh = {2*mesh}")
@@ -270,28 +269,14 @@ def empirical_profile(space: MMSpace, v: float, candidate_budget: int = 32,
     return best
 
 
-def _map_volumes(fn, items, space: MMSpace, include_potential: bool) -> list:
-    """[fn(x) for x in items], across threads exactly when each item solves
-    a W1 LP (potential candidates on a space off the line engine). Only
-    there did threads pay: ball-only and line-space volumes ran no faster."""
-    if not include_potential or space.line_coord is not None:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
-        return list(pool.map(fn, items))
-
-
-def levy_gromov_check(space: MMSpace, spec: ModelProfileSpec, v_grid,
-                      candidate_budget: int = 32, rng=None,
-                      include_potential: bool = True,
-                      allowance: float | None = None) -> dict:
-    """Empirical profile against the model profile I_{K,N,D} of `spec`
-    (`spec.D` is reported as `D_used`).
-
-    Passes when every empirical content clears the model value minus the
-    discretization allowance (default max(5% of the model, 4 * mesh)).
-    Grid points run independently on spawned random streams, so results
-    do not depend on ordering or on `_map_volumes` running them in threads.
-    """
+def empirical_profiles(space: MMSpace, v_grid, rng=None, candidate_budget: int = 32,
+                       include_potential: bool = True) -> list[ProfilePoint]:
+    """`empirical_profile` at each volume of `v_grid`, the i-th on the i-th
+    stream spawned from `rng`, so the points do not depend on the order the
+    volumes run in, and no two seeds share a stream. v in {0, 1} gives the
+    trivial point (content 0, candidate ""). The volumes run across threads
+    exactly when each solves a W1 LP (potential candidates on a space off
+    the line engine); only there did threads pay."""
     rng = rng or np.random.default_rng(0)
     v_grid = list(v_grid)
     for v in v_grid:
@@ -301,18 +286,37 @@ def levy_gromov_check(space: MMSpace, spec: ModelProfileSpec, v_grid,
 
     def one(i):
         v = v_grid[i]
-        if v <= 0.0 or v >= 1.0:
-            return {"v": float(v), "v_attained": float(v), "empirical": 0.0,
-                    "model": 0.0, "slack": 0.0, "allowance": 0.0,
-                    "candidate": "", "mass_defect": 0.0}
-        ep = empirical_profile(space, v, candidate_budget, streams[i], include_potential)
-        model = model_profile(spec, ep.v)
-        allow = allowance if allowance is not None else max(0.05 * model, 4.0 * space.mesh)
-        return {"v": float(v), "v_attained": ep.v, "empirical": ep.content,
-                "model": model, "slack": ep.content - model, "allowance": allow,
-                "candidate": ep.candidate, "mass_defect": ep.mass_defect}
+        if v in (0.0, 1.0):
+            return ProfilePoint(v=float(v), content=0.0, requested_v=float(v))
+        return empirical_profile(space, v, candidate_budget, streams[i], include_potential)
 
-    rows = _map_volumes(one, range(len(v_grid)), space, include_potential)
+    if not include_potential or space.line_coord is not None:
+        return [one(i) for i in range(len(v_grid))]
+    with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
+        return list(pool.map(one, range(len(v_grid))))
+
+
+def levy_gromov_check(space: MMSpace, spec: ModelProfileSpec, v_grid,
+                      candidate_budget: int = 32, rng=None,
+                      include_potential: bool = True,
+                      allowance: float | None = None) -> dict:
+    """Empirical profiles (`empirical_profiles`) against the model profile
+    I_{K,N,D} of `spec` (`spec.D` is reported as `D_used`).
+
+    Passes when every empirical content clears the model value minus the
+    discretization allowance (default max(5% of the model, 4 * mesh); 0 at
+    the trivial volumes 0 and 1).
+    """
+    rows = []
+    for p in empirical_profiles(space, v_grid, rng, candidate_budget, include_potential):
+        model = model_profile(spec, p.v)
+        if p.requested_v in (0.0, 1.0):
+            allow = 0.0
+        else:
+            allow = allowance if allowance is not None else max(0.05 * model, 4.0 * space.mesh)
+        rows.append({"v": float(p.requested_v), "v_attained": p.v, "empirical": p.content,
+                     "model": model, "slack": p.content - model, "allowance": allow,
+                     "candidate": p.candidate, "mass_defect": p.mass_defect})
     ok = all(r["slack"] >= -r["allowance"] for r in rows)
     return {"verdict": "pass" if ok else "fail", "rows": rows, "D_used": spec.D,
             "K": spec.K, "N": spec.N}

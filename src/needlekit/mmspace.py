@@ -54,13 +54,13 @@ class Density1D:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
         if grid.ndim != 1 or grid.size < 2 or values.shape != grid.shape:
-            raise ValueError("grid and values must be 1D arrays of equal length >= 2")
+            raise BadParameter("grid and values must be 1D arrays of equal length >= 2")
         if not np.all(np.diff(grid) > 0):
-            raise ValueError("grid must be strictly increasing")
+            raise BadParameter("grid must be strictly increasing")
         if np.any(values < 0) or not np.all(np.isfinite(values)):
-            raise ValueError("density values must be finite and nonnegative")
+            raise BadParameter("density values must be finite and nonnegative")
         if not self.integral() > 0:
-            raise ValueError("density must have positive integral")
+            raise BadParameter("density must have positive integral")
 
     @property
     def domain(self) -> tuple[float, float]:

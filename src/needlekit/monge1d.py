@@ -127,8 +127,9 @@ def condition_target_via_plan(decomposition: RayDecomposition,
     A plan pair contributes moving atoms to its source's ray exactly when
     both endpoints lie on that ray; diagonal pairs and pairs leaving the
     ray are passed through verbatim (identity extension / defect report).
+    `n` is not read: it stays in the signature for callers that pass it.
     """
-    ray_of = decomposition.ray_of_point(n)
+    ray_of = decomposition.ray_of
     pairs = np.asarray(solution.pairs, dtype=np.int64).reshape(-1, 2)
     masses = np.asarray(solution.masses, dtype=float)
     i, j = pairs[:, 0], pairs[:, 1]
@@ -176,10 +177,7 @@ def assemble_monge_map(space: MMSpace, decomposition: RayDecomposition,
     stays in the signature for callers that pass a Disintegration of mu0.
     `is_map` holds when no source has two distinct targets.
     """
-    rays = decomposition.rays
-    param = np.zeros(space.n)
-    for ray in rays:
-        param[ray.points] = ray.params
+    param = decomposition.param
     mv = cond.moving
     # lexsort is stable: by ray, then by parameter, then in plan order
     s_order = np.lexsort((param[mv["i"]], mv["ray"]))
@@ -189,7 +187,7 @@ def assemble_monge_map(space: MMSpace, decomposition: RayDecomposition,
     edges = np.append(edges, len(mv))
     _, _, rows, costs = _couple(param[s_pts], mv["mass"][s_order], edges,
                                 param[t_pts], mv["mass"][t_order], edges)
-    per_ray_costs = np.zeros(len(rays))
+    per_ray_costs = np.zeros(len(decomposition.rays))
     per_ray_costs[hit] = costs
     pt = cond.passthrough
     pairs = np.concatenate([np.stack([s_pts[rows[:, 0]], t_pts[rows[:, 1]]], axis=1),

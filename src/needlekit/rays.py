@@ -73,15 +73,10 @@ class Ray:
 @dataclasses.dataclass
 class RayDecomposition:
     rays: list[Ray]
-    orphan_points: np.ndarray
+    orphan_points: np.ndarray      # points of T on no ray, sorted
     diagnostics: list[str]
-
-    def ray_of_point(self, n: int) -> np.ndarray:
-        """Map point index -> ray index, -1 off rays."""
-        out = np.full(n, -1, dtype=int)
-        for k, ray in enumerate(self.rays):
-            out[ray.points] = k
-        return out
+    ray_of: np.ndarray             # (n,) ray index of each point, -1 off the rays
+    param: np.ndarray              # (n,) arclength on its ray (ray.params), 0 off the rays
 
     def to_json(self) -> dict:
         return {
@@ -192,16 +187,17 @@ def _select_representative(space: MMSpace, points: np.ndarray, phi: np.ndarray) 
 
 def partition_rays(space: MMSpace, structure: TransportStructure,
                    solution: W1Solution) -> RayDecomposition:
-    """Rays = chain components of R restricted to T, with arclength params."""
+    """Rays = chain components of R restricted to T, with arclength params;
+    every point's ray index and arclength are recorded in one (n,) array each."""
     T = structure.transport_set
     n = space.n
     phi = solution.potential
     tol = structure.gamma.tol
     diagnostics: list[str] = []
     rays: list[Ray] = []
-    orphans: list[int] = []
+    ray_of, param = np.full(n, -1), np.zeros(n)
     if len(T) == 0:
-        return RayDecomposition(rays, np.array([], dtype=int), diagnostics)
+        return RayDecomposition(rays, T, diagnostics, ray_of, param)
 
     # a head has no other point of its row at distance 0, so it is joined to
     # every row it covers and to all of their neighbours: the graph needs only
@@ -237,11 +233,9 @@ def partition_rays(space: MMSpace, structure: TransportStructure,
     for k in range(ncomp):
         chain = chains[edges[k]:edges[k + 1]]
         if len(chain) < 2:
-            orphans.extend(int(p) for p in chain)
             diagnostics.append(f"singleton component at point {int(chain[0])}")
             continue
         if broken[k]:
-            orphans.extend(int(p) for p in chain)
             diagnostics.append(
                 f"NonChainComponent: component of size {len(chain)} not totally "
                 f"ordered by phi within tol={tol:g}; orphaned")
@@ -249,6 +243,6 @@ def partition_rays(space: MMSpace, structure: TransportStructure,
         s = np.concatenate([[0.0], np.cumsum(steps[edges[k]:edges[k + 1] - 1])])
         rep, mass = _select_representative(space, chain, phi)
         rep_pos = int(np.where(chain == rep)[0][0])
-        rays.append(Ray(points=chain, params=s - s[rep_pos],
-                        representative=rep, mass=mass))
-    return RayDecomposition(rays, np.array(sorted(orphans), dtype=int), diagnostics)
+        ray_of[chain], param[chain] = len(rays), s - s[rep_pos]
+        rays.append(Ray(points=chain, params=param[chain], representative=rep, mass=mass))
+    return RayDecomposition(rays, T[ray_of[T] < 0], diagnostics, ray_of, param)

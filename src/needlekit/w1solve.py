@@ -37,7 +37,7 @@ from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
-from .errors import SolverFailure, TolTooSmall, UnbalancedMarginals
+from .errors import BadParameter, SolverFailure, TolTooSmall, UnbalancedMarginals
 from .mmspace import MMSpace, _row_ranges
 
 MASS_SCALE = 10**14
@@ -316,8 +316,9 @@ def _basis_plan(D_sub, a, b, src, dst, roots, pi):
     for _ in range(n):
         x, slack = _basis_masses(S, ends, supply, roots)
         excess = np.where(roots < S, 1.0, -1.0) * slack
-        e, r = int(np.argmin(x)), int(np.argmax(np.abs(excess)))
-        cut = x[e] < -_MASS_TOL                     # arc e leaves, else root r's slack
+        e = int(np.argmin(x)) if len(x) else -1     # a basis of row slacks alone has no arc
+        r = int(np.argmax(np.abs(excess)))
+        cut = e >= 0 and x[e] < -_MASS_TOL          # arc e leaves, else root r's slack
         if not cut and (len(roots) == 1 or abs(excess[r]) <= _MASS_TOL):
             return np.stack([ends[:, 0], ends[:, 1] - S], axis=1), x, pi
         kept = ends[np.arange(len(ends)) != e] if cut else ends
@@ -522,10 +523,7 @@ def _tighten_potential(Dm, scale, pairs_local, seed):
     outcome ("feasible" / "negative-cycle"), passes, rounds, active edges
     and, on a negative cycle, how it was proven (`_relax`).
     """
-    m = len(Dm)
-    if m == 0:
-        return np.zeros(0), 0.0, 0.0, []
-    seed = seed if seed is not None else np.zeros(m)
+    seed = seed if seed is not None else np.zeros(len(Dm))
     active = _ActiveSet(Dm, pairs_local)
     atol = 1e-13 * scale
     rungs = []
@@ -580,8 +578,6 @@ def solve_w1(space: MMSpace, mu0, mu1) -> W1Solution:
     colgen = {}
     if space.line_coord is not None:
         pairs, masses, phi, tag = _engine_line(space, mu0, mu1)
-        keep = masses > 0
-        pairs, masses = pairs[keep], masses[keep]
     else:
         b = mu0 - mu1
         src = np.where(b > 0)[0]
@@ -589,7 +585,7 @@ def solve_w1(space: MMSpace, mu0, mu1) -> W1Solution:
         diag_idx = np.where(np.minimum(mu0, mu1) > 0)[0]
         diag_pairs = np.stack([diag_idx, diag_idx], axis=1)
         diag_mass = np.minimum(mu0, mu1)[diag_idx]
-        if len(src) == 0:
+        if len(src) == 0 or len(snk) == 0:     # b one-signed: each |b_i| is within the balance check
             pairs, masses, phi, tag = diag_pairs, diag_mass, np.zeros(n), "identity"
         else:
             a = b[src]
@@ -737,7 +733,7 @@ def check_cyclic_monotonicity(space: MMSpace, gamma: GammaSet, k: int = 4,
                               trials: int = 10_000, rng=None) -> dict:
     """Worst violation of the cycle inequality over random k-subsets of Gamma."""
     if k < 2:
-        raise ValueError("k must be >= 2")
+        raise BadParameter("k must be >= 2")
     rng = rng or np.random.default_rng(0)
     pairs = np.argwhere(gamma.mask)
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]

@@ -49,7 +49,7 @@ def rearrangement(source_atoms, target_atoms):
 
 def condition_and_assemble(space, decomposition, solution) -> MongeCoupling:
     """Plan-pushforward conditioning and per-ray assembly, pair by pair."""
-    ray_of = decomposition.ray_of_point(space.n)
+    ray_of = decomposition.ray_of
     nrays = len(decomposition.rays)
     sources = [[] for _ in range(nrays)]
     targets = [[] for _ in range(nrays)]

@@ -1,0 +1,50 @@
+"""Out-of-range parameters raise a `BadParameter` subclass (also a ValueError)."""
+
+import numpy as np
+import pytest
+
+from needlekit import curvature as cv
+from needlekit import isoperim as iso
+from needlekit import mmspace as ms
+from needlekit import w1solve as w1
+from needlekit.errors import BadParameter, BadVolume
+
+GRID = np.linspace(0.0, 1.0, 5)
+
+
+def _model():
+    return ms.model_density(1.0, 2.0, np.pi, 50)
+
+
+def _interval():
+    return ms.generate_interval_model(0.0, 2.0, 1.0, 64)[0]
+
+
+CASES = {
+    "sigma-t": lambda: cv.sigma(1.0, 2.0, 1.5, 0.1),
+    "sigma-theta": lambda: cv.sigma(1.0, 2.0, 0.5, -0.1),
+    "cd-triple-order": lambda: cv.cd_density_check(_model(), 1.0, 2.0, [[1.0, 0.5, 0.5]]),
+    "mcp-quadruple-order": lambda: cv.mcp_density_check(_model(), 1.0, 2.0,
+                                                        [[0.5, 0.4, 1.0, 2.0]]),
+    "mollify-eps": lambda: cv.mollify_density(_model(), 2.0, 0.0),
+    "minkowski-eps": lambda: iso.minkowski_content(_interval(), np.ones(64, bool), [-0.1, 0.2]),
+    "cyclic-monotonicity-k": lambda: w1.check_cyclic_monotonicity(None, None, k=1),
+    "density-shape": lambda: ms.Density1D(GRID, np.ones(4)),
+    "density-grid-order": lambda: ms.Density1D(GRID[::-1], np.ones(5)),
+    "density-values": lambda: ms.Density1D(GRID, -np.ones(5)),
+    "density-integral": lambda: ms.Density1D(GRID, np.zeros(5)),
+    "model-profile-volume": lambda: iso.model_profile(iso.ModelProfileSpec(1.0, 2.0, np.pi), 1.5),
+    "levy-gromov-volume": lambda: iso.levy_gromov_check(
+        _interval(), iso.ModelProfileSpec(0.0, 2.0, 1.0), [-0.2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_out_of_range_parameter_is_bad_parameter(case):
+    with pytest.raises(BadParameter) as info:
+        CASES[case]()
+    assert isinstance(info.value, ValueError)
+
+
+def test_bad_volume_is_a_bad_parameter():
+    assert issubclass(BadVolume, BadParameter) and issubclass(BadVolume, ValueError)
