@@ -22,7 +22,7 @@ import dataclasses
 import numpy as np
 
 from .errors import BadDimension, BadParameter, DegenerateDensity
-from .mmspace import Density1D
+from .mmspace import Density1D, _check_KN
 
 
 @dataclasses.dataclass
@@ -52,8 +52,7 @@ def sigma(K: float, N: float, t, theta):
     N pi^2; t when K theta^2 = 0 (or K theta^2 < 0 with N = 0); sinh
     ratio when K theta^2 < 0 and N > 0.
     """
-    if N < 0:
-        raise BadDimension("N must be >= 0")
+    _check_KN(K, N, 0)
     t_arr = np.asarray(t, dtype=float)
     th_arr = np.asarray(theta, dtype=float)
     scalar = t_arr.ndim == 0 and th_arr.ndim == 0
@@ -86,8 +85,7 @@ def sigma(K: float, N: float, t, theta):
 
 def tau(K: float, N: float, t, theta):
     """tau_{K,N}^{(t)}(theta) = t^{1/N} sigma_{K,N-1}^{(t)}(theta)^{(N-1)/N}."""
-    if N < 1:
-        raise BadDimension("N must be >= 1")
+    _check_KN(K, N, 1)
     s = sigma(K, N - 1, t, theta)
     t_arr = np.asarray(t, dtype=float)
     s_arr = np.asarray(s, dtype=float)
@@ -116,7 +114,19 @@ def _profile(density: Density1D, N: float) -> np.ndarray:
     return density.values ** (1.0 / (N - 1.0))
 
 
-def _degeneracy_scan(density: Density1D):
+def _constant_report(density: Density1D, rel_tol: float) -> CDReport:
+    v = density.values
+    mean = v.mean()
+    spread = float(np.ptp(v) / max(mean, 1e-300))
+    return CDReport(spread <= rel_tol, -spread, None, len(v), rel_tol,
+                    reason=None if spread <= rel_tol else "density not constant (N=1)")
+
+
+def _node_tuples(density: Density1D, tuples, width: int, name: str, ordered,
+                 order: str) -> np.ndarray:
+    """The (k, width) node tuples of a check, after the tests both checks
+    share: no interior zero of h between positive neighbours, and tuples that
+    exist, are finite and are `ordered` by columns (else "{name} need {order}")."""
     v = density.values
     interior_zero = (v[1:-1] == 0) & (v[:-2] > 0) & (v[2:] > 0)
     if interior_zero.any():
@@ -124,14 +134,28 @@ def _degeneracy_scan(density: Density1D):
         raise DegenerateDensity(
             f"density vanishes at interior grid point t={density.grid[k]:g} "
             "while its neighbors are positive")
+    tuples = np.asarray(tuples, dtype=float).reshape(-1, width)
+    if len(tuples) == 0:
+        raise BadParameter(f"no {name} to check")
+    if not np.isfinite(tuples).all():
+        raise BadParameter(f"{name} must be finite")
+    if not ordered(*tuples.T).all():
+        raise BadParameter(f"{name} need {order}")
+    return tuples
 
 
-def _constant_report(density: Density1D, rel_tol: float) -> CDReport:
-    v = density.values
-    mean = v.mean()
-    spread = float(np.ptp(v) / max(mean, 1e-300))
-    return CDReport(spread <= rel_tol, -spread, None, len(v), rel_tol,
-                    reason=None if spread <= rel_tol else "density not constant (N=1)")
+def _report(tuples: np.ndarray, blow: np.ndarray, reason: str, margins,
+            rel_tol: float) -> CDReport:
+    """The first tuple with an infinite coefficient (`blow`) fails at margin -inf
+    for `reason`; else the least relative slack of `margins()`, run only then, decides."""
+    if blow.any():
+        k, margin = int(np.argmax(blow)), -np.inf
+    else:
+        margins = margins()
+        k = int(np.argmin(margins))
+        margin, reason = float(margins[k]), None
+    return CDReport(margin >= -rel_tol, margin, tuple(map(float, tuples[k])), len(tuples),
+                    rel_tol, reason)
 
 
 def cd_density_check(density: Density1D, K: float, N: float, triples,
@@ -142,17 +166,11 @@ def cd_density_check(density: Density1D, K: float, N: float, triples,
     h(t0)^{1/(N-1)} + sigma^{(s)}_{K,N-1}(t1-t0) h(t1)^{1/(N-1)}. For
     N = 1 the check degenerates to "h is constant".
     """
+    _check_KN(K, N, 1)
     if N == 1:
         return _constant_report(density, rel_tol)
-    if N < 1:
-        raise BadDimension("N must be >= 1")
-    _degeneracy_scan(density)
-    triples = np.asarray(triples, dtype=float).reshape(-1, 3)
-    if len(triples) == 0:
-        raise BadParameter("no triples to check")
-    t0, t1, s = triples[:, 0], triples[:, 1], triples[:, 2]
-    if np.any(t1 <= t0):
-        raise BadParameter("triples need t0 < t1")
+    triples = _node_tuples(density, triples, 3, "triples", lambda t0, t1, s: t0 < t1, "t0 < t1")
+    t0, t1, s = triples.T
     f = _profile(density, N)
     grid = density.grid
     theta = t1 - t0
@@ -166,16 +184,10 @@ def cd_density_check(density: Density1D, K: float, N: float, triples,
         term0 = np.where(f0 == 0, 0.0, sig0 * f0)
         term1 = np.where(f1 == 0, 0.0, sig1 * f1)
     rhs = term0 + term1
-    blow = np.isinf(rhs)
-    if blow.any():
-        k = int(np.where(blow)[0][0])
-        return CDReport(False, -np.inf, (t0[k], t1[k], s[k]), len(triples), rel_tol,
-                        reason="K theta^2 >= (N-1) pi^2: domain too long for claimed curvature")
-    margins = np.where(rhs > 0, (fm - rhs) / np.where(rhs > 0, rhs, 1.0), 0.0)
-    k = int(np.argmin(margins))
-    margin = float(margins[k])
-    return CDReport(margin >= -rel_tol, margin, (float(t0[k]), float(t1[k]), float(s[k])),
-                    len(triples), rel_tol)
+    return _report(triples, np.isinf(rhs),
+                   "K theta^2 >= (N-1) pi^2: domain too long for claimed curvature",
+                   lambda: np.where(rhs > 0, (fm - rhs) / np.where(rhs > 0, rhs, 1.0), 0.0),
+                   rel_tol)
 
 
 def mcp_density_check(density: Density1D, K: float, N: float, quadruples,
@@ -186,41 +198,29 @@ def mcp_density_check(density: Density1D, K: float, N: float, quadruples,
     sigma+; the worst quadruple and the smaller of both relative slacks
     are reported.
     """
-    if K <= 0:
+    if not K > 0:
         raise BadParameter("only the K > 0 sine-ratio branch is implemented")
-    if N < 1:
-        raise BadDimension("N must be >= 1")
+    _check_KN(K, N, 1)
     if N == 1:
         return _constant_report(density, rel_tol)
-    _degeneracy_scan(density)
-    quads = np.asarray(quadruples, dtype=float).reshape(-1, 4)
-    if len(quads) == 0:
-        raise BadParameter("no quadruples to check")
-    sm, s, tu, sp = quads[:, 0], quads[:, 1], quads[:, 2], quads[:, 3]
-    if np.any(~((sm < s) & (s <= tu) & (tu < sp))):
-        raise BadParameter("quadruples need sigma- < s <= tau < sigma+")
+    quads = _node_tuples(density, quadruples, 4, "quadruples",
+                         lambda sm, s, tu, sp: (sm < s) & (s <= tu) & (tu < sp),
+                         "sigma- < s <= tau < sigma+")
+    sm, s, tu, sp = quads.T
     om = np.sqrt(K / (N - 1.0))
     args = np.stack([(sp - tu) * om, (sp - s) * om, (tu - sm) * om, (s - sm) * om])
-    if np.any(args >= np.pi):
-        k = int(np.argwhere((args >= np.pi).any(axis=0))[0][0])
-        return CDReport(False, -np.inf, tuple(quads[k]), len(quads), rel_tol,
-                        reason="sine argument >= pi: domain too long for claimed curvature")
-    g = density.grid
-    hs = _interp(s, g, density.values)
-    ht = _interp(tu, g, density.values)
-    if np.any(hs == 0):
-        raise DegenerateDensity("h vanishes at a tested base point")
-    ratio = ht / hs
-    lower = (np.sin(args[0]) / np.sin(args[1])) ** (N - 1.0)
-    upper = (np.sin(args[2]) / np.sin(args[3])) ** (N - 1.0)
-    m_lo = (ratio - lower) / lower
-    m_hi = (upper - ratio) / upper
-    margins = np.minimum(m_lo, m_hi)
-    k = int(np.argmin(margins))
-    margin = float(margins[k])
-    return CDReport(margin >= -rel_tol, margin,
-                    (float(sm[k]), float(s[k]), float(tu[k]), float(sp[k])),
-                    len(quads), rel_tol)
+
+    def margins():
+        hs = _interp(s, density.grid, density.values)
+        if np.any(hs == 0):
+            raise DegenerateDensity("h vanishes at a tested base point")
+        ratio = _interp(tu, density.grid, density.values) / hs
+        lower = (np.sin(args[0]) / np.sin(args[1])) ** (N - 1.0)
+        upper = (np.sin(args[2]) / np.sin(args[3])) ** (N - 1.0)
+        return np.minimum((ratio - lower) / lower, (upper - ratio) / upper)
+
+    return _report(quads, (args >= np.pi).any(axis=0),
+                   "sine argument >= pi: domain too long for claimed curvature", margins, rel_tol)
 
 
 _PSI_GRID = np.linspace(0.0, 1.0, 4097)

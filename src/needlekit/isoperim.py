@@ -25,8 +25,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import BadDiameter, BadDimension, BadParameter, BadVolume, MeshTooCoarse
-from .mmspace import MMSpace
+from .errors import BadDiameter, BadParameter, BadVolume, MeshTooCoarse
+from .mmspace import MMSpace, _check_KN
 from .w1solve import solve_w1
 
 
@@ -37,8 +37,7 @@ class ModelProfileSpec:
     D: float
 
     def __post_init__(self):
-        if self.N < 1:
-            raise BadDimension("N must be >= 1")
+        _check_KN(self.K, self.N, 1)
         if not self.D > 0:
             raise BadDiameter("D must be positive")
 
@@ -187,8 +186,8 @@ def minkowski_content(space: MMSpace, set_indicator, eps_list) -> MinkowskiEstim
     the cost follows the number of such pairs, not n * |A|.
     """
     eps_arr = np.sort(np.asarray([float(e) for e in eps_list]))
-    if np.any(eps_arr <= 0):
-        raise BadParameter("eps values must be positive")
+    if not np.all((eps_arr > 0) & np.isfinite(eps_arr)):
+        raise BadParameter("eps values must be positive and finite")
     mesh = space.mesh
     if eps_arr[0] < 2.0 * mesh * (1 - 1e-12):
         raise MeshTooCoarse(f"min eps {eps_arr[0]} below 2*mesh = {2*mesh}")
@@ -279,6 +278,8 @@ def empirical_profiles(space: MMSpace, v_grid, rng=None, candidate_budget: int =
     the line engine); only there did threads pay."""
     rng = rng or np.random.default_rng(0)
     v_grid = list(v_grid)
+    if not v_grid:
+        raise BadVolume("empty volume grid")
     for v in v_grid:
         if not 0.0 <= v <= 1.0:
             raise BadVolume(f"v={v} outside [0, 1]")

@@ -41,6 +41,14 @@ def _row_ranges(m, width):
     return [(lo, min(lo + step, m)) for lo in range(0, m, step)]
 
 
+def _check_KN(K: float, N: float, N_min: float) -> None:
+    """K finite (else BadParameter), N finite and >= N_min (else BadDimension); NaN fails."""
+    if not np.isfinite(K):
+        raise BadParameter(f"K must be finite, got {K}")
+    if not N_min <= N < np.inf:
+        raise BadDimension(f"N must be finite and >= {N_min:g}, got {N}")
+
+
 @dataclasses.dataclass(frozen=True)
 class Density1D:
     """A nonnegative density sampled on a strictly increasing grid."""
@@ -297,8 +305,7 @@ def model_density(K: float, N: float, D: float, n: int) -> Density1D:
 
 def generate_interval_model(K: float, N: float, D: float, n: int) -> tuple[MMSpace, Density1D]:
     """Interval model space: uniform grid on [0, D], weights = trapezoid masses."""
-    if N < 1:
-        raise BadDimension(f"N must be >= 1, got {N}")
+    _check_KN(K, N, 1)
     if n < 16:
         raise BadParameter("need n >= 16 grid points")
     if D <= 0:

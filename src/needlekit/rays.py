@@ -204,7 +204,7 @@ def partition_rays(space: MMSpace, structure: TransportStructure,
     # the rows of heads and of rows that cannot be covered
     in_t = np.zeros((1, n), dtype=bool)
     in_t[0, T] = True
-    rt = structure.r & _packed(in_t, 1)
+    rt = structure.r & _packed(in_t)
 
     def no_duplicate(c):
         w = _set_bits(rt, c)    # R(c) in T

@@ -222,6 +222,16 @@ def test_out_of_range_input_exits_1(interval_spec, argv, error, capsys):
     assert capsys.readouterr().err.startswith(f"error [{error}]:")
 
 
+@pytest.mark.parametrize("command", ["check-cd", "check-mcp", "levy-gromov"])
+@pytest.mark.parametrize("K, N, error", [("nan", "2", "BadParameter"), ("inf", "2", "BadParameter"),
+                                         ("1", "nan", "BadDimension")])
+def test_nonfinite_K_or_N_exits_1(interval_spec, command, K, N, error, capsys):
+    # unchecked, check-cd --K nan fails on a margin read from unfilled
+    # memory and levy-gromov --K nan passes on the K = 0 model
+    assert cli.main([command, "--space", interval_spec, "--K", K, "--N", N]) == 1
+    assert capsys.readouterr().err.startswith(f"error [{error}]:")
+
+
 @pytest.mark.parametrize("name, text", [
     ("spec.json", "{"),
     ("spec.json", '{"metric": {"type": "interval", "K": 1, "N": 2}}'),

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from needlekit import curvature as cv
 from needlekit import mmspace as ms
-from needlekit.errors import BadDimension, DegenerateDensity
+from needlekit.errors import BadDimension, BadParameter, DegenerateDensity
 
 
 def test_sigma_k0_is_t():
@@ -361,6 +361,34 @@ _FLAT = ms.Density1D(np.linspace(0.0, 1.0, 9), np.ones(9))
 def test_typed_input_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["K", "N"])
+@pytest.mark.parametrize("call", ["sigma", "cd", "mcp"])
+def test_nonfinite_K_or_N_is_rejected(call, which, bad):
+    # NaN fails every comparison, so unchecked it reaches the math: sigma
+    # with K = NaN fills none of its output, and the CD check reads its margin there
+    K, N = (bad, 2.0) if which == "K" else (1.0, bad)
+    dens = _model_density(2, 201)
+    run = {"sigma": lambda: cv.sigma(K, N, np.array([0.3, 0.5]), np.array([1.0, 2.0])),
+           "cd": lambda: cv.cd_density_check(dens, K, N, cv.sample_triples(dens.grid, 500)),
+           "mcp": lambda: cv.mcp_density_check(dens, K, N, cv.sample_quadruples(dens.grid, 500))}
+    with pytest.raises(BadParameter if which == "K" else BadDimension):
+        run[call]()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("check, column", [("cd", c) for c in range(3)]
+                         + [("mcp", c) for c in range(4)])
+def test_nonfinite_node_tuple_is_rejected(check, column, bad):
+    # unchecked, [[nan, 1.0, 0.5]] and [[0.2, 1.0, nan]] pass the CD check at margin 0
+    dens = _model_density(2, 201)
+    point = [0.2, 1.0, 0.5] if check == "cd" else [0.2, 0.4, 0.6, 1.0]
+    point[column] = bad
+    fn = cv.cd_density_check if check == "cd" else cv.mcp_density_check
+    with pytest.raises(BadParameter):
+        fn(dens, 1.0, 2.0, [point])
 
 
 def test_mcp_on_a_domain_too_long_for_the_curvature():

@@ -2,6 +2,7 @@
 from coordinates never gets its n x n matrix built by the library."""
 
 import ast
+import inspect
 import pathlib
 import sys
 import threading
@@ -131,6 +132,35 @@ def test_only_mmspace_reads_the_matrix():
     assert offenders == []
 
 
+def _grid_graph(k, seed):
+    rng = np.random.default_rng(seed)
+    edges = [[v, v + 1, rng.uniform(0.5, 1.5)] for v in range(k * k) if (v + 1) % k]
+    edges += [[v, v + k, rng.uniform(0.5, 1.5)] for v in range(k * k - k)]
+    return ms.build_space(list(range(k * k)), {"type": "graph", "edges": edges})
+
+
+@pytest.mark.parametrize("case", ["matrix", "graph", "interval"]
+                         + [f"sphere-{n}-{seed}" for n in (100, 257, 1000, 2000)
+                            for seed in (0, 1, 2)])
+def test_distances_are_bit_symmetric(case):
+    # w1solve.gamma_set reads Gamma^-1 off the rows of Gamma's own pass,
+    # which is exact only while d(x, y) == d(y, x) bit for bit
+    if case == "matrix":
+        # rounding-level asymmetry within validation tolerance
+        D = _cloud(120, 5).D + 1e-15 * np.random.default_rng(5).random((120, 120))
+        np.fill_diagonal(D, 0.0)
+        space = ms.build_space(list(range(120)), {"type": "matrix", "data": D})
+    elif case == "graph":
+        space = _grid_graph(12, 6)
+    elif case == "interval":
+        space = ms.generate_interval_model(1.0, 2.0, np.pi, 777)[0]
+    else:
+        n, seed = map(int, case.split("-")[1:])
+        space = ms.generate_sphere_sample(2, n, seed)
+    D = space.rows(slice(None))
+    assert np.array_equal(D, D.T)
+
+
 def _calls(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
@@ -139,10 +169,17 @@ def _calls(tree):
 
 def test_one_owner_for_bit_rows_and_row_blocks():
     # only w1solve packs, unpacks or byte-views bit rows; only mmspace
-    # sizes a row block (TRIPLE_BLOCK counts sampled triples)
-    bits, blocks = [], []
+    # sizes a row block (TRIPLE_BLOCK counts sampled triples); bits are
+    # packed by rows only, Gamma^-1 too (w1solve.gamma_set)
+    bits, blocks, columns = [], [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
+        columns += [f"{path.name}:{node.lineno}" for node in _calls(tree)
+                    if node.func.attr == "packbits"
+                    and [ast.unparse(k) for k in node.keywords] != ["axis=1"]]
+        columns += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("_packed")
+                    and (len(node.args) != 1 or node.keywords)]
         if path.name != "w1solve.py":
             bits += [f"{path.name}:{node.lineno}" for node in _calls(tree)
                      if node.func.attr in ("packbits", "unpackbits")
@@ -150,7 +187,8 @@ def test_one_owner_for_bit_rows_and_row_blocks():
         names = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
                  for target in node.targets if isinstance(target, ast.Name)}
         blocks += [f"{path.name}:{name}" for name in sorted(names) if "BLOCK" in name]
-    assert bits == []
+    assert bits == [] and columns == []
+    assert list(inspect.signature(w1._packed).parameters) == ["M"]
     assert blocks == ["mmspace.py:TRIPLE_BLOCK", "mmspace.py:_ROW_BLOCK"]
     assert not hasattr(ms, "_row_blocks") and not hasattr(ms, "_BLOCK")
 

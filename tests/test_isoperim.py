@@ -11,7 +11,7 @@ from needlekit import cli
 from needlekit import curvature as cv
 from needlekit import isoperim as iso
 from needlekit import mmspace as ms
-from needlekit.errors import BadVolume, MeshTooCoarse
+from needlekit.errors import BadDimension, BadParameter, BadVolume, MeshTooCoarse
 
 
 def test_model_profile_trivial_volumes():
@@ -20,6 +20,14 @@ def test_model_profile_trivial_volumes():
     assert iso.model_profile(spec, 1.0) == 0.0
     with pytest.raises(BadVolume):
         iso.model_profile(spec, 1.5)
+
+
+@pytest.mark.parametrize("K, N, error", [(np.nan, 2.0, BadParameter), (np.inf, 2.0, BadParameter),
+                                         (1.0, np.nan, BadDimension), (1.0, np.inf, BadDimension)])
+def test_model_profile_spec_rejects_nonfinite_K_or_N(K, N, error):
+    # unchecked, a NaN K falls into the K = 0 family and a Levy-Gromov check passes
+    with pytest.raises(error):
+        iso.ModelProfileSpec(K, N, 1.0)
 
 
 def test_model_profile_spherical_half():

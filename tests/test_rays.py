@@ -177,7 +177,7 @@ def test_non_chain_component_orphaned():
     g = w1.GammaSet(mask, tol=1e-6)
     R = np.ones((3, 3), dtype=bool)        # fabricated: everything related
     st = ry.TransportStructure(
-        gamma=g, r=ry._packed(R, 1),
+        gamma=g, r=ry._packed(R),
         initial_points=np.array([0]), final_points=np.array([2]),
         transport_set_e=np.array([0, 1, 2]),
         branching_fwd=np.array([], dtype=int), branching_bwd=np.array([], dtype=int),
@@ -221,7 +221,7 @@ def test_packed_branching_matches_matmul(n, fill, seed, diagonal, upper):
     if diagonal:
         np.fill_diagonal(mask, True)
     R = mask | mask.T
-    fwd, bwd = ry._packed(mask, 1), ry._packed(mask, 0)
+    fwd, bwd = ry._packed(mask), ry._packed(mask.T)
     r = fwd | bwd
     assert np.array_equal(np.unpackbits(r.view(np.uint8), axis=1, count=n).view(bool), R)
     for G, M in ((fwd, mask), (bwd, mask.T)):
@@ -243,7 +243,7 @@ def test_clique_cover_matches_matmul(n, seed, diagonal, deleted, added):
     mask |= rng.random((n, n)) < added
     np.fill_diagonal(mask, diagonal)
     R = mask | mask.T
-    fwd, bwd = ry._packed(mask, 1), ry._packed(mask, 0)
+    fwd, bwd = ry._packed(mask), ry._packed(mask.T)
     not_r = ~(fwd | bwd)
     rows = np.arange(n)
     for G, M in ((fwd, mask), (bwd, mask.T)):

@@ -28,7 +28,9 @@ CASES = {
                                                         [[0.5, 0.4, 1.0, 2.0]]),
     "mollify-eps": lambda: cv.mollify_density(_model(), 2.0, 0.0),
     "minkowski-eps": lambda: iso.minkowski_content(_interval(), np.ones(64, bool), [-0.1, 0.2]),
+    "minkowski-eps-nan": lambda: iso.minkowski_content(_interval(), np.ones(64, bool), [np.nan]),
     "cyclic-monotonicity-k": lambda: w1.check_cyclic_monotonicity(None, None, k=1),
+    "cyclic-monotonicity-trials": lambda: w1.check_cyclic_monotonicity(None, None, trials=0),
     "density-shape": lambda: ms.Density1D(GRID, np.ones(4)),
     "density-grid-order": lambda: ms.Density1D(GRID[::-1], np.ones(5)),
     "density-values": lambda: ms.Density1D(GRID, -np.ones(5)),
@@ -36,6 +38,8 @@ CASES = {
     "model-profile-volume": lambda: iso.model_profile(iso.ModelProfileSpec(1.0, 2.0, np.pi), 1.5),
     "levy-gromov-volume": lambda: iso.levy_gromov_check(
         _interval(), iso.ModelProfileSpec(0.0, 2.0, 1.0), [-0.2]),
+    "levy-gromov-empty-grid": lambda: iso.levy_gromov_check(
+        _interval(), iso.ModelProfileSpec(0.0, 2.0, 1.0), []),
 }
 
 

@@ -146,6 +146,38 @@ def test_gamma_mask_matches_dense_formula():
     assert np.array_equal(g.mask, (phi[:, None] - phi[None, :]) >= (space.D - g.tol))
 
 
+def _line_with_duplicates(n, seed, as_matrix):
+    rng = np.random.default_rng(seed)
+    t = np.cumsum(rng.random(n) + 0.1)
+    dup = rng.choice(np.arange(1, n), size=6, replace=False)
+    t[dup] = t[dup - 1]
+    if as_matrix:
+        return ms.build_space(list(range(n)), {"type": "matrix", "data": np.abs(t[:, None] - t)})
+    return ms.MMSpace(list(range(n)), None, np.full(n, 1.0 / n), kind="interval", line_coord=t)
+
+
+@pytest.mark.parametrize("case", ["cap", "cloud", "graph", "interval-duplicates", "line-matrix"])
+def test_gamma_bwd_is_the_transpose_of_fwd(case):
+    # Gamma^-1 is packed from the rows of Gamma's own pass, which is exact
+    # only while every space's distances are symmetric bit for bit
+    if case == "cap":
+        space = ms.generate_sphere_sample(2, 200, seed=0)
+        order = np.argsort(-space.coords[:, 2], kind="stable")
+        mu0, mu1 = np.zeros(space.n), np.zeros(space.n)
+        mu0[order[:50]] = mu1[order[-50:]] = 1.0 / 50
+    else:
+        space = {"cloud": lambda: _cloud(90, 9), "graph": lambda: _uniform_grid_graph(9),
+                 "interval-duplicates": lambda: _line_with_duplicates(150, 2, False),
+                 "line-matrix": lambda: _line_with_duplicates(150, 3, True)}[case]()
+        mu0, mu1 = _marginals(space.n, 4)
+    assert (space.line_coord is not None) == (case in ("interval-duplicates", "line-matrix"))
+    g = w1.gamma_set(space, w1.solve_w1(space, mu0, mu1))
+    mask = g.mask
+    assert mask.sum() > space.n
+    assert np.array_equal(w1._unpacked(g.bwd, space.n), mask.T)
+    assert np.array_equal(g.bwd, w1._packed(mask.T))     # padding bits too
+
+
 def test_gamma_tol_too_small():
     import dataclasses
     sp = _cloud(10, 4)
@@ -314,6 +346,18 @@ def test_bad_certificate_rejected():
     mu1 = np.zeros(6); mu1[3] = 1.0
     with pytest.raises(SolverFailure):
         w1.from_certificate(sp, mu0, mu1, [(0, 3)], [1.0], np.zeros(6))
+
+
+@pytest.mark.parametrize("bad", ["mass", "potential"])
+def test_certificate_with_nan_is_rejected(bad):
+    # a NaN opens no comparison, so the duality gap test must fail on it
+    sp = _cloud(8, 12)
+    mu0, mu1 = _marginals(8, 12)
+    sol = w1.solve_w1(sp, mu0, mu1)
+    masses, phi = sol.masses.copy(), sol.potential.copy()
+    (masses if bad == "mass" else phi)[0] = np.nan
+    with pytest.raises(SolverFailure, match="duality gap nan"):
+        w1.from_certificate(sp, mu0, mu1, sol.pairs, masses, phi)
 
 
 def test_certificate_marginal_error_named():
