@@ -122,6 +122,11 @@ def _constant_report(density: Density1D, rel_tol: float) -> CDReport:
                     reason=None if spread <= rel_tol else "density not constant (N=1)")
 
 
+def _check_rel_tol(rel_tol: float) -> None:
+    if not 0 <= rel_tol < np.inf:   # NaN fails too
+        raise BadParameter(f"rel_tol must be finite and >= 0, got {rel_tol}")
+
+
 def _node_tuples(density: Density1D, tuples, width: int, name: str, ordered,
                  order: str) -> np.ndarray:
     """The (k, width) node tuples of a check, after the tests both checks
@@ -167,6 +172,7 @@ def cd_density_check(density: Density1D, K: float, N: float, triples,
     N = 1 the check degenerates to "h is constant".
     """
     _check_KN(K, N, 1)
+    _check_rel_tol(rel_tol)
     if N == 1:
         return _constant_report(density, rel_tol)
     triples = _node_tuples(density, triples, 3, "triples", lambda t0, t1, s: t0 < t1, "t0 < t1")
@@ -201,6 +207,7 @@ def mcp_density_check(density: Density1D, K: float, N: float, quadruples,
     if not K > 0:
         raise BadParameter("only the K > 0 sine-ratio branch is implemented")
     _check_KN(K, N, 1)
+    _check_rel_tol(rel_tol)
     if N == 1:
         return _constant_report(density, rel_tol)
     quads = _node_tuples(density, quadruples, 4, "quadruples",
@@ -257,10 +264,10 @@ def mollify_density(density: Density1D, N: float, eps: float) -> Density1D:
     density's finest step, with composite Simpson weights on the kernel
     window.
     """
-    if N <= 1:
-        raise BadDimension("mollification needs N > 1")
-    if eps <= 0:
-        raise BadParameter("eps must be positive")
+    if not 1 < N < np.inf:          # NaN fails too
+        raise BadDimension(f"mollification needs a finite N > 1, got {N}")
+    if not 0 < eps < np.inf:
+        raise BadParameter(f"eps must be finite and positive, got {eps}")
     a, b = density.domain
     step_in = np.diff(density.grid).min()
     step = step_in / 10

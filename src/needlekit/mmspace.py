@@ -89,9 +89,9 @@ class MMSpace:
     "sphere2"); `line_coord` is a 1D isometric embedding when one exists,
     `coords` are ambient coordinates for sphere samples, and `density` the
     generating Density1D for interval models. Distances are read through `rows`,
-    `row_blocks`, `dist` and `pairs_within`: interval models compute
-    |t_i - t_j| (`D` is built afresh on each call); other spaces store a
-    matrix, never changed.
+    `row_blocks`, `triangle_blocks`, `dist` and `pairs_within`: interval models
+    compute |t_i - t_j| (`D` is built afresh on each call); other spaces store
+    a matrix, never changed.
     """
 
     point_ids: list
@@ -116,12 +116,14 @@ class MMSpace:
 
     def rows(self, idx, cols=None, out=None) -> np.ndarray:
         """Distances from the points `idx` (a slice or index array) to `cols`
-        (an index array, or all points), computed into `out` if given."""
+        (a slice, an index array, or all points), computed into `out` if given;
+        on matrix spaces a view of the matrix when both are slices."""
         M, t = self._matrix, self.line_coord
+        cols = slice(None) if cols is None else cols
         if M is None:
-            diff = np.subtract(t[idx, None], t[None, :] if cols is None else t[None, cols], out=out)
+            diff = np.subtract(t[idx, None], t[None, cols], out=out)
             return np.abs(diff, out=diff)
-        return M[idx] if cols is None else M[np.ix_(np.arange(self.n)[idx], cols)]
+        return M[idx, cols] if isinstance(cols, slice) else M[np.ix_(np.arange(self.n)[idx], cols)]
 
     def row_blocks(self, idx=None, cols=None):
         """Yield (lo, hi, rows(idx[lo:hi], cols)) (idx: all points) in blocks of
@@ -134,6 +136,19 @@ class MMSpace:
         for lo, hi in ranges:
             out = None if buf is None else buf[:hi - lo]
             yield lo, hi, self.rows(slice(lo, hi) if idx is None else idx[lo:hi], cols, out)
+
+    def triangle_blocks(self):
+        """Yield (lo, hi, rows(slice(lo, hi), slice(lo, None))): every pair x <= y
+        once, plus the lower half of each diagonal block, in blocks of about
+        _ROW_BLOCK entries (at most max(_ROW_BLOCK, n)). Matrix spaces yield
+        views; interval models reuse one buffer, as in `row_blocks`."""
+        n, lo = self.n, 0
+        buf = np.empty(max(_ROW_BLOCK, n)) if self._matrix is None else None
+        while lo < n:
+            hi = min(lo + max(1, _ROW_BLOCK // (n - lo)), n)
+            out = None if buf is None else buf[:(hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
+            yield lo, hi, self.rows(slice(lo, hi), slice(lo, None), out)
+            lo = hi
 
     def dist(self, i, j) -> np.ndarray:
         """d(i, j) elementwise, for broadcastable index arrays."""
@@ -164,19 +179,39 @@ class MMSpace:
         return float(self._matrix.max())
 
     @functools.cached_property
+    def nearest(self) -> np.ndarray:
+        """Each point's nearest-neighbor distance (inf for a lone point). Only
+        points with nearest <= 0 can have coincident partners (`coincident`)."""
+        if self._matrix is None:     # each point's nearest neighbour is adjacent in order
+            order = np.argsort(self.line_coord, kind="stable")
+            gaps = np.diff(self.line_coord[order])
+            near = np.empty(self.n)
+            near[order] = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
+            return near
+        near = np.empty(self.n)
+        for lo, hi, block in self.row_blocks():
+            off = block.copy()      # the stored matrix is never changed
+            off[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+            near[lo:hi] = off.min(axis=1)
+        return near
+
+    @functools.cached_property
+    def coincident(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs (i, j), i != j, at distance <= 0, as two index arrays in
+        row-major order; only the rows of points with `nearest` <= 0 are read."""
+        z = np.flatnonzero(self.nearest <= 0)
+        i, j = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+        for lo, hi, block in self.row_blocks(z, z):
+            r, c = np.nonzero(block <= 0)
+            i.append(z[lo + r])
+            j.append(z[c])
+        i, j = np.concatenate(i), np.concatenate(j)
+        return i[i != j], j[i != j]
+
+    @functools.cached_property
     def mesh(self) -> float:
         """Largest nearest-neighbor distance (covering scale of the sample)."""
-        if self.n < 2:
-            return 0.0
-        if self._matrix is None:     # each point's nearest neighbour is adjacent in order
-            gaps = np.diff(np.sort(self.line_coord))
-            return float(np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf)).max())
-        cols = np.arange(self.n)
-        mesh = -np.inf
-        for lo, hi, block in self.row_blocks():
-            offdiag = cols != cols[lo:hi, None]
-            mesh = max(mesh, block.min(axis=1, initial=np.inf, where=offdiag).max())
-        return float(mesh)
+        return float(self.nearest.max()) if self.n >= 2 else 0.0
 
     def index_of(self, point_id) -> int:
         return self.point_ids.index(point_id)

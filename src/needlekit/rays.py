@@ -1,12 +1,14 @@
 """Transport-set structure: end points, branching sets, ray partition.
 
 Everything is driven by the saturated pair set Gamma of a solved W1
-instance. Pairs at zero distance count as diagonal ("x = y"). The
-branching sets are computed by their definition: x is forward-branching
-when two of its Gamma-successors are not related by R = Gamma u Gamma^-1,
-that is when some z in Gamma(x) has Gamma(x) & ~R(z) != 0. The test runs
-on Gamma and R as bit rows packed into 64-bit words, each AND over the
-words that Gamma(x) spans; it is exact on every space.
+instance. Pairs at zero distance count as diagonal ("x = y"): they are
+the space's `coincident` pairs, so Gamma and R are read as bit rows, and
+distances only along the chains. The branching sets are computed by
+their definition: x is forward-branching when two of its
+Gamma-successors are not related by R = Gamma u Gamma^-1, that is when
+some z in Gamma(x) has Gamma(x) & ~R(z) != 0. The test runs on Gamma and
+R as bit rows packed into 64-bit words, each AND over the words that
+Gamma(x) spans; it is exact on every space.
 
 Most rows never need that test. x is non-branching exactly when Gamma(x)
 is an R-clique, and any subset of an R-clique is one. So the rows are
@@ -33,7 +35,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from .mmspace import MMSpace
-from .w1solve import GammaSet, W1Solution, _bit, _packed, _set_bits, _unpacked
+from .w1solve import GammaSet, W1Solution, _bit, _nonzero_bits, _packed, _set_bits, _unpacked
 
 
 @dataclasses.dataclass
@@ -141,14 +143,21 @@ def _clique_cover(P: np.ndarray, rows: np.ndarray, may_cover) -> np.ndarray:
     return cover
 
 
+def _has_distinct(P: np.ndarray, space: MMSpace) -> np.ndarray:
+    """Whether each bit row x of P holds a y at d(x, y) > 0: its popcount less
+    its diagonal bit and the bits of x's coincident pairs."""
+    x, (i, j) = np.arange(len(P)), space.coincident
+    count = np.bitwise_count(P).sum(axis=1, dtype=np.int64) - _bit(P, x, x)
+    np.subtract.at(count, i, _bit(P, i, j))
+    return count > 0
+
+
 def build_transport_structure(space: MMSpace, gamma: GammaSet) -> TransportStructure:
-    """End points, T_e, branching sets and T, straight from the definitions."""
-    n, fwd, bwd = space.n, gamma.fwd, gamma.bwd
-    has_succ, has_pred = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-    for lo, hi, block in space.row_blocks():
-        nontrivial = _unpacked(fwd[lo:hi], n) & (block > 0)
-        has_succ[lo:hi] = nontrivial.any(axis=1)
-        has_pred |= nontrivial.any(axis=0)
+    """End points, T_e, branching sets and T, straight from the definitions: a
+    point has a strict successor (predecessor) when its row of Gamma (Gamma^-1)
+    holds a point at positive distance."""
+    fwd, bwd = gamma.fwd, gamma.bwd
+    has_succ, has_pred = _has_distinct(fwd, space), _has_distinct(bwd, space)
     te = np.where(has_succ | has_pred)[0]
     r = fwd | bwd
     not_r = ~r
@@ -201,24 +210,20 @@ def partition_rays(space: MMSpace, structure: TransportStructure,
 
     # a head has no other point of its row at distance 0, so it is joined to
     # every row it covers and to all of their neighbours: the graph needs only
-    # the rows of heads and of rows that cannot be covered
+    # the rows of heads and of rows that cannot be covered. Its edges are R in
+    # T less the diagonal and the coincident pairs (distance 0).
     in_t = np.zeros((1, n), dtype=bool)
     in_t[0, T] = True
     rt = structure.r & _packed(in_t)
-
-    def no_duplicate(c):
-        w = _set_bits(rt, c)    # R(c) in T
-        return ((space.dist(c, w) > 0) | (w == c)).all()
-
-    cover = _clique_cover(rt, T, no_duplicate)[T]
+    ci, cj = space.coincident
+    duplicate = np.zeros(n, dtype=bool)     # a coincident partner in its row of rt
+    duplicate[ci[_bit(rt, ci, cj)]] = True
+    cover = _clique_cover(rt, T, lambda c: not duplicate[c])[T]
     keep = np.flatnonzero((cover < 0) | (cover == T))
-    rows, cols = [], []
-    for lo, hi, block in space.row_blocks(T[keep]):
-        pts = T[keep[lo:hi]]
-        r, c = np.nonzero((_unpacked(structure.r[pts], n) & (block > 0))[:, T])
-        rows.append(keep[lo + r])
-        cols.append(c)
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    pts = T[keep]
+    r, c = _nonzero_bits(rt[pts])
+    edge = (c != pts[r]) & ~np.isin(pts[r] * n + c, ci * n + cj)
+    rows, cols = keep[r[edge]], np.searchsorted(T, c[edge])
     graph = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(T), len(T)))
     ncomp, labels = connected_components(graph, directed=False)
     # all chains at once: by component, then by decreasing phi, then by index

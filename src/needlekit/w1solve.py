@@ -98,6 +98,14 @@ def _set_bits(P: np.ndarray, x: int, lo: int = 0, hi: int | None = None) -> np.n
     return 64 * lo + np.flatnonzero(np.unpackbits(P[x, lo:hi].view(np.uint8)))
 
 
+def _nonzero_bits(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of every set bit of the bit rows P, row-major; only the
+    nonzero words are unpacked."""
+    r, w = np.nonzero(P)
+    k, b = np.nonzero(np.unpackbits(P[r, w].view(np.uint8).reshape(-1, 8), axis=1))
+    return r[k], 64 * w[k] + b
+
+
 def _bit(P: np.ndarray, i, j) -> np.ndarray:
     """Bit (i, j) of the bit rows P, elementwise for broadcastable index arrays."""
     return (P.view(np.uint8)[i, j >> 3] >> (7 - (j & 7)) & 1) == 1
@@ -614,10 +622,16 @@ def _extend_potential(space, moved, c):
 
 
 def _lipschitz_residual(phi, space):
-    """max over x, y of |phi(x) - phi(y)| - d(x, y), clipped at 0, in row blocks."""
-    lip = 0.0
-    for lo, hi, block in space.row_blocks():
-        lip = max(lip, float((np.abs(phi[lo:hi, None] - phi[None, :]) - block).max()))
+    """max over x, y of |phi(x) - phi(y)| - d(x, y), clipped at 0, over the pairs
+    x <= y only (both terms are symmetric bit for bit); the differences go into
+    one buffer, grown to the largest triangle block."""
+    lip, buf = 0.0, np.empty(0)
+    for lo, hi, block in space.triangle_blocks():
+        if buf.size < block.size:
+            buf = np.empty(block.size)
+        diff = np.subtract(phi[lo:hi, None], phi[None, lo:],
+                           out=buf[:block.size].reshape(block.shape))
+        lip = max(lip, float(np.subtract(np.abs(diff, out=diff), block, out=diff).max()))
     return lip
 
 
@@ -699,6 +713,8 @@ def gamma_set(space: MMSpace, solution: W1Solution, tol: float | None = None) ->
     the same row pass, which is exact as every space's distances are symmetric."""
     if tol is None:
         tol = gamma_tol(space, solution)
+    if np.isnan(tol):
+        raise BadParameter("Gamma tol must not be NaN")
     if solution.lipschitz_residual > tol:
         raise TolTooSmall(
             f"lipschitz residual {solution.lipschitz_residual} above tol {tol}")

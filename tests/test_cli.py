@@ -263,3 +263,16 @@ def test_one_point_space_without_marginals_exits_1(tmp_path, command, capsys):
         assert cli.main([command, "--space", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error [ConfigError]:") and "zero-mean split" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-cd", "--K", "1", "--N", "2", "--tol", "nan"],
+    ["check-cd", "--K", "1", "--N", "2", "--tol", "-1"],
+    ["check-mcp", "--K", "1", "--N", "2", "--tol", "nan"],
+    ["decompose", "--seed", "5", "--tol", "nan"],
+])
+def test_nan_or_negative_tol_exits_1(interval_spec, argv, capsys):
+    # unchecked, check-cd --tol nan fails the model at margin -1.4e-15, and
+    # decompose --tol nan blamed a plan pair excluded from Gamma
+    assert cli.main(argv[:1] + ["--space", interval_spec] + argv[1:]) == 1
+    assert capsys.readouterr().err.startswith("error [BadParameter]:")

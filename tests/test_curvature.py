@@ -403,3 +403,28 @@ def test_density_csv_without_header(tmp_path):
     path.write_text("0,1\n0.5,2\n1,1\n")
     dens = cv.load_density_csv(path)
     assert dens.grid.tolist() == [0.0, 0.5, 1.0] and dens.values.tolist() == [1.0, 2.0, 1.0]
+
+
+@pytest.mark.parametrize("rel_tol", [np.nan, -1.0, np.inf])
+@pytest.mark.parametrize("call", ["cd", "mcp", "cd-N1"])
+def test_bad_rel_tol_is_rejected(call, rel_tol):
+    # unchecked, rel_tol = NaN or -1 fails the (1, 2, pi) model at margin -1.4e-15
+    dens = ms.model_density(1.0, 2.0, np.pi, 200)
+    run = {"cd": lambda: cv.cd_density_check(dens, 1.0, 2.0, cv.sample_triples(dens.grid, 500),
+                                             rel_tol=rel_tol),
+           "mcp": lambda: cv.mcp_density_check(dens, 1.0, 2.0, cv.sample_quadruples(dens.grid, 500),
+                                               rel_tol=rel_tol),
+           "cd-N1": lambda: cv.cd_density_check(_FLAT, 0.0, 1.0, [[0.2, 0.8, 0.5]], rel_tol=rel_tol)}
+    with pytest.raises(BadParameter):
+        run[call]()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["N", "eps"])
+def test_nonfinite_mollify_parameter_is_rejected(which, bad):
+    # unchecked, eps = NaN raised a bare ValueError and eps = inf an
+    # OverflowError; N = NaN or inf surfaced as Density1D's value errors
+    N, eps = (bad, 0.05) if which == "N" else (2.0, bad)
+    with pytest.raises(BadParameter) as info:
+        cv.mollify_density(ms.model_density(1.0, 2.0, np.pi, 50), N, eps)
+    assert type(info.value) is (BadDimension if which == "N" else BadParameter)

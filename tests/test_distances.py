@@ -257,3 +257,25 @@ def test_pairs_within_is_built_once_under_contention():
     assert np.array_equal(indptr, np.r_[0, np.cumsum(near.sum(axis=1))])
     assert np.array_equal(cols, np.nonzero(near)[1]) and np.array_equal(data, D[near])
     assert space.pairs_within(R) is graphs[0] and space.pairs_within(R / 2) is not graphs[0]
+
+
+def test_rays_reads_bits_and_only_mmspace_walks_the_triangle():
+    # rays reads Gamma and R as bit rows and distances only along its chains
+    # (`dist`); the triangle walk, rows over a column slice, is built in
+    # mmspace alone and read only by the Lipschitz certificate
+    called = {node.func.attr for node in _calls(ast.parse((SRC / "rays.py").read_text()))}
+    assert not called & {"rows", "row_blocks", "triangle_blocks", "pairs_within"}
+    walks, sliced, readers = [], [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        walks += [f"{path.name}:{node.name}" for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and "triangle" in node.name]
+        if path.name != "mmspace.py":
+            sliced += [f"{path.name}:{node.lineno}" for node in _calls(tree)
+                       if node.func.attr == "rows"
+                       and "slice(" in ast.unparse(node.args[1:] + [k.value for k in node.keywords])]
+        readers += [f"{path.name}:{fn.name}" for fn in ast.walk(tree)
+                    if isinstance(fn, ast.FunctionDef)
+                    for node in _calls(fn) if node.func.attr == "triangle_blocks"]
+    assert walks == ["mmspace.py:triangle_blocks"] and sliced == []
+    assert readers == ["w1solve.py:_lipschitz_residual"]

@@ -6,7 +6,7 @@ from scipy.optimize import linprog
 
 from needlekit import mmspace as ms
 from needlekit import w1solve as w1
-from needlekit.errors import SolverFailure, TolTooSmall, UnbalancedMarginals
+from needlekit.errors import BadParameter, SolverFailure, TolTooSmall, UnbalancedMarginals
 from ssp_oracle import ssp_cost
 
 
@@ -940,3 +940,11 @@ def test_parent_cycle_weight_matches_walk(seed):
     want_weight, want_length = _walked_cycle(edge, src, w)
     assert length == want_length
     assert weight == pytest.approx(want_weight, rel=0, abs=1e-12)
+
+
+def test_gamma_tol_nan_is_bad_parameter():
+    # unchecked, NaN excluded every pair and raised TolTooSmall for a plan pair
+    space = ms.generate_interval_model(1.0, 2.0, np.pi, 200)[0]
+    sol = w1.solve_w1(space, *_marginals(space.n, 2))
+    with pytest.raises(BadParameter):
+        w1.gamma_set(space, sol, tol=np.nan)
