@@ -57,10 +57,10 @@ def sigma(K: float, N: float, t, theta):
     th_arr = np.asarray(theta, dtype=float)
     scalar = t_arr.ndim == 0 and th_arr.ndim == 0
     t_arr, th_arr = np.broadcast_arrays(np.atleast_1d(t_arr), np.atleast_1d(th_arr))
-    if np.any(t_arr < -1e-15) or np.any(t_arr > 1 + 1e-15):
+    if not np.all((-1e-15 <= t_arr) & (t_arr <= 1 + 1e-15)):
         raise BadParameter("t must lie in [0, 1]")
-    if np.any(th_arr < 0):
-        raise BadParameter("theta must be nonnegative")
+    if not np.all((0 <= th_arr) & (th_arr < np.inf)):
+        raise BadParameter("theta must be finite and nonnegative")
     out = np.empty_like(t_arr)
     kt2 = K * th_arr**2
     zero = kt2 == 0

@@ -186,6 +186,8 @@ def minkowski_content(space: MMSpace, set_indicator, eps_list) -> MinkowskiEstim
     the cost follows the number of such pairs, not n * |A|.
     """
     eps_arr = np.sort(np.asarray([float(e) for e in eps_list]))
+    if eps_arr.size == 0:
+        raise BadParameter("eps list must be nonempty")
     if not np.all((eps_arr > 0) & np.isfinite(eps_arr)):
         raise BadParameter("eps values must be positive and finite")
     mesh = space.mesh

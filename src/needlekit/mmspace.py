@@ -298,11 +298,14 @@ def build_space(points, metric_spec, weights=None) -> MMSpace:
             raise DisconnectedGraph("graph with no edges")
         rows, cols, vals = [], [], []
         for i, j, w in edges:
-            if w < 0:
-                raise MetricViolation("negative edge weight")
-            rows += [int(i), int(j)]
-            cols += [int(j), int(i)]
-            vals += [float(w), float(w)]
+            i, j, w = int(i), int(j), float(w)
+            if not (0 <= i < n and 0 <= j < n):
+                raise MetricViolation(f"edge ({i}, {j}, {w:g}): endpoint outside 0..{n - 1}")
+            if not 0 <= w < np.inf:
+                raise MetricViolation(f"edge ({i}, {j}, {w:g}): weight must be finite and >= 0")
+            rows += [i, j]
+            cols += [j, i]
+            vals += [w, w]
         adj = csr_matrix((vals, (rows, cols)), shape=(n, n))
         D = shortest_path(adj, method="D", directed=False)
         if np.any(np.isinf(D)):
@@ -343,8 +346,8 @@ def generate_interval_model(K: float, N: float, D: float, n: int) -> tuple[MMSpa
     _check_KN(K, N, 1)
     if n < 16:
         raise BadParameter("need n >= 16 grid points")
-    if D <= 0:
-        raise BadDiameter("D must be positive")
+    if not 0 < D < np.inf:
+        raise BadDiameter("D must be finite and positive")
     if K > 0:
         dmax = np.pi * np.sqrt((N - 1) / K)
         if D > dmax * (1 + 1e-12):

@@ -7,8 +7,9 @@ distances only along the chains. The branching sets are computed by
 their definition: x is forward-branching when two of its
 Gamma-successors are not related by R = Gamma u Gamma^-1, that is when
 some z in Gamma(x) has Gamma(x) & ~R(z) != 0. The test runs on Gamma and
-R as bit rows packed into 64-bit words, each AND over the words that
-Gamma(x) spans; it is exact on every space.
+R as bit rows packed into 64-bit words: one AND of Gamma(x) with ~R on
+the rows of Gamma(x)'s bits and the words it spans, both read once by
+the clique cover; it is exact on every space.
 
 Most rows never need that test. x is non-branching exactly when Gamma(x)
 is an R-clique, and any subset of an R-clique is one. So the rows are
@@ -51,7 +52,7 @@ class TransportStructure:
 
     @property
     def R(self) -> np.ndarray:
-        """R as an (n, n) bool array, unpacked afresh on each call."""
+        """R as an (n, n) bool array, unpacked afresh on each call; for inspection."""
         return _unpacked(self.r, len(self.r))
 
     def branching_mass(self, weights: np.ndarray) -> dict:
@@ -97,23 +98,20 @@ class RayDecomposition:
         }
 
 
-def _branching(G: np.ndarray, not_r: np.ndarray, x: int) -> bool:
-    """Whether some z in G(x) has G(x) & ~R(z) != 0, on packed rows; the AND
-    spans G(x)'s nonzero words, so the test is exact."""
-    nz = np.flatnonzero(G[x])
-    if not nz.size:
-        return False
-    lo, hi = nz[0], nz[-1] + 1
-    return bool((not_r[_set_bits(G, x, lo, hi), lo:hi] & G[x, lo:hi]).any())
+def _branching(G: np.ndarray, r: np.ndarray, x: int, y: np.ndarray, words: slice) -> bool:
+    """Whether some z in G(x) has G(x) & ~R(z) != 0, on packed rows: y holds
+    G(x)'s set bits and `words` spans its nonzero words, so one AND is exact."""
+    return bool((G[x, words] & ~r[y, words]).any())
 
 
 def _clique_cover(P: np.ndarray, rows: np.ndarray, may_cover) -> np.ndarray:
     """Cover `rows` of the square packed bool matrix P by heads.
 
     Rows are visited by popcount, largest first (ties by position in
-    `rows`). A visited row c that fails may_cover(c) is left uncovered;
-    one that passes becomes a head, and every unvisited y in `rows` among
-    c's bits with P[y] inside P[c] is covered by c and never visited.
+    `rows`). A visited row c that fails may_cover(c, y, words), with y its
+    set bits and `words` the span of its nonzero words, is left uncovered;
+    one that passes becomes a head, and every unvisited row in `rows` among
+    y whose bits lie inside P[c] is covered by c and never visited.
     Returns cover with cover[c] = c for a head c, cover[y] = c for a row y
     covered by c, and -1 for failed rows and rows not in `rows`."""
     nz = P != 0
@@ -129,11 +127,11 @@ def _clique_cover(P: np.ndarray, rows: np.ndarray, may_cover) -> np.ndarray:
         if not todo[c]:
             continue
         todo[c] = False
-        if not may_cover(c):
-            continue
-        cover[c] = c
         lo, hi = first[c], last[c] + 1
         y = _set_bits(P, c, lo, hi)
+        if not may_cover(c, y, slice(lo, hi)):
+            continue
+        cover[c] = c
         y = y[todo[y]]
         if y.size:
             y = y[(first[y] >= lo) & (last[y] < hi)]
@@ -160,10 +158,9 @@ def build_transport_structure(space: MMSpace, gamma: GammaSet) -> TransportStruc
     has_succ, has_pred = _has_distinct(fwd, space), _has_distinct(bwd, space)
     te = np.where(has_succ | has_pred)[0]
     r = fwd | bwd
-    not_r = ~r
 
     def branching(G):   # a row covered by a clique is not branching; a failed one is
-        cover = _clique_cover(G, te, lambda c: not _branching(G, not_r, c))
+        cover = _clique_cover(G, te, lambda c, y, words: not _branching(G, r, c, y, words))
         return te[cover[te] < 0]
 
     a_plus, a_minus = branching(fwd), branching(bwd)
@@ -218,7 +215,7 @@ def partition_rays(space: MMSpace, structure: TransportStructure,
     ci, cj = space.coincident
     duplicate = np.zeros(n, dtype=bool)     # a coincident partner in its row of rt
     duplicate[ci[_bit(rt, ci, cj)]] = True
-    cover = _clique_cover(rt, T, lambda c: not duplicate[c])[T]
+    cover = _clique_cover(rt, T, lambda c, y, words: not duplicate[c])[T]
     keep = np.flatnonzero((cover < 0) | (cover == T))
     pts = T[keep]
     r, c = _nonzero_bits(rt[pts])

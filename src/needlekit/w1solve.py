@@ -114,19 +114,15 @@ def _bit(P: np.ndarray, i, j) -> np.ndarray:
 @dataclasses.dataclass
 class GammaSet:
     """Pairs with phi(x) - phi(y) >= d(x,y) - tol, diagonal included, as bit rows
-    (`_packed`) of Gamma (fwd) and Gamma^-1 (bwd); a bool mask as `fwd` is packed."""
+    (`_packed`) of Gamma (fwd) and Gamma^-1 (bwd)."""
 
     fwd: np.ndarray
     tol: float
-    bwd: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.fwd.dtype == bool:
-            self.fwd, self.bwd = _packed(self.fwd), _packed(self.fwd.T)
+    bwd: np.ndarray
 
     @property
     def mask(self) -> np.ndarray:
-        """The (n, n) bool mask, unpacked afresh on each call."""
+        """The (n, n) bool mask, unpacked afresh on each call; for inspection."""
         return _unpacked(self.fwd, len(self.fwd))
 
     @property
@@ -742,13 +738,13 @@ def check_cyclic_monotonicity(space: MMSpace, gamma: GammaSet, k: int = 4,
     if trials < 1:
         raise BadParameter("trials must be >= 1")
     rng = rng or np.random.default_rng(0)
-    pairs = np.argwhere(gamma.mask)
-    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-    if len(pairs) == 0:
+    i, j = _nonzero_bits(gamma.fwd)     # row-major, as np.argwhere
+    offdiag = i != j
+    i, j = i[offdiag], j[offdiag]
+    if len(i) == 0:
         return {"worst_violation": 0.0, "trials": 0, "k": k, "vacuous": True}
-    idx = rng.integers(0, len(pairs), size=(trials, k))
-    x = pairs[idx, 0]
-    y = pairs[idx, 1]
+    idx = rng.integers(0, len(i), size=(trials, k))
+    x, y = i[idx], j[idx]
     matched = space.dist(x, y).sum(axis=1)
     shifted = space.dist(x, np.roll(y, -1, axis=1)).sum(axis=1)
     worst = float((matched - shifted).max())

@@ -189,6 +189,23 @@ def test_one_owner_for_bit_rows_and_row_blocks():
         blocks += [f"{path.name}:{name}" for name in sorted(names) if "BLOCK" in name]
     assert bits == [] and columns == []
     assert list(inspect.signature(w1._packed).parameters) == ["M"]
+    # Gamma and R stay bit rows: `.mask` and `.R` unpack them for inspection
+    # only, and only gamma_set makes a GammaSet
+    dense, makers = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Attribute) and node.attr in ("mask", "R"):
+                    dense.append(f"{path.name}:{func.name}:.{node.attr}")
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    if node.func.id == "_unpacked":
+                        dense.append(f"{path.name}:{func.name}:_unpacked")
+                    if node.func.id == "GammaSet":
+                        makers.append(f"{path.name}:{func.name}")
+    assert sorted(dense) == ["rays.py:R:_unpacked", "w1solve.py:mask:_unpacked"]
+    assert makers == ["w1solve.py:gamma_set"]
     assert blocks == ["mmspace.py:TRIPLE_BLOCK", "mmspace.py:_ROW_BLOCK"]
     assert not hasattr(ms, "_row_blocks") and not hasattr(ms, "_BLOCK")
 

@@ -174,7 +174,7 @@ def test_non_chain_component_orphaned():
     sp = ms.build_space([0, 1, 2], {"type": "matrix", "data": D})
     mask = np.eye(3, dtype=bool)
     mask[0, 1] = True                      # only (0,1) saturated
-    g = w1.GammaSet(mask, tol=1e-6)
+    g = w1.GammaSet(ry._packed(mask), 1e-6, ry._packed(mask.T))
     R = np.ones((3, 3), dtype=bool)        # fabricated: everything related
     st = ry.TransportStructure(
         gamma=g, r=ry._packed(R),
@@ -225,7 +225,8 @@ def test_packed_branching_matches_matmul(n, fill, seed, diagonal, upper):
     r = fwd | bwd
     assert np.array_equal(np.unpackbits(r.view(np.uint8), axis=1, count=n).view(bool), R)
     for G, M in ((fwd, mask), (bwd, mask.T)):
-        assert [ry._branching(G, ~r, x) for x in range(n)] == list(_branch_counts(M, R) > 0.5)
+        assert ([ry._branching(G, r, x, np.flatnonzero(M[x]), slice(None)) for x in range(n)]
+                == list(_branch_counts(M, R) > 0.5))
 
 
 @settings(max_examples=200, deadline=None)
@@ -244,10 +245,10 @@ def test_clique_cover_matches_matmul(n, seed, diagonal, deleted, added):
     np.fill_diagonal(mask, diagonal)
     R = mask | mask.T
     fwd, bwd = ry._packed(mask), ry._packed(mask.T)
-    not_r = ~(fwd | bwd)
+    r = fwd | bwd
     rows = np.arange(n)
     for G, M in ((fwd, mask), (bwd, mask.T)):
-        cover = ry._clique_cover(G, rows, lambda c: not ry._branching(G, not_r, c))
+        cover = ry._clique_cover(G, rows, lambda c, y, words: not ry._branching(G, r, c, y, words))
         assert np.array_equal(cover < 0, _branch_counts(M, R) > 0.5)
         covered = np.flatnonzero((cover >= 0) & (cover != rows))
         heads = cover[covered]
@@ -259,7 +260,8 @@ def test_clique_cover_matches_matmul(n, seed, diagonal, deleted, added):
     dup = rng.choice(np.arange(1, n), size=min(n - 1, 3), replace=False)
     t[dup] = t[dup - 1]
     space = ms.build_space(list(range(n)), {"type": "matrix", "data": np.abs(t[:, None] - t)})
-    st = ry.build_transport_structure(space, w1.GammaSet(mask, tol=1e-9))
+    st = ry.build_transport_structure(
+        space, w1.GammaSet(ry._packed(mask), 1e-9, ry._packed(mask.T)))
 
     class _Sol:
         potential = -t
@@ -360,9 +362,9 @@ def test_cover_tests_few_rows_and_prunes_the_graph(monkeypatch):
     tested, graphs = {}, []
     branching, components = ry._branching, ry.connected_components
 
-    def branching_spy(G, not_r, x):
+    def branching_spy(G, r, x, y, words):
         tested[id(G)] = tested.get(id(G), 0) + 1
-        return branching(G, not_r, x)
+        return branching(G, r, x, y, words)
 
     def components_spy(graph, **kw):
         graphs.append(graph.nnz)

@@ -1,4 +1,7 @@
-"""Out-of-range parameters raise a `BadParameter` subclass (also a ValueError)."""
+"""Out-of-range parameters raise a `BadParameter` subclass (also a ValueError);
+a bad graph edge is a `MetricViolation`."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from needlekit import curvature as cv
 from needlekit import isoperim as iso
 from needlekit import mmspace as ms
 from needlekit import w1solve as w1
-from needlekit.errors import BadParameter, BadVolume
+from needlekit.errors import BadDiameter, BadParameter, BadVolume, MetricViolation
 
 GRID = np.linspace(0.0, 1.0, 5)
 
@@ -23,12 +26,14 @@ def _interval():
 CASES = {
     "sigma-t": lambda: cv.sigma(1.0, 2.0, 1.5, 0.1),
     "sigma-theta": lambda: cv.sigma(1.0, 2.0, 0.5, -0.1),
+    "sigma-nan-theta": lambda: cv.sigma(0.0, 2.0, np.full(4, 0.5), np.full(4, np.nan)),
     "cd-triple-order": lambda: cv.cd_density_check(_model(), 1.0, 2.0, [[1.0, 0.5, 0.5]]),
     "mcp-quadruple-order": lambda: cv.mcp_density_check(_model(), 1.0, 2.0,
                                                         [[0.5, 0.4, 1.0, 2.0]]),
     "mollify-eps": lambda: cv.mollify_density(_model(), 2.0, 0.0),
     "minkowski-eps": lambda: iso.minkowski_content(_interval(), np.ones(64, bool), [-0.1, 0.2]),
     "minkowski-eps-nan": lambda: iso.minkowski_content(_interval(), np.ones(64, bool), [np.nan]),
+    "minkowski-eps-empty": lambda: iso.minkowski_content(_interval(), np.ones(64, bool), []),
     "cyclic-monotonicity-k": lambda: w1.check_cyclic_monotonicity(None, None, k=1),
     "cyclic-monotonicity-trials": lambda: w1.check_cyclic_monotonicity(None, None, trials=0),
     "density-shape": lambda: ms.Density1D(GRID, np.ones(4)),
@@ -52,3 +57,23 @@ def test_out_of_range_parameter_is_bad_parameter(case):
 
 def test_bad_volume_is_a_bad_parameter():
     assert issubclass(BadVolume, BadParameter) and issubclass(BadVolume, ValueError)
+
+
+@pytest.mark.parametrize("n, edges", [
+    (3, [[0, 1, 1.0], [1, 2, 1.0], [0, 2, np.nan]]), (2, [[0, 1, np.nan]]),
+    (2, [[0, 1, np.inf]]), (2, [[0, 5, 1.0]]), (2, [[1, -1, 1.0]])],
+    ids=["nan-chord", "nan", "inf", "endpoint-high", "endpoint-negative"])
+def test_bad_graph_edge_is_a_metric_violation(n, edges):
+    # a NaN chord was dropped and a NaN or inf edge read as disconnected;
+    # an endpoint out of range raised scipy's bare ValueError
+    with pytest.raises(MetricViolation, match=r"^edge \("):
+        ms.build_space(list(range(n)), {"type": "graph", "edges": edges})
+
+
+@pytest.mark.parametrize("D", [np.nan, np.inf, -np.inf])
+def test_nonfinite_interval_diameter_is_a_bad_diameter(D):
+    # D <= 0 let NaN and inf through to the grid, with numpy warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadDiameter, match="D must be finite and positive"):
+            ms.generate_interval_model(0.0, 2.0, D, 64)

@@ -227,7 +227,7 @@ def test_cyclic_monotonicity_valid_and_adversarial():
     assert slack[bad] > 0.1
     mask = g.mask
     mask[bad] = True
-    g = w1.GammaSet(mask, g.tol)
+    g = w1.GammaSet(w1._packed(mask), g.tol, w1._packed(mask.T))
     worst = 0.0
     for k in (2, 3, 4):
         rep = w1.check_cyclic_monotonicity(sp, g, k=k, trials=20000, rng=rng)
@@ -242,6 +242,48 @@ def test_cyclic_monotonicity_empty_gamma():
     g = w1.gamma_set(sp, sol, tol=1e-14)
     rep = w1.check_cyclic_monotonicity(sp, g, k=3, trials=100)
     assert rep["vacuous"] and rep["worst_violation"] == 0.0
+
+
+def _cyclic_monotonicity_oracle(space, gamma, k, trials, rng):
+    """The dense route: off-diagonal pairs from np.argwhere of the unpacked mask."""
+    pairs = np.argwhere(gamma.mask)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    if len(pairs) == 0:
+        return {"worst_violation": 0.0, "trials": 0, "k": k, "vacuous": True}
+    idx = rng.integers(0, len(pairs), size=(trials, k))
+    x, y = pairs[idx, 0], pairs[idx, 1]
+    matched = space.dist(x, y).sum(axis=1)
+    shifted = space.dist(x, np.roll(y, -1, axis=1)).sum(axis=1)
+    return {"worst_violation": float((matched - shifted).max()), "trials": trials, "k": k,
+            "vacuous": False}
+
+
+def _transport_instance(case, seed):
+    if case == "cloud":
+        return _cloud(70, seed), *_marginals(70, seed)
+    if case == "cap":
+        sp = ms.generate_sphere_sample(2, 300, seed=seed)
+        order = np.argsort(-sp.coords[:, 2], kind="stable")
+        mu0, mu1 = np.zeros(sp.n), np.zeros(sp.n)
+        mu0[order[:75]] = mu1[order[-75:]] = 1.0 / 75
+        return sp, mu0, mu1
+    sp = ms.generate_interval_model(0.0, 2.0, 1.0, 500)[0]
+    return sp, *_marginals(sp.n, seed)
+
+
+@pytest.mark.parametrize("case, seed", [("cloud", 3), ("cloud", 11), ("cloud", 17),
+                                        ("cap", 0), ("interval", 5)])
+def test_cyclic_monotonicity_matches_the_dense_route(case, seed):
+    # Gamma's pairs are read from its bit rows in the row-major order of
+    # np.argwhere, so the same rng draws give the same report
+    sp, mu0, mu1 = _transport_instance(case, seed)
+    g = w1.gamma_set(sp, w1.solve_w1(sp, mu0, mu1))
+    assert g.count > sp.n
+    for k in (2, 3, 5):
+        got = w1.check_cyclic_monotonicity(sp, g, k=k, trials=3000,
+                                           rng=np.random.default_rng(seed + k))
+        assert got == _cyclic_monotonicity_oracle(sp, g, k, 3000,
+                                                  np.random.default_rng(seed + k))
 
 
 def _snapped_chain(space, i, j):
