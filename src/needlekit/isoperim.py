@@ -8,7 +8,7 @@ infimum to this family imports the known characterization of the 1D
 minimizers; it is not re-derived here.
 
 Empirical profiles are estimates obtained from candidate sets (metric
-balls and potential sublevels) thresholded to the requested mass; their
+balls about random centres) thresholded to the requested mass; their
 boundary measure is a Richardson-extrapolated Minkowski quotient, since
 raw quotients at fixed eps systematically overestimate on discrete
 spaces. They are not upper bounds: the eps window carries a first-order
@@ -20,14 +20,11 @@ defect are recorded and the model is compared at the attained mass.
 from __future__ import annotations
 
 import dataclasses
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .errors import BadDiameter, BadParameter, BadVolume, MeshTooCoarse
 from .mmspace import MMSpace, _check_KN
-from .w1solve import solve_w1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,7 +49,7 @@ class ProfilePoint:
 
 
 QUAD_N = 4096
-FLAT_OMEGA_D = 1e-7     # below this w*D a K > 0 model is the K = 0 one to O((w D)^2)
+FLAT_OMEGA_D = 1e-6     # below this w*D a K > 0 model is the K = 0 one to O((w D)^2)
 
 
 def _profile_objective(spec: ModelProfileSpec, v: float):
@@ -124,7 +121,7 @@ def model_profile(spec: ModelProfileSpec, v: float) -> float:
     several humps of sin, whose zeros give cuts of content 0. Below
     w*D = FLAT_OMEGA_D (w = sqrt(K/(N-1))) the K = 0 family is used: the
     sin basis can no longer resolve the members that vanish inside [0, D],
-    and the two models differ by O((w D)^2), about 1e-14. Otherwise
+    and the two models differ by O((w D)^2), about 1e-12. Otherwise
     an infinite D gives 0 (the profile trivializes); for N = 1 the family
     is the constant densities and the value is 1/D. Otherwise the family
     parameter is scanned at 128 points and the three best are refined by
@@ -227,39 +224,31 @@ def zero_mean_split(space: MMSpace, rng):
 
 
 def empirical_profile(space: MMSpace, v: float, candidate_budget: int = 32,
-                      rng=None, include_potential: bool = True) -> ProfilePoint:
+                      rng=None) -> ProfilePoint:
     """Estimate of the isoperimetric profile by candidate search; it
     carries the eps window's curvature bias (see the module docstring).
 
-    Candidates are sublevel sets of distance functions to random base
-    points (metric balls) and of the Kantorovich potential of a random
-    zero-mean function, each thresholded to the nearest attainable mass.
-    Candidates are ranked with a short eps ladder, then the few best are
-    re-estimated on the full ladder: taking a minimum over many noisy
-    estimates would bias the profile downward. Both ladders end at the
-    same eps, so every content reads one pair graph of the space.
+    Candidates are metric balls about `candidate_budget` distinct random
+    centres (all points when there are fewer), each thresholded to the
+    nearest attainable mass. Candidates are ranked with a short eps
+    ladder, then the few best are re-estimated on the full ladder: taking
+    a minimum over many noisy estimates would bias the profile downward.
+    Both ladders end at the same eps, so every content reads one pair
+    graph of the space.
     """
     if not 0.0 < v < 1.0:
         raise BadVolume(f"v={v} outside (0, 1)")
+    if not candidate_budget >= 1:   # NaN fails too
+        raise BadParameter(f"candidate_budget must be >= 1, got {candidate_budget}")
     rng = rng or np.random.default_rng(0)
     coarse = default_eps_window(space, 6)
     fine = default_eps_window(space, 16)
-    scores = []
-    n_pot = 2 if include_potential else 0
-    n_balls = max(candidate_budget - n_pot, 1)
-    bases = rng.choice(space.n, size=min(n_balls, space.n), replace=False)
-    for base in bases:
-        scores.append((f"ball@{int(base)}", space.rows([int(base)])[0]))
-    split = zero_mean_split(space, rng) if include_potential else None
-    if split is not None:
-        sol = solve_w1(space, *split)
-        scores.append(("potential+", sol.potential))
-        scores.append(("potential-", -sol.potential))
+    centres = rng.choice(space.n, size=min(candidate_budget, space.n), replace=False)
     ranked = []
-    for name, score in scores:
-        mask, attained = _threshold_to_mass(space, score, v)
+    for c in centres:
+        mask, attained = _threshold_to_mass(space, space.rows([int(c)])[0], v)
         est = minkowski_content(space, mask, coarse)
-        ranked.append((est.value, name, mask, attained))
+        ranked.append((est.value, f"ball@{int(c)}", mask, attained))
     ranked.sort(key=lambda r: r[0])
     best = None
     for _, name, mask, attained in ranked[:3]:
@@ -270,14 +259,12 @@ def empirical_profile(space: MMSpace, v: float, candidate_budget: int = 32,
     return best
 
 
-def empirical_profiles(space: MMSpace, v_grid, rng=None, candidate_budget: int = 32,
-                       include_potential: bool = True) -> list[ProfilePoint]:
+def empirical_profiles(space: MMSpace, v_grid, rng=None,
+                       candidate_budget: int = 32) -> list[ProfilePoint]:
     """`empirical_profile` at each volume of `v_grid`, the i-th on the i-th
     stream spawned from `rng`, so the points do not depend on the order the
     volumes run in, and no two seeds share a stream. v in {0, 1} gives the
-    trivial point (content 0, candidate ""). The volumes run across threads
-    exactly when each solves a W1 LP (potential candidates on a space off
-    the line engine); only there did threads pay."""
+    trivial point (content 0, candidate "")."""
     rng = rng or np.random.default_rng(0)
     v_grid = list(v_grid)
     if not v_grid:
@@ -285,18 +272,13 @@ def empirical_profiles(space: MMSpace, v_grid, rng=None, candidate_budget: int =
     for v in v_grid:
         if not 0.0 <= v <= 1.0:
             raise BadVolume(f"v={v} outside [0, 1]")
-    streams = rng.spawn(len(v_grid))
-
-    def one(i):
-        v = v_grid[i]
+    points = []
+    for v, stream in zip(v_grid, rng.spawn(len(v_grid))):
         if v in (0.0, 1.0):
-            return ProfilePoint(v=float(v), content=0.0, requested_v=float(v))
-        return empirical_profile(space, v, candidate_budget, streams[i], include_potential)
-
-    if not include_potential or space.line_coord is not None:
-        return [one(i) for i in range(len(v_grid))]
-    with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
-        return list(pool.map(one, range(len(v_grid))))
+            points.append(ProfilePoint(v=float(v), content=0.0, requested_v=float(v)))
+        else:
+            points.append(empirical_profile(space, v, candidate_budget, stream))
+    return points
 
 
 def levy_gromov_check(space: MMSpace, spec: ModelProfileSpec, v_grid,
@@ -304,14 +286,21 @@ def levy_gromov_check(space: MMSpace, spec: ModelProfileSpec, v_grid,
                       include_potential: bool = True,
                       allowance: float | None = None) -> dict:
     """Empirical profiles (`empirical_profiles`) against the model profile
-    I_{K,N,D} of `spec` (`spec.D` is reported as `D_used`).
+    I_{K,N,D} of `spec` (`spec.D` is reported as `D_used`; it must be
+    finite, since an unbounded model reads 0 and any space would pass).
 
     Passes when every empirical content clears the model value minus the
-    discretization allowance (default max(5% of the model, 4 * mesh); 0 at
-    the trivial volumes 0 and 1).
+    discretization allowance (finite and >= 0; default max(5% of the
+    model, 4 * mesh); 0 at the trivial volumes 0 and 1).
+    `include_potential` is not read: candidates are metric balls only, and
+    it stays in the signature for callers that pass it.
     """
+    if not np.isfinite(spec.D):
+        raise BadDiameter(f"D must be finite, got {spec.D}")
+    if allowance is not None and not 0 <= allowance < np.inf:   # NaN fails too
+        raise BadParameter(f"allowance must be finite and >= 0, got {allowance}")
     rows = []
-    for p in empirical_profiles(space, v_grid, rng, candidate_budget, include_potential):
+    for p in empirical_profiles(space, v_grid, rng, candidate_budget):
         model = model_profile(spec, p.v)
         if p.requested_v in (0.0, 1.0):
             allow = 0.0

@@ -298,6 +298,8 @@ def build_space(points, metric_spec, weights=None) -> MMSpace:
             raise DisconnectedGraph("graph with no edges")
         rows, cols, vals = [], [], []
         for i, j, w in edges:
+            if not (float(i).is_integer() and float(j).is_integer()):
+                raise MetricViolation(f"edge ({i}, {j}, {float(w):g}): endpoints must be integers")
             i, j, w = int(i), int(j), float(w)
             if not (0 <= i < n and 0 <= j < n):
                 raise MetricViolation(f"edge ({i}, {j}, {w:g}): endpoint outside 0..{n - 1}")

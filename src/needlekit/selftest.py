@@ -265,8 +265,7 @@ def criterion_levy_gromov() -> CriterionResult:
                       for r in rep["rows"])
 
     sphere = ms.generate_sphere_sample(2, 2000, 0)
-    ep = iso.empirical_profile(sphere, 0.5, candidate_budget=24,
-                               rng=np.random.default_rng(6), include_potential=False)
+    ep = iso.empirical_profile(sphere, 0.5, candidate_budget=24, rng=np.random.default_rng(6))
     smodel = iso.model_profile(iso.ModelProfileSpec(1.0, 2.0, sphere.max_distance), ep.v)
     sphere_ok = ep.content >= smodel * (1 - 0.10)
     dt = time.time() - t0

@@ -1,4 +1,6 @@
+import ast
 import json
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -166,6 +168,7 @@ def _direct_model_profile(spec, v):
 @example(K=2.220446049250313e-16, N=1.9375, frac=1.0, v=0.75)  # w*D = 9e-8
 @example(K=7e-15, N=2.0, frac=1.0, v=0.4)                      # w*D = 5e-7
 @example(K=1e-10, N=2.0, frac=1.0, v=0.3)                      # w*D = 6e-5
+@example(K=1e-15, N=1.125, frac=1.0, v=0.015625)               # w*D = 5.4e-7
 def test_model_profile_matches_direct_evaluation(K, N, frac, v):
     # the tabulated basis (angle addition for K > 0) against direct evaluation
     cap = np.pi * np.sqrt((N - 1.0) / K) if K > 0 else 6.0
@@ -341,7 +344,7 @@ def test_levy_gromov_sphere_against_steeper_models():
     # which the diameter clamp keeps from collapsing to 0
     sphere = ms.generate_sphere_sample(2, 1000, 0)
     reps = [iso.levy_gromov_check(sphere, iso.ModelProfileSpec(K, 2.0, np.pi), [0.25],
-                                  include_potential=False, allowance=0.05) for K in (1.0, 2.0)]
+                                  allowance=0.05) for K in (1.0, 2.0)]
     assert [r["verdict"] for r in reps] == ["pass", "fail"]
     assert reps[1]["rows"][0]["model"] == pytest.approx(np.sqrt(2.0) * np.sin(np.pi / 3) / 2,
                                                         abs=1e-4)
@@ -362,17 +365,28 @@ def test_levy_gromov_rejects_volumes_outside_unit_interval(v):
 
 def test_sphere_hemisphere_content_sanity():
     sphere = ms.generate_sphere_sample(2, 1000, 0)
-    ep = iso.empirical_profile(sphere, 0.5, candidate_budget=12,
-                               rng=np.random.default_rng(7), include_potential=False)
+    ep = iso.empirical_profile(sphere, 0.5, candidate_budget=12, rng=np.random.default_rng(7))
     assert ep.content == pytest.approx(0.5, rel=0.15)
 
 
-def test_sphere_profile_with_potential_candidates():
+def test_sphere_profile_from_ball_candidates():
+    # every candidate is a metric ball about one of `candidate_budget`
+    # distinct centres drawn from the stream
     sphere = ms.generate_sphere_sample(2, 400, 0)
-    ep = iso.empirical_profile(sphere, 0.4, candidate_budget=10,
-                               rng=np.random.default_rng(8), include_potential=True)
+    ep = iso.empirical_profile(sphere, 0.4, candidate_budget=10, rng=np.random.default_rng(8))
     assert 0 < ep.content < 2.0
     assert 0.3 < ep.v < 0.5
+    assert ep.candidate.startswith("ball@")
+    assert int(ep.candidate[5:]) in np.random.default_rng(8).choice(400, 10, replace=False)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_large_volume_profiles_on_the_sphere_come_from_balls(seed):
+    # potential-sublevel candidates read below the exact profile sqrt(v(1-v))
+    # at large volumes, which no set can do; balls are the only candidates
+    sphere = ms.generate_sphere_sample(2, 600, 1)
+    points = iso.empirical_profiles(sphere, [0.75, 0.9], rng=np.random.default_rng(seed))
+    assert all(p.candidate.startswith("ball@") for p in points)
 
 
 def test_levy_gromov_rows_share_one_key_set():
@@ -395,16 +409,13 @@ def test_levy_gromov_takes_the_model_at_spec_D():
     assert row["model"] < iso.model_profile(iso.ModelProfileSpec(0.0, 2.0, 1.0), row["v_attained"])
 
 
-@pytest.mark.parametrize("metric, include_potential, threaded", [
-    ({"type": "sphere2", "n": 400, "seed": 0}, True, True),
-    ({"type": "sphere2", "n": 400, "seed": 0}, False, False),
-    ({"type": "interval", "K": 1.0, "N": 2.0, "D": np.pi, "n": 1000}, True, False),
+@pytest.mark.parametrize("metric", [
+    {"type": "sphere2", "n": 400, "seed": 0},
+    {"type": "interval", "K": 1.0, "N": 2.0, "D": np.pi, "n": 1000},
 ])
-def test_volumes_share_one_pair_graph_threaded_or_not(metric, include_potential, threaded,
-                                                      monkeypatch, tmp_path):
+def test_volumes_share_one_pair_graph(metric, monkeypatch, tmp_path):
     # a 3-volume check and `needlekit profile` build the eps-pair graph once
-    # per space and radius; volumes run in threads exactly when each solves
-    # a W1 LP off the line engine, and give the rows that serial volumes give
+    # per space and radius
     spec_path = tmp_path / "space.json"
     spec_path.write_text(json.dumps({"metric": metric}))
     builds = []
@@ -416,42 +427,29 @@ def test_volumes_share_one_pair_graph_threaded_or_not(metric, include_potential,
         return graph
 
     monkeypatch.setattr(ms.MMSpace, "pairs_within", spy)
+    space = ms.from_spec({"metric": metric})
+    iso.levy_gromov_check(space, iso.ModelProfileSpec(1.0, 2.0, space.max_distance),
+                          [0.25, 0.5, 0.75], rng=np.random.default_rng(5))
+    assert cli.main(["profile", "--space", str(spec_path), "--out",
+                     str(tmp_path / "profile.json")]) == 0
+    graphs = {}
+    for owner, R, graph in builds:
+        graphs.setdefault((id(owner), R), set()).add(id(graph))
+    assert len(builds) > 3 * len(graphs)
+    assert all(len(ids) == 1 for ids in graphs.values())
 
-    def run():
-        builds.clear()
-        space = ms.from_spec({"metric": metric})
-        rows = iso.levy_gromov_check(space, iso.ModelProfileSpec(1.0, 2.0, space.max_distance),
-                                     [0.25, 0.5, 0.75], rng=np.random.default_rng(5),
-                                     include_potential=include_potential)["rows"]
-        out = tmp_path / "profile.json"
-        if include_potential:     # `profile` always tries the potential candidates
-            assert cli.main(["profile", "--space", str(spec_path), "--out", str(out)]) == 0
-        points = json.loads(out.read_text())["points"] if include_potential else None
-        graphs = {}
-        for owner, R, graph in builds:
-            graphs.setdefault((id(owner), R), set()).add(id(graph))
-        assert len(builds) > 3 * len(graphs)
-        assert all(len(ids) == 1 for ids in graphs.values())
-        return rows, points
 
-    made = []
+def test_profiles_need_no_thread_pool_and_no_w1_solve():
+    # balls are the only profile candidates, so no volume solves a W1 LP,
+    # and nothing in src/ runs volumes in a pool
+    def imported(path):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                yield from (a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                yield from (f"{node.module or ''}.{a.name}".lstrip(".") for a in node.names)
 
-    class SerialPool:
-        """A ThreadPoolExecutor stand-in that maps in the calling thread."""
-
-        def __init__(self, max_workers):
-            made.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    found = run()
-    monkeypatch.setattr(iso, "ThreadPoolExecutor", SerialPool)
-    assert run() == found
-    assert bool(made) == threaded
+    src = pathlib.Path(iso.__file__).parent
+    assert [m for path in sorted(src.glob("*.py")) for m in imported(path)
+            if m.startswith("concurrent")] == []
+    assert [m for m in imported(src / "isoperim.py") if m.startswith("w1solve")] == []

@@ -48,7 +48,7 @@ def test_profile_seeds_share_no_stream(tmp_path, monkeypatch):
                                            "D": 1.0, "n": 60}}))
     calls = []
 
-    def spy(space, v, candidate_budget=32, rng=None, include_potential=True):
+    def spy(space, v, candidate_budget=32, rng=None):
         seq = rng.bit_generator.seed_seq
         calls.append((seq.entropy, seq.spawn_key))
         return iso.ProfilePoint(v=v, content=1.0, requested_v=v, candidate="spy")

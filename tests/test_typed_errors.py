@@ -45,6 +45,25 @@ CASES = {
         _interval(), iso.ModelProfileSpec(0.0, 2.0, 1.0), [-0.2]),
     "levy-gromov-empty-grid": lambda: iso.levy_gromov_check(
         _interval(), iso.ModelProfileSpec(0.0, 2.0, 1.0), []),
+    # an unbounded model reads 0, so any space passed against it
+    "levy-gromov-infinite-D-flat": lambda: iso.levy_gromov_check(
+        _interval(), iso.ModelProfileSpec(0.0, 2.0, np.inf), [0.5]),
+    "levy-gromov-infinite-D-negative-K": lambda: iso.levy_gromov_check(
+        _interval(), iso.ModelProfileSpec(-1.0, 2.0, np.inf), [0.5]),
+    # NaN reported a fail, inf passed anything, a negative one was taken
+    "levy-gromov-allowance-nan": lambda: iso.levy_gromov_check(
+        _interval(), iso.ModelProfileSpec(0.0, 2.0, 1.0), [0.5], allowance=np.nan),
+    "levy-gromov-allowance-inf": lambda: iso.levy_gromov_check(
+        _interval(), iso.ModelProfileSpec(0.0, 2.0, 1.0), [0.5], allowance=np.inf),
+    "levy-gromov-allowance-negative": lambda: iso.levy_gromov_check(
+        _interval(), iso.ModelProfileSpec(0.0, 2.0, 1.0), [0.5], allowance=-0.1),
+    # a budget below 1 was clamped to one ball
+    "empirical-profile-budget-zero": lambda: iso.empirical_profile(
+        _interval(), 0.5, candidate_budget=0),
+    "levy-gromov-budget-negative": lambda: iso.levy_gromov_check(
+        _interval(), iso.ModelProfileSpec(0.0, 2.0, 1.0), [0.5], candidate_budget=-3),
+    "empirical-profile-budget-nan": lambda: iso.empirical_profile(
+        _interval(), 0.5, candidate_budget=np.nan),
 }
 
 
@@ -61,13 +80,21 @@ def test_bad_volume_is_a_bad_parameter():
 
 @pytest.mark.parametrize("n, edges", [
     (3, [[0, 1, 1.0], [1, 2, 1.0], [0, 2, np.nan]]), (2, [[0, 1, np.nan]]),
-    (2, [[0, 1, np.inf]]), (2, [[0, 5, 1.0]]), (2, [[1, -1, 1.0]])],
-    ids=["nan-chord", "nan", "inf", "endpoint-high", "endpoint-negative"])
+    (2, [[0, 1, np.inf]]), (2, [[0, 5, 1.0]]), (2, [[1, -1, 1.0]]),
+    (3, [[0, 1.7, 1.0], [1, 2, 1.0]])],
+    ids=["nan-chord", "nan", "inf", "endpoint-high", "endpoint-negative", "endpoint-fractional"])
 def test_bad_graph_edge_is_a_metric_violation(n, edges):
     # a NaN chord was dropped and a NaN or inf edge read as disconnected;
-    # an endpoint out of range raised scipy's bare ValueError
+    # an endpoint out of range raised scipy's bare ValueError, and a
+    # fractional one was truncated to an integer
     with pytest.raises(MetricViolation, match=r"^edge \("):
         ms.build_space(list(range(n)), {"type": "graph", "edges": edges})
+
+
+def test_fractional_endpoint_in_a_spec_without_points_is_a_metric_violation():
+    # the space was sized from the truncated endpoints, then built from them
+    with pytest.raises(MetricViolation, match=r"^edge \(0, 1\.7, 1\): endpoints must be integers"):
+        ms.from_spec({"metric": {"type": "graph", "edges": [[0, 1.7, 1.0], [1, 2, 1.0]]}})
 
 
 @pytest.mark.parametrize("D", [np.nan, np.inf, -np.inf])
