@@ -59,28 +59,28 @@ def sigma(K: float, N: float, t, theta):
     t_arr, th_arr = np.broadcast_arrays(np.atleast_1d(t_arr), np.atleast_1d(th_arr))
     if not np.all((-1e-15 <= t_arr) & (t_arr <= 1 + 1e-15)):
         raise BadParameter("t must lie in [0, 1]")
-    if not np.all((0 <= th_arr) & (th_arr < np.inf)):
-        raise BadParameter("theta must be finite and nonnegative")
-    out = np.empty_like(t_arr)
-    kt2 = K * th_arr**2
-    zero = kt2 == 0
-    out[zero] = t_arr[zero]
-    if K > 0:
-        pos = ~zero
-        blow = pos & (kt2 >= N * np.pi**2)
-        out[blow] = np.inf
-        fin = pos & ~blow
-        if fin.any():
-            om = np.sqrt(K / N)
-            out[fin] = np.sin(t_arr[fin] * th_arr[fin] * om) / np.sin(th_arr[fin] * om)
-    elif K < 0:
-        neg = ~zero
-        if N == 0:
-            out[neg] = t_arr[neg]
-        elif neg.any():
-            om = np.sqrt(-K / N)
-            out[neg] = np.sinh(t_arr[neg] * th_arr[neg] * om) / np.sinh(th_arr[neg] * om)
+    out, = _sigmas(K, N, (t_arr,), th_arr)
     return float(out[0]) if scalar else out
+
+
+def _sigmas(K: float, N: float, ts, theta: np.ndarray) -> list:
+    """[sigma(K, N, t, theta) for t in ts], each t shaped like theta, with one
+    theta check and one denominator; the sin or sinh ratio runs over whole arrays."""
+    if not np.all((0 <= theta) & (theta < np.inf)):
+        raise BadParameter("theta must be finite and nonnegative")
+    kt2 = K * theta**2
+    blow = (kt2 >= N * np.pi**2) & (kt2 != 0)       # only K > 0 reaches N pi^2
+    on = (kt2 != 0) & ~blow & (K > 0 or N > 0)      # with N = 0, K theta^2 < 0 keeps t
+    outs = [np.array(t, dtype=float) for t in ts]     # the value where K theta^2 = 0
+    if on.any():
+        fn, om = (np.sin, np.sqrt(K / N)) if K > 0 else (np.sinh, np.sqrt(-K / N))
+        with np.errstate(all="ignore"):     # 0/0 off the branch is not copied
+            den = fn(theta * om)
+            for out, t in zip(outs, ts):
+                np.copyto(out, fn(t * theta * om) / den, where=on)
+    for out in outs:
+        out[blow] = np.inf
+    return outs
 
 
 def tau(K: float, N: float, t, theta):
@@ -97,17 +97,24 @@ def tau(K: float, N: float, t, theta):
 
 
 def _interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """np.interp(x, xp, fp) bit for bit while slopes are finite: the bracket
-    xp[j] <= x < xp[j + 1] is guessed from the mean step, checked, and searched on a miss."""
+    """np.interp(x, xp, fp) bit for bit while slopes are finite: the bracket xp[j] <= x < xp[j + 1]
+    is guessed from the mean step, moved one cell up when x reaches xp[j + 1] (node queries often
+    round one cell low) and checked; only misses, x out of range or NaN among them, are searched."""
     last = len(xp) - 2
+    xp1, fp1 = xp[1:], fp[1:]       # xp1[j] is xp[j + 1]
     g = (x - xp[0]) * ((last + 1) / (xp[-1] - xp[0]))
-    j = np.minimum(np.where(g > 0, g, 0), last).astype(np.intp)
-    miss = np.flatnonzero(~((xp[j] <= x) & (x < xp[j + 1])))
-    j[miss] = np.clip(np.searchsorted(xp, x[miss], side="right") - 1, 0, last)
-    out = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
-    out[x < xp[0]] = fp[0]
-    out[x >= xp[-1]] = fp[-1]
-    return np.where(np.isnan(x), x, out)
+    j = np.minimum(np.fmax(g, 0, out=g), last, out=g).astype(np.intp)     # fmax sends NaN to 0
+    j += (x >= xp1[j]) & (j < last)
+    x0, x1 = xp[j], xp1[j]
+    miss = np.flatnonzero(~((x0 <= x) & (x < x1)))
+    xm = x[miss]
+    j[miss] = np.clip(np.searchsorted(xp, xm, side="right") - 1, 0, last)
+    x0[miss], x1[miss] = xp[j[miss]], xp1[j[miss]]
+    f0 = fp[j]
+    out = (fp1[j] - f0) / (x1 - x0) * (x - x0) + f0
+    out[miss] = np.select([xm < xp[0], xm >= xp[-1], np.isnan(xm)], [fp[0], fp[-1], xm],
+                          out[miss])
+    return out
 
 
 def _profile(density: Density1D, N: float) -> np.ndarray:
@@ -175,7 +182,9 @@ def cd_density_check(density: Density1D, K: float, N: float, triples,
     _check_rel_tol(rel_tol)
     if N == 1:
         return _constant_report(density, rel_tol)
-    triples = _node_tuples(density, triples, 3, "triples", lambda t0, t1, s: t0 < t1, "t0 < t1")
+    triples = _node_tuples(density, triples, 3, "triples",
+                           lambda t0, t1, s: (t0 < t1) & (0 <= s) & (s <= 1),
+                           "t0 < t1 and 0 <= s <= 1")
     t0, t1, s = triples.T
     f = _profile(density, N)
     grid = density.grid
@@ -184,8 +193,7 @@ def cd_density_check(density: Density1D, K: float, N: float, triples,
     f0 = _interp(t0, grid, f)
     f1 = _interp(t1, grid, f)
     fm = _interp(mid, grid, f)
-    sig0 = sigma(K, N - 1, 1 - s, theta)
-    sig1 = sigma(K, N - 1, s, theta)
+    sig0, sig1 = _sigmas(K, N - 1, (1 - s, s), theta)
     with np.errstate(invalid="ignore"):
         term0 = np.where(f0 == 0, 0.0, sig0 * f0)
         term1 = np.where(f1 == 0, 0.0, sig1 * f1)
@@ -286,19 +294,31 @@ def mollify_density(density: Density1D, N: float, eps: float) -> Density1D:
     return Density1D(grid, vals)
 
 
+_SORTING_NETWORKS = {3: ((0, 1), (1, 2), (0, 1)),
+                     4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))}
+
+
+def _sorted_draws(n: int, count: int, width: int, rng) -> list:
+    """The columns of rng.integers(0, n, size=(count, width)), each row sorted
+    by a min/max network over the columns: np.sort(axis=1) without a sort per row."""
+    if not (isinstance(count, (int, np.integer)) and count >= 0):
+        raise BadParameter(f"count must be an integer >= 0, got {count!r}")
+    cols = list(rng.integers(0, n, size=(count, width)).T)
+    for a, b in _SORTING_NETWORKS[width]:
+        cols[a], cols[b] = np.minimum(cols[a], cols[b]), np.maximum(cols[a], cols[b])
+    return cols
+
+
 def sample_triples(grid: np.ndarray, count: int, rng=None,
                    include_extremes: bool = True) -> np.ndarray:
     """Node-aligned triples (t0, t1, s): on a uniform grid the midpoint
     (1-s)t0 + s t1 lands exactly on a node, so no interpolation error."""
     rng = rng or np.random.default_rng(0)
     n = len(grid)
-    idx = np.sort(rng.integers(0, n, size=(count, 3)), axis=1)
-    good = (idx[:, 0] < idx[:, 1]) & (idx[:, 1] < idx[:, 2])
-    idx = idx[good]
-    t0 = grid[idx[:, 0]]
-    t1 = grid[idx[:, 2]]
-    s = (idx[:, 1] - idx[:, 0]) / (idx[:, 2] - idx[:, 0])
-    triples = np.stack([t0, t1, s], axis=1)
+    i0, i1, i2 = _sorted_draws(n, count, 3, rng)
+    good = (i0 < i1) & (i1 < i2)
+    i0, i1, i2 = i0[good], i1[good], i2[good]
+    extra = []
     if include_extremes:
         # widest pair with a node midpoint, plus symmetric inner pairs
         j = n - 1 if (n - 1) % 2 == 0 else n - 2
@@ -306,18 +326,22 @@ def sample_triples(grid: np.ndarray, count: int, rng=None,
         for k in (n // 8, n // 4, 3 * n // 8):
             if 0 < k < j - k:
                 extra.append((grid[k], grid[j - k], 0.5))
-        triples = np.concatenate([np.array(extra).reshape(-1, 3), triples], axis=0)
+    triples = np.empty((len(extra) + len(i0), 3))
+    triples[:len(extra)] = np.reshape(extra, (-1, 3))
+    rest = triples[len(extra):]
+    rest[:, 0], rest[:, 1], rest[:, 2] = grid[i0], grid[i2], (i1 - i0) / (i2 - i0)
     return triples
 
 
 def sample_quadruples(grid: np.ndarray, count: int, rng=None) -> np.ndarray:
     """Node quadruples (sigma-, s, tau, sigma+), sigma- < s <= tau < sigma+."""
     rng = rng or np.random.default_rng(0)
-    n = len(grid)
-    idx = np.sort(rng.integers(0, n, size=(count, 4)), axis=1)
-    good = (idx[:, 0] < idx[:, 1]) & (idx[:, 2] < idx[:, 3])
-    idx = idx[good]
-    return grid[idx]
+    cols = _sorted_draws(len(grid), count, 4, rng)
+    good = np.flatnonzero((cols[0] < cols[1]) & (cols[2] < cols[3]))
+    quads = np.empty((len(good), 4), dtype=grid.dtype)
+    for c, col in enumerate(cols):
+        quads[:, c] = grid[col[good]]
+    return quads
 
 
 def load_density_csv(path) -> Density1D:

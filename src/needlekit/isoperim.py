@@ -52,12 +52,12 @@ QUAD_N = 4096
 FLAT_OMEGA_D = 1e-6     # below this w*D a K > 0 model is the K = 0 one to O((w D)^2)
 
 
-def _profile_objective(spec: ModelProfileSpec, v: float):
-    """(evaluate, lo, hi): evaluate(p) is the best half-line cut content at
-    mass v of [max(J_p, 0)]^{N-1} on [0, D], J_p = cos(p) X + sin(p) Y for
-    p in [lo, hi]. The grid and the basis are tabulated once per spec:
-    X, Y = sin wt, cos wt for K > 0 (the angle-addition form of
-    sin(wt + p)); cosh wt, sinh wt for K < 0; 1, t for K = 0."""
+def _profile_family(spec: ModelProfileSpec):
+    """(member, cut, lo, hi): member(p) is (h, cdf, mass) of [max(J_p, 0)]^{N-1} on [0, D],
+    J_p = cos(p) X + sin(p) Y for p in [lo, hi], in buffers the next call overwrites;
+    cut(v, *member(p)) is its best half-line cut content at mass v. The grid and the basis
+    are tabulated once per spec: X, Y = sin wt, cos wt for K > 0 (the angle-addition form
+    of sin(wt + p)); cosh wt, sinh wt for K < 0; 1, t for K = 0."""
     K, N, D = spec.K, spec.N, spec.D
     grid = np.linspace(0.0, D, QUAD_N + 1)
     half = 0.5 * np.diff(grid)
@@ -71,16 +71,20 @@ def _profile_objective(spec: ModelProfileSpec, v: float):
         lo, hi = -np.pi / 2 + 1e-9, np.pi - 1e-9
     J, sY, cell, cdf = np.empty_like(grid), np.empty_like(grid), np.empty_like(half), np.zeros_like(grid)
 
-    def evaluate(p):
+    def member(p):
         np.multiply(np.cos(p), X, out=J)
         np.add(J, np.multiply(np.sin(p), Y, out=sY), out=J)
         h = np.clip(J, 0.0, None, out=J)
         h **= N - 1.0
         np.multiply(half, np.add(h[:-1], h[1:], out=cell), out=cell)
         mass = cell.sum()
+        if mass > 0:
+            np.divide(np.cumsum(cell, out=cdf[1:]), mass, out=cdf[1:])
+        return h, cdf, mass
+
+    def cut(v, h, cdf, mass):
         if mass <= 0:
             return np.inf
-        np.divide(np.cumsum(cell, out=cdf[1:]), mass, out=cdf[1:])
         best = np.inf
         for target in (v, 1.0 - v):
             k = cdf.searchsorted(target)
@@ -93,7 +97,7 @@ def _profile_objective(spec: ModelProfileSpec, v: float):
             best = min(best, float(val))
         return best
 
-    return evaluate, lo, hi
+    return member, cut, lo, hi
 
 
 def _golden(fun, a, b, iters=60):
@@ -125,30 +129,40 @@ def model_profile(spec: ModelProfileSpec, v: float) -> float:
     an infinite D gives 0 (the profile trivializes); for N = 1 the family
     is the constant densities and the value is 1/D. Otherwise the family
     parameter is scanned at 128 points and the three best are refined by
-    golden section, all on one tabulated basis (`_profile_objective`).
+    golden section, all on one tabulated basis (`_profile_family`); a
+    Levy-Gromov check shares one scan among its volumes (`_model_profiles`).
     """
-    if not 0.0 <= v <= 1.0:
-        raise BadVolume(f"v={v} outside [0, 1]")
-    if v in (0.0, 1.0):
-        return 0.0
+    return _model_profiles(spec, [v])[0]
+
+
+def _model_profiles(spec: ModelProfileSpec, vs) -> list[float]:
+    """[model_profile(spec, v) for v in vs]: each of the 128 scanned members is
+    tabulated once and cut at every volume; the golden sections run per volume."""
+    for v in vs:
+        if not 0.0 <= v <= 1.0:
+            raise BadVolume(f"v={v} outside [0, 1]")
+    inner = list(dict.fromkeys(v for v in vs if v not in (0.0, 1.0)))
     if spec.K > 0 and spec.N > 1:     # Bonnet-Myers: no CD(K, N) model is longer
         D = min(spec.D, np.pi * np.sqrt((spec.N - 1) / spec.K))
         flat = np.sqrt(spec.K / (spec.N - 1)) * D < FLAT_OMEGA_D
         spec = ModelProfileSpec(0.0 if flat else spec.K, spec.N, D)
     elif not np.isfinite(spec.D):
-        return 0.0
-    if spec.N == 1:
-        return 1.0 / spec.D
-    fun, lo, hi = _profile_objective(spec, v)
+        inner = []
+    if spec.N == 1 or not inner:
+        return [1.0 / spec.D if v in inner else 0.0 for v in vs]
+    member, cut, lo, hi = _profile_family(spec)
     params = np.linspace(lo, hi, 128)
-    vals = np.array([fun(p) for p in params])
-    order = np.argsort(vals)
-    best_val = np.inf
-    for k in order[:3]:
-        a = params[max(k - 1, 0)]
-        b = params[min(k + 1, len(params) - 1)]
-        best_val = min(best_val, _golden(fun, a, b)[1])
-    return float(best_val)
+    vals = np.empty((len(inner), len(params)))
+    for k, p in enumerate(params):
+        m = member(p)
+        vals[:, k] = [cut(v, *m) for v in inner]
+    best = dict.fromkeys(inner, np.inf)
+    for v, row in zip(inner, vals):
+        for k in np.argsort(row)[:3]:
+            a = params[max(k - 1, 0)]
+            b = params[min(k + 1, len(params) - 1)]
+            best[v] = min(best[v], _golden(lambda p: cut(v, *member(p)), a, b)[1])
+    return [float(best.get(v, 0.0)) for v in vs]
 
 
 @dataclasses.dataclass
@@ -300,8 +314,8 @@ def levy_gromov_check(space: MMSpace, spec: ModelProfileSpec, v_grid,
     if allowance is not None and not 0 <= allowance < np.inf:   # NaN fails too
         raise BadParameter(f"allowance must be finite and >= 0, got {allowance}")
     rows = []
-    for p in empirical_profiles(space, v_grid, rng, candidate_budget):
-        model = model_profile(spec, p.v)
+    points = empirical_profiles(space, v_grid, rng, candidate_budget)
+    for p, model in zip(points, _model_profiles(spec, [p.v for p in points])):
         if p.requested_v in (0.0, 1.0):
             allow = 0.0
         else:

@@ -334,8 +334,10 @@ def test_bracket_interp_matches_numpy(n, uniform, seed):
 
 
 @pytest.mark.parametrize("n", [2000, 2001])
-@pytest.mark.parametrize("model", [(1.0, 2.0, np.pi), (1.0, 3.0, np.pi), (-1.0, 2.0, 2.0)])
+@pytest.mark.parametrize("model", [(1.0, 2.0, np.pi), (1.0, 3.0, np.pi), (-1.0, 2.0, 2.0),
+                                   (0.0, 2.0, 1.0)])
 def test_bracket_interp_on_model_triples(model, n):
+    # on the flat grid the mean-step guess puts about 43% of node queries one cell low
     dens = ms.model_density(*model, n)
     t0, t1, s = cv.sample_triples(dens.grid, 20_000, np.random.default_rng(n)).T
     for x in (t0, t1, (1 - s) * t0 + s * t1):
@@ -361,6 +363,13 @@ _FLAT = ms.Density1D(np.linspace(0.0, 1.0, 9), np.ones(9))
 def test_typed_input_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("s", [-0.5, 1.5, -1e-16, np.nextafter(1.0, 2.0)])
+def test_cd_triple_with_s_outside_the_unit_interval(s):
+    # unchecked here, sigma's "t must lie in [0, 1]" named a parameter no caller passed
+    with pytest.raises(BadParameter, match="triples need t0 < t1 and 0 <= s <= 1"):
+        cv.cd_density_check(_FLAT, 0.0, 2.0, [[0.25, 0.75, s]])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -63,3 +63,20 @@ def test_profile_seeds_share_no_stream(tmp_path, monkeypatch):
         assert points[0] == {"v": 0.0, "content": 0.0, "requested_v": 0.0,
                              "mass_defect": 0.0, "candidate": ""}
     assert calls == [(0, (1,)), (0, (2,)), (1, (1,)), (1, (2,))]
+
+
+@pytest.mark.parametrize("spec, model", [
+    ((-1.0, 3.0, 2.0), (-1.0, 3.0, 2.0)),
+    ((0.0, 2.0, 1.0), (0.0, 2.0, 1.0)),
+    ((1.0, 2.0, 10.0), (1.0, 2.0, np.pi)),       # D above the Bonnet-Myers diameter
+    ((2.0, 4.0, 1.0), (2.0, 4.0, 1.0)),
+])
+def test_levy_gromov_model_column_is_model_profile(spec, model):
+    # one family scan serves every attained volume, as if each ran alone
+    sp = ms.generate_interval_model(*model, 150)[0]
+    spec = iso.ModelProfileSpec(*spec)
+    rep = iso.levy_gromov_check(sp, spec, [0.0, 0.2, 0.5, 0.7, 1.0], candidate_budget=4,
+                                rng=np.random.default_rng(2))
+    for row in rep["rows"]:
+        assert row["model"] == iso.model_profile(spec, row["v_attained"])
+    assert rep["rows"][0]["model"] == rep["rows"][-1]["model"] == 0.0
