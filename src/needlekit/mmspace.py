@@ -137,23 +137,57 @@ class MMSpace:
             out = None if buf is None else buf[:hi - lo]
             yield lo, hi, self.rows(slice(lo, hi) if idx is None else idx[lo:hi], cols, out)
 
-    def triangle_blocks(self):
-        """Yield (lo, hi, rows(slice(lo, hi), slice(lo, None))): every pair x <= y
+    def triangle_blocks(self, ends=None):
+        """Yield (lo, hi, rows(slice(lo, hi), slice(lo, end))): every pair x <= y
         once, plus the lower half of each diagonal block, in blocks of about
-        _ROW_BLOCK entries (at most max(_ROW_BLOCK, n)). Matrix spaces yield
-        views; interval models reuse one buffer, as in `row_blocks`."""
+        _ROW_BLOCK entries (at most max(_ROW_BLOCK, n)); `end` is n, or with
+        `ends` (ends[x] > x) the largest of ends[:hi], so that every y < ends[x]
+        is read. Matrix spaces yield views; interval models reuse one buffer."""
         n, lo = self.n, 0
+        ends = [n] * n if ends is None else np.maximum.accumulate(ends).tolist()
         buf = np.empty(max(_ROW_BLOCK, n)) if self._matrix is None else None
         while lo < n:
-            hi = min(lo + max(1, _ROW_BLOCK // (n - lo)), n)
-            out = None if buf is None else buf[:(hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
-            yield lo, hi, self.rows(slice(lo, hi), slice(lo, None), out)
+            hi = min(lo + max(1, _ROW_BLOCK // (ends[lo] - lo)), n)
+            if (hi - lo) * (ends[hi - 1] - lo) > _ROW_BLOCK:     # a wider row later in the block
+                hi = lo + max(1, _ROW_BLOCK // (ends[hi - 1] - lo))
+            end = ends[hi - 1]
+            out = None if buf is None else buf[:(hi - lo) * (end - lo)].reshape(hi - lo, end - lo)
+            yield lo, hi, self.rows(slice(lo, hi), slice(lo, end), out)
             lo = hi
 
     def dist(self, i, j) -> np.ndarray:
         """d(i, j) elementwise, for broadcastable index arrays."""
         t = self.line_coord
         return self._matrix[i, j] if self._matrix is not None else np.abs(t[i] - t[j])
+
+    def saturation_runs(self, phi, tol):
+        """Runs of the pairs with phi(x) - phi(y) >= d(x, y) - tol on coordinates
+        sorted nondecreasing: per row x, every y in [lo_in[x], hi_in[x]) is in
+        and every y outside [lo_out[x], hi_out[x]) is out, as four arrays;
+        None on other spaces, for tol < 0 and for non-finite phi.
+
+        For y >= x the test reads b(y) <= b(x) + tol with b = t + phi, for
+        y <= x it reads c(y) >= c(x) - tol with c = t - phi, and both b and c
+        are nondecreasing when phi is 1-Lipschitz. The runs come from the
+        prefix max and suffix min of b and c, which bound them for any phi,
+        widened against rounding by delta = 64 eps (max|phi| + max|t| + tol)
+        (an infinite tol left out)."""
+        t = self.line_coord
+        if self._matrix is not None or not tol >= 0 or not (t[1:] >= t[:-1]).all():
+            return None
+        if not (np.isfinite(b := t + phi).all() and np.isfinite(c := t - phi).all()):
+            return None
+        delta = 64 * np.finfo(float).eps * (np.abs(phi).max() + np.abs(t).max()
+                                            + (tol if tol < np.inf else 0.0))
+        prefix_max = np.maximum.accumulate
+        suffix_min = lambda v: np.minimum.accumulate(v[::-1])[::-1]
+        lo_in = np.searchsorted(suffix_min(c), c - (tol - delta), "left")
+        hi_in = np.searchsorted(prefix_max(b), b + (tol - delta), "right")
+        lo_out = np.searchsorted(prefix_max(c), c - (tol + delta), "left")
+        hi_out = np.searchsorted(suffix_min(b), b + (tol + delta), "right")
+        x = np.arange(self.n)
+        empty = (lo_in > x) | (hi_in <= x)      # the certain run must hold x
+        return np.where(empty, x, lo_in), np.where(empty, x, hi_in), lo_out, hi_out
 
     def pairs_within(self, R: float) -> tuple:
         """The pairs at distance below R as CSR (indptr, int32 columns, exact

@@ -42,6 +42,7 @@ from .mmspace import MMSpace, _row_ranges
 
 MASS_SCALE = 10**14
 DEFAULT_GAMMA_TOL_FACTOR = 1e-6
+_RUN_FROM = np.array([(1 << 64) - 1 >> s for s in range(65)], np.uint64)   # columns s:64 of a word
 
 
 @dataclasses.dataclass
@@ -620,12 +621,16 @@ def _extend_potential(space, moved, c):
 def _lipschitz_residual(phi, space):
     """max over x, y of |phi(x) - phi(y)| - d(x, y), clipped at 0, over the pairs
     x <= y only (both terms are symmetric bit for bit); the differences go into
-    one buffer, grown to the largest triangle block."""
+    one buffer, grown to the largest triangle block. Where the space has
+    saturation runs, only the pairs in the possible runs of phi and -phi at
+    tol 0 are read: every other pair's difference is negative."""
+    runs = space.saturation_runs(phi, 0.0)
+    ends = None if runs is None else np.maximum(runs[3], space.saturation_runs(-phi, 0.0)[3])
     lip, buf = 0.0, np.empty(0)
-    for lo, hi, block in space.triangle_blocks():
+    for lo, hi, block in space.triangle_blocks(ends):
         if buf.size < block.size:
             buf = np.empty(block.size)
-        diff = np.subtract(phi[lo:hi, None], phi[None, lo:],
+        diff = np.subtract(phi[lo:hi, None], phi[None, lo:lo + block.shape[1]],
                            out=buf[:block.size].reshape(block.shape))
         lip = max(lip, float(np.subtract(np.abs(diff, out=diff), block, out=diff).max()))
     return lip
@@ -697,6 +702,8 @@ def gamma_tol(space: MMSpace, solution: W1Solution,
     a quarter of the certified `slack_floor` (so no pair the potential
     keeps slack joins Gamma) and raised to 4 `support_residual` (so every
     plan pair stays in)."""
+    if not 0 <= rel < np.inf:   # NaN fails too
+        raise BadParameter(f"rel must be finite and >= 0, got {rel}")
     tol = rel * max(space.max_distance, 1.0)
     if solution.slack_floor > 0:
         tol = min(tol, solution.slack_floor / 4)
@@ -706,7 +713,8 @@ def gamma_tol(space: MMSpace, solution: W1Solution,
 def gamma_set(space: MMSpace, solution: W1Solution, tol: float | None = None) -> GammaSet:
     """All pairs with phi(x) - phi(y) >= d(x,y) - tol (diagonal included);
     `tol` defaults to `gamma_tol(space, solution)`. Gamma^-1 is packed in
-    the same row pass, which is exact as every space's distances are symmetric."""
+    the same row pass, which is exact as every space's distances are symmetric;
+    where `saturation_runs` exist, only rows with pairs between runs take it."""
     if tol is None:
         tol = gamma_tol(space, solution)
     if np.isnan(tol):
@@ -716,10 +724,15 @@ def gamma_set(space: MMSpace, solution: W1Solution, tol: float | None = None) ->
             f"lipschitz residual {solution.lipschitz_residual} above tol {tol}")
     phi, n = solution.potential, space.n
     fwd, bwd = np.empty((2, n, -(-n // 64)), np.uint64)
-    for lo, hi, block in space.row_blocks():
-        gap = phi[lo:hi, None] - phi[None, :]
+    tested = None       # the rows the pair test runs on: all, or those with a pair between runs
+    if (runs := space.saturation_runs(phi, tol)) is not None:   # Gamma^-1(phi) is Gamma(-phi)
+        tested = np.flatnonzero(_run_words(fwd, runs)
+                                | _run_words(bwd, space.saturation_runs(-phi, tol)))
+    for lo, hi, block in space.row_blocks(tested):
+        rows = slice(lo, hi) if tested is None else tested[lo:hi]
+        gap = phi[rows, None] - phi[None, :]
         lim = block - tol       # a new array: a matrix space's block is a view of its matrix
-        fwd[lo:hi], bwd[lo:hi] = _packed(gap >= lim), _packed(-gap >= lim)
+        fwd[rows], bwd[rows] = _packed(gap >= lim), _packed(-gap >= lim)
     moving = solution.masses > 0
     i, j = solution.pairs[moving, 0], solution.pairs[moving, 1]
     offdiag = i != j
@@ -730,13 +743,25 @@ def gamma_set(space: MMSpace, solution: W1Solution, tol: float | None = None) ->
     return GammaSet(fwd, tol, bwd)
 
 
+def _run_words(P: np.ndarray, runs) -> np.ndarray:
+    """Write into the bit rows P each row's certain run [lo_in, hi_in) from
+    `MMSpace.saturation_runs`, as whole words, in row strips; return which
+    rows have pairs between their certain and their possible run."""
+    lo_in, hi_in, lo_out, hi_out = runs
+    first = 64 * np.arange(P.shape[1])      # each word's first column
+    for lo, hi in _row_ranges(len(P), P.shape[1]):  # as big-endian words, column 64 k + c is bit 63 - c
+        P.view(">u8")[lo:hi] = (_RUN_FROM.take(np.clip(lo_in[lo:hi, None] - first, 0, 64))
+                                & ~_RUN_FROM.take(np.clip(hi_in[lo:hi, None] - first, 0, 64)))
+    return (lo_out < lo_in) | (hi_in < hi_out)
+
+
 def check_cyclic_monotonicity(space: MMSpace, gamma: GammaSet, k: int = 4,
                               trials: int = 10_000, rng=None) -> dict:
     """Worst violation of the cycle inequality over random k-subsets of Gamma."""
-    if k < 2:
-        raise BadParameter("k must be >= 2")
-    if trials < 1:
-        raise BadParameter("trials must be >= 1")
+    if not (isinstance(k, (int, np.integer)) and k >= 2):
+        raise BadParameter(f"k must be >= 2 (an integer), got {k!r}")
+    if not (isinstance(trials, (int, np.integer)) and trials >= 1):
+        raise BadParameter(f"trials must be >= 1 (an integer), got {trials!r}")
     rng = rng or np.random.default_rng(0)
     i, j = _nonzero_bits(gamma.fwd)     # row-major, as np.argwhere
     offdiag = i != j

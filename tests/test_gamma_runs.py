@@ -1,0 +1,186 @@
+"""Gamma, Gamma^-1 and the Lipschitz residual on sorted coordinates, built from
+`MMSpace.saturation_runs`, against their dense definitions, and the distance
+entries they read there and on the spaces that keep the row passes."""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from test_distance_passes import _dense_lipschitz
+
+from needlekit import mmspace as ms
+from needlekit import w1solve as w1
+
+
+def _line(t):
+    n = len(t)
+    return ms.MMSpace(list(range(n)), None, np.full(n, 1.0 / n), kind="interval", line_coord=t)
+
+
+def _coordinates(n, offset, duplicates, seed):
+    """n sorted random coordinates on [offset, offset + 3], some of them repeated."""
+    rng = np.random.default_rng(seed)
+    t = offset + 3 * np.sort(rng.random(n))
+    if duplicates:
+        k = rng.integers(0, n - 1, size=max(1, n // 5))
+        t[k + 1] = t[k]
+        t = np.sort(t)
+    return t
+
+
+def _potentials(t, rng):
+    """1-Lipschitz potentials with long saturated stretches, and two that are
+    not 1-Lipschitz: one by a hair, one far from it."""
+    u, w = t - t[0], (t[-1] - t[0]) / 7
+    q, r = np.divmod(u, 2 * w)
+    cones = np.min([np.abs(t - t[a]) + rng.random() for a in rng.integers(0, len(t), 4)], axis=0)
+    return {
+        "slope": u,                                  # every pair saturated one way
+        "staircase": q * w + np.minimum(r, w),       # rising pieces between flat ones
+        "zigzag": np.abs(np.mod(u, 2 * w) - w),
+        "cones": cones,
+        "jittered": cones + 1e-9 * w * rng.normal(size=len(t)),
+        "rough": rng.normal(size=len(t)) * (t[-1] - t[0]),
+    }
+
+
+def _solution(phi):
+    n = len(phi)
+    return w1.W1Solution(np.zeros((0, 2), int), np.zeros(0), 0.0, phi, 0.0, 0.0,
+                         np.full(n, 1.0 / n), np.full(n, 1.0 / n))
+
+
+GRID = ([(n, 0.0, False) for n in (16, 17, 63, 64, 65, 300, 500, 1000, 2001)]
+        + [(n, offset, dup) for n in (17, 65, 300) for offset in (0.0, 1e6, -3e8)
+           for dup in (False, True)])
+
+
+@pytest.mark.parametrize("n, offset, duplicates", GRID)
+def test_runs_match_the_dense_gamma_and_residual(n, offset, duplicates):
+    t = _coordinates(n, offset, duplicates, seed=n)
+    space = _line(t)
+    D = np.abs(t[:, None] - t[None, :])
+    step = float(np.median(np.diff(t))) or 1e-3
+    for name, phi in _potentials(t, np.random.default_rng(n)).items():
+        gap = phi[:, None] - phi[None, :]
+        for tol in (0.0, 1e-12, 1e-6, step, np.inf):
+            gamma = w1.gamma_set(space, _solution(phi), tol)
+            assert np.array_equal(gamma.fwd, w1._packed(gap >= D - tol)), (name, tol)
+            assert np.array_equal(gamma.bwd, w1._packed(-gap >= D - tol)), (name, tol)
+        assert w1._lipschitz_residual(phi, space) == _dense_lipschitz(phi, D), name
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6, -3e8])
+def test_runs_match_the_dense_gamma_on_ties_at_the_tolerance(offset):
+    # on a uniform grid, whole diagonals of pairs have d - tol = phi(x) - phi(y)
+    # up to rounding, so the margin decides which runs are certain
+    t = offset + 0.1 * np.arange(300)
+    D = np.abs(t[:, None] - t[None, :])
+    for phi in (np.zeros_like(t), t - t[0], 0.5 * (t - t[0])):
+        gap = phi[:, None] - phi[None, :]
+        for tol in (0.1, 0.2, 0.3, 1.7):
+            gamma = w1.gamma_set(_line(t), _solution(phi), tol)
+            assert np.array_equal(gamma.fwd, w1._packed(gap >= D - tol)), tol
+            assert np.array_equal(gamma.bwd, w1._packed(-gap >= D - tol)), tol
+
+
+def test_runs_bound_the_pairs_of_every_row():
+    # every pair in a certain run is in Gamma, every pair outside the possible run is out
+    t = _coordinates(300, 1e6, True, seed=5)
+    D = np.abs(t[:, None] - t[None, :])
+    for name, phi in _potentials(t, np.random.default_rng(5)).items():
+        for tol in (0.0, 1e-6, 0.05):
+            lo_in, hi_in, lo_out, hi_out = _line(t).saturation_runs(phi, tol)
+            inside = phi[:, None] - phi[None, :] >= D - tol
+            cols = np.arange(len(t))
+            certain = (cols >= lo_in[:, None]) & (cols < hi_in[:, None])
+            possible = (cols >= lo_out[:, None]) & (cols < hi_out[:, None])
+            assert not (certain & ~inside).any() and not (inside & ~possible).any(), (name, tol)
+    # phi = t - t[0] saturates every pair y <= x: the certain runs reach column 0
+    lo_in, hi_in, _, _ = _line(t).saturation_runs(t - t[0], 1e-6)
+    assert (lo_in == 0).mean() > 0.9
+
+
+def test_spaces_without_sorted_coordinates_have_no_runs():
+    t = _coordinates(200, 0.0, False, seed=2)
+    phi = t - t[0]
+    shuffled = _line(t[np.random.default_rng(2).permutation(len(t))])
+    matrix = ms.build_space(list(range(len(t))), {"type": "matrix",
+                                                  "data": np.abs(t[:, None] - t[None, :])})
+    assert matrix.line_coord is not None
+    assert shuffled.saturation_runs(phi, 1e-6) is None and matrix.saturation_runs(phi, 1e-6) is None
+    assert _line(t).saturation_runs(phi, -1e-6) is None
+    assert _line(t).saturation_runs(np.r_[phi[:-1], np.nan], 1e-6) is None
+
+
+@pytest.mark.parametrize("block", [64, ms._ROW_BLOCK])
+def test_triangle_blocks_read_every_pair_below_the_ends(block):
+    t = _coordinates(700, 0.0, True, seed=3)
+    space, D, n = _line(t), np.abs(t[:, None] - t[None, :]), len(t)
+    x = np.arange(n)
+    ends = np.minimum(x + 1 + np.random.default_rng(3).integers(0, 90, n), n)
+    seen = np.zeros((n, n), dtype=int)
+    with mock.patch.object(ms, "_ROW_BLOCK", block):
+        for lo, hi, rows in space.triangle_blocks(ends):
+            assert np.array_equal(rows, D[lo:hi, lo:lo + rows.shape[1]])
+            assert rows.size <= max(block, n)
+            seen[lo:hi, lo:lo + rows.shape[1]] += 1
+    assert (seen <= 1).all()
+    assert all(seen[k, k:ends[k]].all() for k in range(n))
+
+
+def _reads(space, sol, tol):
+    """(distance entries read, Gamma, Lipschitz residual) of gamma_set and
+    _lipschitz_residual."""
+    read = []
+    rows, dist = ms.MMSpace.rows, ms.MMSpace.dist
+
+    def counted_rows(self, idx, cols=None, out=None):
+        block = rows(self, idx, cols, out)
+        read.append(block.size)
+        return block
+
+    def counted_dist(self, i, j):
+        d = dist(self, i, j)
+        read.append(np.size(d))
+        return d
+
+    with mock.patch.object(ms.MMSpace, "rows", counted_rows), \
+            mock.patch.object(ms.MMSpace, "dist", counted_dist):
+        gamma = w1.gamma_set(space, sol, tol)
+        lip = w1._lipschitz_residual(sol.potential, space)
+    return sum(read), gamma, lip
+
+
+def _solved(space, seed):
+    a, b = np.random.default_rng(seed).random((2, space.n)) + 1e-3
+    sol = w1.solve_w1(space, a / a.sum(), b / b.sum())
+    return sol, w1.gamma_tol(space, sol)
+
+
+def test_sorted_interval_model_reads_a_third_of_the_distances():
+    space = ms.generate_interval_model(0.0, 2.0, 1.0, 4000)[0]
+    sol, tol = _solved(space, 0)
+    read, gamma, lip = _reads(space, sol, tol)
+    assert read <= space.n ** 2 / 3
+    assert gamma.count > 10 * space.n and lip == sol.lipschitz_residual
+
+
+def test_unsorted_and_matrix_spaces_take_full_passes_with_equal_bits():
+    # the same metric on shuffled coordinates and as a line-detected matrix
+    space = ms.generate_interval_model(1.0, 2.0, np.pi, 1000)[0]
+    n, t = space.n, space.line_coord
+    sol, tol = _solved(space, 1)
+    read, gamma, lip = _reads(space, sol, tol)
+    assert read <= n ** 2 / 3
+    p = np.random.default_rng(1).permutation(n)      # point k of the copy is point p[k]
+    inv = np.argsort(p)
+    for copy in (_line(t[p]), ms.build_space(list(range(n)), {"type": "matrix",
+                                                             "data": space.rows(p, p)})):
+        moved = w1.W1Solution(inv[sol.pairs], sol.masses, sol.primal_value, sol.potential[p],
+                              sol.lipschitz_residual, sol.duality_gap, sol.mu0[p], sol.mu1[p])
+        read, other, other_lip = _reads(copy, moved, tol)
+        assert read >= 1.5 * n ** 2 - n
+        assert np.array_equal(other.mask, gamma.mask[np.ix_(p, p)])
+        assert np.array_equal(other.bwd, w1._packed(gamma.mask.T[np.ix_(p, p)]))
+        assert other_lip == lip

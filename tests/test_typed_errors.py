@@ -23,6 +23,16 @@ def _interval():
     return ms.generate_interval_model(0.0, 2.0, 1.0, 64)[0]
 
 
+def _solved():
+    space = _interval()
+    return space, w1.solve_w1(space, *iso.zero_mean_split(space, np.random.default_rng(0)))
+
+
+def _gamma():
+    space, sol = _solved()
+    return space, w1.gamma_set(space, sol)
+
+
 CASES = {
     "sigma-t": lambda: cv.sigma(1.0, 2.0, 1.5, 0.1),
     "sigma-theta": lambda: cv.sigma(1.0, 2.0, 0.5, -0.1),
@@ -36,6 +46,15 @@ CASES = {
     "minkowski-eps-empty": lambda: iso.minkowski_content(_interval(), np.ones(64, bool), []),
     "cyclic-monotonicity-k": lambda: w1.check_cyclic_monotonicity(None, None, k=1),
     "cyclic-monotonicity-trials": lambda: w1.check_cyclic_monotonicity(None, None, trials=0),
+    # a fractional k or trials leaked numpy's TypeError
+    "cyclic-monotonicity-k-fraction": lambda: w1.check_cyclic_monotonicity(*_gamma(), k=2.5),
+    "cyclic-monotonicity-trials-fraction": lambda: w1.check_cyclic_monotonicity(
+        *_gamma(), trials=2.5),
+    # NaN failed later as a NaN Gamma tol, inf put every pair in Gamma, and a
+    # negative rel gave 4 support_residual
+    "gamma-tol-rel-nan": lambda: w1.gamma_tol(*_solved(), rel=np.nan),
+    "gamma-tol-rel-inf": lambda: w1.gamma_tol(*_solved(), rel=np.inf),
+    "gamma-tol-rel-negative": lambda: w1.gamma_tol(*_solved(), rel=-1.0),
     "density-shape": lambda: ms.Density1D(GRID, np.ones(4)),
     "density-grid-order": lambda: ms.Density1D(GRID[::-1], np.ones(5)),
     "density-values": lambda: ms.Density1D(GRID, -np.ones(5)),
