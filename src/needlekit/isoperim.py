@@ -209,7 +209,7 @@ def minkowski_content(space: MMSpace, set_indicator, eps_list) -> MinkowskiEstim
         return MinkowskiEstimate(0.0, [(float(e), 0.0) for e in eps_arr])
     mass_A = space.weights[A].sum()
     indptr, cols, data = space.pairs_within(eps_arr[-1])
-    dist = np.minimum.reduceat(np.where(A[cols], data, np.inf), indptr[:-1])
+    dist = np.minimum.reduceat(np.where(A.take(cols), data, np.inf), indptr[:-1])
     masses = np.array([space.weights[dist < e].sum() for e in eps_arr])
     raw = [(float(e), float((g - mass_A) / e)) for e, g in zip(eps_arr, masses)]
     value = float(np.polyfit(eps_arr, masses, 1)[0]) if len(eps_arr) >= 2 else raw[0][1]

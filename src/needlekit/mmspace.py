@@ -191,20 +191,40 @@ class MMSpace:
 
     def pairs_within(self, R: float) -> tuple:
         """The pairs at distance below R as CSR (indptr, int32 columns, exact
-        distances), built in row blocks. The graph of the last R asked for
+        distances), built by `_pairs_graph`. The graph of the last R asked for
         is kept for the next call with that R (threads share one build).
         The zero diagonal keeps every row non-empty for R > 0, which
         `np.minimum.reduceat` over indptr needs."""
         with self._pairs_lock:
             if self._pairs is None or self._pairs[0] != R:
-                indptr, cols, data = [np.zeros(1, np.int64)], [], []
-                for lo, hi, block in self.row_blocks():
-                    near = block < R
-                    indptr.append(indptr[-1][-1] + np.cumsum(near.sum(axis=1)))
-                    cols.append(np.nonzero(near)[1].astype(np.int32))
-                    data.append(block[near])
-                self._pairs = R, (np.concatenate(indptr), np.concatenate(cols), np.concatenate(data))
+                self._pairs = R, self._pairs_graph(R)
             return self._pairs[1]
+
+    def _pairs_graph(self, R: float) -> tuple:
+        """`pairs_within`'s graph by row blocks, or on sorted coordinates by
+        bisection for each row's run of pairs about x on the same test."""
+        t, n = self.line_coord, self.n
+        if self._matrix is not None or not (t[1:] >= t[:-1]).all():
+            indptr, cols, data = [np.zeros(1, np.int64)], [], []
+            for lo, hi, block in self.row_blocks():
+                near = block < R
+                indptr.append(indptr[-1][-1] + np.cumsum(near.sum(axis=1)))
+                cols.append(np.nonzero(near)[1].astype(np.int32))
+                data.append(block[near])
+            return np.concatenate(indptr), np.concatenate(cols), np.concatenate(data)
+        x = np.arange(n)
+
+        def first_out(inside, a, b):    # per row, the first y in [a, b) where inside(y) fails
+            for step in [1 << k for k in range(n.bit_length())][::-1]:    # it holds on a prefix
+                ok = (a + step <= b) & inside(np.minimum(a + step - 1, n - 1))
+                a = np.where(ok, a + step, a)
+            return a
+        # the rounded |t_x - t_y| is monotone on each side of x
+        lo = first_out(lambda y: np.abs(t[x] - t[y]) >= R, np.zeros(n, np.int64), x)
+        count = first_out(lambda y: np.abs(t[x] - t[y]) < R, x, np.full(n, n)) - lo
+        indptr = np.concatenate([[0], np.cumsum(count)])
+        cols = np.arange(indptr[-1]) - np.repeat(indptr[:-1] - lo, count)
+        return indptr, cols.astype(np.int32), np.abs(t[np.repeat(x, count)] - t[cols])
 
     @functools.cached_property
     def max_distance(self) -> float:
@@ -330,7 +350,7 @@ def build_space(points, metric_spec, weights=None) -> MMSpace:
         edges = metric_spec["edges"]
         if not edges and n > 1:
             raise DisconnectedGraph("graph with no edges")
-        rows, cols, vals = [], [], []
+        least = {}      # per unordered pair; a self-loop is on no shortest path
         for i, j, w in edges:
             if not (float(i).is_integer() and float(j).is_integer()):
                 raise MetricViolation(f"edge ({i}, {j}, {float(w):g}): endpoints must be integers")
@@ -339,10 +359,12 @@ def build_space(points, metric_spec, weights=None) -> MMSpace:
                 raise MetricViolation(f"edge ({i}, {j}, {w:g}): endpoint outside 0..{n - 1}")
             if not 0 <= w < np.inf:
                 raise MetricViolation(f"edge ({i}, {j}, {w:g}): weight must be finite and >= 0")
-            rows += [i, j]
-            cols += [j, i]
-            vals += [w, w]
-        adj = csr_matrix((vals, (rows, cols)), shape=(n, n))
+            if i != j:
+                key = min(i, j), max(i, j)
+                least[key] = min(w, least.get(key, np.inf))
+        i, j = np.array(list(least), dtype=int).reshape(-1, 2).T
+        w = np.array(list(least.values()))
+        adj = csr_matrix((np.r_[w, w], (np.r_[i, j], np.r_[j, i])), shape=(n, n))
         D = shortest_path(adj, method="D", directed=False)
         if np.any(np.isinf(D)):
             raise DisconnectedGraph("graph is not connected")

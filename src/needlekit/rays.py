@@ -16,7 +16,8 @@ is an R-clique, and any subset of an R-clique is one. So the rows are
 covered by cliques (`_clique_cover`): visited by popcount, largest first,
 a row c that passes the test becomes a head, and every unvisited y among
 c's bits whose packed row lies inside c's is non-branching without a
-test. The same cover runs on the rows of R restricted to T, where a head
+test; rows of at most two bits, {x} or {x, y}, are cliques unvisited.
+The same cover runs on the rows of R restricted to T, where a head
 has no other point of its row at distance 0: every edge y-w of a row y
 inside head c's row is replaced by the path y-c-w, both of whose edges
 are kept, so the component graph needs only the rows of heads and of
@@ -104,7 +105,7 @@ def _branching(G: np.ndarray, r: np.ndarray, x: int, y: np.ndarray, words: slice
     return bool((G[x, words] & ~r[y, words]).any())
 
 
-def _clique_cover(P: np.ndarray, rows: np.ndarray, may_cover) -> np.ndarray:
+def _clique_cover(P: np.ndarray, rows: np.ndarray, may_cover, small=False) -> np.ndarray:
     """Cover `rows` of the square packed bool matrix P by heads.
 
     Rows are visited by popcount, largest first (ties by position in
@@ -112,6 +113,8 @@ def _clique_cover(P: np.ndarray, rows: np.ndarray, may_cover) -> np.ndarray:
     set bits and `words` the span of its nonzero words, is left uncovered;
     one that passes becomes a head, and every unvisited row in `rows` among
     y whose bits lie inside P[c] is covered by c and never visited.
+    Rows of at most two bits if `small` (which the caller knows pass), else
+    empty ones, are heads unvisited unless a visited head covers them.
     Returns cover with cover[c] = c for a head c, cover[y] = c for a row y
     covered by c, and -1 for failed rows and rows not in `rows`."""
     nz = P != 0
@@ -121,9 +124,11 @@ def _clique_cover(P: np.ndarray, rows: np.ndarray, may_cover) -> np.ndarray:
     last = np.where(filled, P.shape[1] - 1 - nz[:, ::-1].argmax(axis=1), -1)
     size = np.bitwise_count(P).sum(axis=1, dtype=np.int64)[rows]
     cover = np.full(len(P), -1)
+    few = 2 if small else 0     # rows of at most this many bits are not visited
+    cover[rows[size <= few]] = rows[size <= few]
     todo = np.zeros(len(P), dtype=bool)
     todo[rows] = True
-    for c in rows[np.argsort(-size, kind="stable")]:
+    for c in rows[np.argsort(-size, kind="stable")[:np.count_nonzero(size > few)]]:
         if not todo[c]:
             continue
         todo[c] = False
@@ -159,8 +164,10 @@ def build_transport_structure(space: MMSpace, gamma: GammaSet) -> TransportStruc
     te = np.where(has_succ | has_pred)[0]
     r = fwd | bwd
 
+    small = bool(_bit(fwd, *np.diag_indices(len(fwd))).all())     # rows of two bits are {x, y}
+
     def branching(G):   # a row covered by a clique is not branching; a failed one is
-        cover = _clique_cover(G, te, lambda c, y, words: not _branching(G, r, c, y, words))
+        cover = _clique_cover(G, te, lambda c, y, words: not _branching(G, r, c, y, words), small)
         return te[cover[te] < 0]
 
     a_plus, a_minus = branching(fwd), branching(bwd)
@@ -205,17 +212,17 @@ def partition_rays(space: MMSpace, structure: TransportStructure,
     if len(T) == 0:
         return RayDecomposition(rays, T, diagnostics, ray_of, param)
 
-    # a head has no other point of its row at distance 0, so it is joined to
-    # every row it covers and to all of their neighbours: the graph needs only
-    # the rows of heads and of rows that cannot be covered. Its edges are R in
-    # T less the diagonal and the coincident pairs (distance 0).
+    # a visited head has no other point of its row at distance 0, so it is
+    # joined to every row it covers and to all of their neighbours: the graph
+    # needs only the rows of heads and of rows that cannot be covered. Its
+    # edges are R in T less the diagonal and the coincident pairs (distance 0).
     in_t = np.zeros((1, n), dtype=bool)
     in_t[0, T] = True
     rt = structure.r & _packed(in_t)
     ci, cj = space.coincident
     duplicate = np.zeros(n, dtype=bool)     # a coincident partner in its row of rt
     duplicate[ci[_bit(rt, ci, cj)]] = True
-    cover = _clique_cover(rt, T, lambda c, y, words: not duplicate[c])[T]
+    cover = _clique_cover(rt, T, lambda c, y, words: not duplicate[c], True)[T]
     keep = np.flatnonzero((cover < 0) | (cover == T))
     pts = T[keep]
     r, c = _nonzero_bits(rt[pts])

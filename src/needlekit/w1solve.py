@@ -346,7 +346,7 @@ _KNN = 8            # nearest moved neighbours per point in the starting edge se
 _CYCLE_CHECK = 16   # relaxation passes between negative-cycle checks
 
 
-def _relax(c, src, dst, w, starts, atol, proof=None):
+def _relax(c, src, dst, w, starts, atol, proof=None, bound=None):
     """Jacobi Bellman-Ford for  c[dst] <= c[src] + w  over an edge list
     sorted by target (`starts` indexes each target's first edge).
 
@@ -356,16 +356,17 @@ def _relax(c, src, dst, w, starts, atol, proof=None):
     with none keep their last pointer); a pointer cycle whose weight is
     below -atol is a negative cycle (Cherkassky-Goldberg's parent-graph
     check). Otherwise values still dropping by more than `atol` after
-    m + 1 passes prove one, since shortest walks would need more than m
-    edges. The absolute tolerance absorbs exact-zero cycles that float
-    rounding turns into 1e-16-rate descent. On a proof, the dict `proof`
-    gets "proof": "cycle" with "cycle_length" and "cycle_weight", or
-    "proof": "pass-bound"."""
+    `bound` passes (default, and least, m + 1) prove one, since shortest
+    walks would need more than m edges. The absolute tolerance absorbs
+    exact-zero cycles that float rounding turns into 1e-16-rate descent.
+    On a proof, the dict `proof` gets "proof": "cycle" with
+    "cycle_length" and "cycle_weight", or "proof": "pass-bound"."""
     m = len(c)
     edge = np.full(m, -1)
     loop = src == dst
     proof = {} if proof is None else proof
-    for k in range(1, m + 2):
+    bound = m + 1 if bound is None else bound
+    for k in range(1, bound + 1):
         vals = c[src] + w
         c2 = np.minimum(c, np.minimum.reduceat(vals, starts))
         if (c - c2).max() <= atol:
@@ -379,7 +380,7 @@ def _relax(c, src, dst, w, starts, atol, proof=None):
                 return None, k
         c = c2
     proof.update(proof="pass-bound")
-    return None, m + 1
+    return None, bound
 
 
 def _parent_cycle_weight(edge, src, w):
@@ -400,6 +401,14 @@ def _parent_cycle_weight(edge, src, w):
     return float(weight[k]), int(size[k])
 
 
+def _exempted(B, lo, r, c):
+    """Rows lo:lo + len(B) of a constraint matrix, B, less its diagonal and (r, c)."""
+    B[np.arange(len(B)), lo + np.arange(len(B))] = np.inf
+    k = (lo <= r) & (r < lo + len(B))
+    B[r[k] - lo, c[k]] = np.inf
+    return B
+
+
 class _ActiveSet:
     """Difference constraints  c_i - c_j <= W[j, i]  on the m moved points,
     relaxed over a growing subset of the m^2 edges j -> i.
@@ -416,12 +425,11 @@ class _ActiveSet:
         m = len(Dm)
         x, y = pairs_local[:, 0], pairs_local[:, 1]
         self.Dm, self.n_sat = Dm, len(x)
-        self.exempt = np.eye(m, dtype=bool)
-        self.exempt[x, y] = self.exempt[y, x] = True
+        self.exempt = np.concatenate([x, y]), np.concatenate([y, x])    # off the diagonal
         k = min(_KNN, m - 1)
         near = []                            # edge keys j * m + i
         for lo, hi in _row_ranges(m, m):
-            d = np.where(self.exempt[lo:hi], np.inf, Dm[lo:hi])
+            d = _exempted(Dm[lo:hi].copy(), lo, *self.exempt)
             i = np.repeat(np.arange(lo, hi), k)
             j = np.argpartition(d, k - 1, axis=1)[:, :k].ravel()
             ok = np.isfinite(d[i - lo, j])
@@ -444,17 +452,17 @@ class _ActiveSet:
         for lo, hi in _row_ranges(len(c), len(c)):
             B = c[lo:hi, None] + self.Dm[lo:hi]
             B -= t
-            B[self.exempt[lo:hi]] = np.inf
+            _exempted(B, lo, *self.exempt)
             hit = np.flatnonzero(B.min(axis=0) < c - atol)
             srcs.append(lo + B[:, hit].argmin(axis=0))
             dsts.append(hit)
         return np.concatenate(srcs), np.concatenate(dsts)
 
-    def solve(self, t, eq, start, atol):
+    def solve(self, t, eq, start, atol, bound=None):
         """Maximal solution below `start` at deflation margin t and
-        equality slack eq, or None when a negative cycle is proven.
-        Returns (values, record); a negative-cycle record says how the
-        cycle was proven (`_relax`'s `proof`)."""
+        equality slack eq, or None when a negative cycle is proven (`_relax`,
+        with its pass `bound`). Returns (values, record); a negative-cycle
+        record says how the cycle was proven (`_relax`'s `proof`)."""
         m, p = len(self.Dm), self.n_sat
         c, passes, rounds, proof = start, 0, 0, {}
         while True:
@@ -463,7 +471,7 @@ class _ActiveSet:
             w[m + 2 * p:] -= t
             w[m:m + p] = np.minimum(w[m:m + p], eq - w[m:m + p])
             o = self.order
-            c, k = _relax(c, self.src[o], self.dst[o], w[o], self.starts, atol, proof)
+            c, k = _relax(c, self.src[o], self.dst[o], w[o], self.starts, atol, proof, bound)
             passes += k
             if c is None:
                 break
@@ -474,6 +482,48 @@ class _ActiveSet:
         record = {"margin": t, "eq": eq, "outcome": "negative-cycle" if c is None else "feasible",
                   "passes": passes, "rounds": rounds, "active_edges": len(self.src), **proof}
         return c, record
+
+
+class _Contracted:
+    """The eq = 0 system with one value u per component of the support
+    forest: offsets with off_x - off_y = d(x, y) on every support pair make
+    c_i = u[label_i] + off_i saturate them all, and the other constraints
+    read u_a - u_b <= Mc[b, a] - t, the least d(j, i) + off_j - off_i over
+    non-exempt j in b, i in a (the diagonal: inside one component)."""
+
+    def __init__(self, Dm, pairs_local):
+        m, p = len(Dm), len(pairs_local)
+        x, y = pairs_local[:, 0], pairs_local[:, 1]
+        K, label = connected_components(
+            sparse.csr_matrix((np.ones(p), (x, y)), shape=(m, m)), directed=False)
+        if p != m - K:
+            raise SolverFailure("the plan's support is not a forest")
+        ends = np.concatenate([x, y, np.unique(label, return_index=True)[1]])   # pairs, roots
+        walk = sparse.csc_matrix((np.repeat([1.0, -1.0, 1.0], [p, p, K]), (np.r_[:p, :m], ends)),
+                                 shape=(m, m))
+        off = spsolve(walk, np.concatenate([Dm[x, y], np.zeros(K)]))     # sums along the forest
+        exempt = np.concatenate([x, y]), np.concatenate([y, x])
+        Mc = np.full(K * K, np.inf)
+        for lo, hi in _row_ranges(m, m):
+            B = _exempted(Dm[lo:hi] + off[lo:hi, None], lo, *exempt)
+            B -= off
+            np.minimum.at(Mc, (K * label[lo:hi, None] + label).ravel(), B.ravel())
+        Mc = Mc.reshape(K, K)
+        self.label, self.off, self.inner = label, off, float(Mc.diagonal().min())
+        np.fill_diagonal(Mc, 0.0)
+        self.active = _ActiveSet(Mc, np.zeros((0, 2), int))
+
+    def solve(self, t, seed, atol):
+        """`_ActiveSet.solve` at eq = 0, on components: a broken constraint
+        inside one is a 1-cycle; the pass bound stays the points' m + 1."""
+        if self.inner - t < -atol:
+            return None, {"margin": t, "eq": 0.0, "outcome": "negative-cycle", "passes": 0,
+                          "rounds": 0, "active_edges": len(self.active.src), "proof": "cycle",
+                          "cycle_length": 1, "cycle_weight": self.inner - t}
+        start = np.full(len(self.active.Dm), np.inf)
+        np.minimum.at(start, self.label, seed - self.off)
+        u, record = self.active.solve(t, 0.0, start, atol, len(self.label) + 1)
+        return None if u is None else u[self.label] + self.off, record
 
 
 SLACK_LADDER = (1e-6, 1e-7, 1e-8, 1e-9, 3e-10)
@@ -497,18 +547,18 @@ def _tighten_potential(Dm, scale, pairs_local, seed):
     feasible margin is returned (0.0 when every deflation is infeasible;
     the undeflated solution is then used).
 
-    The ladder runs first, at exact support equalities (eq = 0):
-    deflation only lowers constraints, so a feasible rung proves the
-    undeflated system feasible too, which is attempted only when every
-    rung fails. When the engine's plan is marginally suboptimal
-    (near-degenerate exchange ties below its pivot tolerance), exact
-    support equalities are themselves a negative cycle; the equality
-    constraints are then relaxed along their own tiny ladder, trading up
-    to `eq` saturation slack on support pairs for feasibility, and the
-    rungs above 2 eq rerun at the first feasible eq.
+    The ladder runs first, at exact support equalities (eq = 0), on the
+    support components (`_Contracted`): deflation only lowers constraints,
+    so a feasible rung proves the undeflated system feasible too, which is
+    attempted only when every rung fails. When the engine's plan is
+    marginally suboptimal (near-degenerate exchange ties below its pivot
+    tolerance), exact support equalities are themselves a negative cycle;
+    the equality constraints are then relaxed along their own tiny ladder,
+    trading up to `eq` saturation slack on support pairs for feasibility,
+    and the rungs above 2 eq rerun at the first feasible eq.
 
     Each attempt relaxes over a sparse active edge set (`_ActiveSet`),
-    then checks the full m x m system densely, in row blocks; violated
+    then checks the full system densely, in row blocks; violated
     constraints join the set and relaxation resumes from the current
     values, which stay above the full system's maximal solution. An
     attempt is feasible once the dense check passes, and infeasible only
@@ -519,23 +569,23 @@ def _tighten_potential(Dm, scale, pairs_local, seed):
     Returns (values, margin, eq, rungs), where `rungs` records every
     attempt in the order run, undeflated ones included: margin, eq,
     outcome ("feasible" / "negative-cycle"), passes, rounds, active edges
-    and, on a negative cycle, how it was proven (`_relax`).
+    and, on a negative cycle, how it was proven (`_relax`; components at eq = 0).
     """
     seed = seed if seed is not None else np.zeros(len(Dm))
-    active = _ActiveSet(Dm, pairs_local)
     atol = 1e-13 * scale
-    rungs = []
+    merged, rungs = _Contracted(Dm, pairs_local), []
 
-    def attempt(t, eq):
-        c, record = active.solve(t, eq, seed, atol)
+    def attempt(t, eq):     # eq = 0 on the support components, eq > 0 on the moved points
+        c, record = merged.solve(t, seed, atol) if eq == 0 else active.solve(t, eq, seed, atol)
         rungs.append(record)
         return c
 
-    for rel in SLACK_LADDER:
+    for rel in (*SLACK_LADDER, 0.0):       # the undeflated system last
         c = attempt(rel * scale, 0.0)
         if c is not None:
             return c, rel * scale, 0.0, rungs
-    for eq_rel in (0.0, 1e-12, 1e-11, 1e-10):
+    active = _ActiveSet(Dm, pairs_local)
+    for eq_rel in (1e-12, 1e-11, 1e-10):
         eq = eq_rel * scale
         c0 = attempt(0.0, eq)
         if c0 is not None:
@@ -543,7 +593,7 @@ def _tighten_potential(Dm, scale, pairs_local, seed):
     else:
         raise SolverFailure("potential tightening found a negative cycle at every "
                             "equality slack: the plan is not optimal")
-    for rel in SLACK_LADDER if eq > 0 else ():      # at eq = 0 each rung failed above
+    for rel in SLACK_LADDER:
         if rel * scale <= 2 * eq:
             break
         c = attempt(rel * scale, eq)
@@ -599,7 +649,8 @@ def solve_w1(space: MMSpace, mu0, mu1) -> W1Solution:
             support_local = np.stack([loc_pairs[:, 0], S + loc_pairs[:, 1]], axis=1)
             c, slack_floor, eq, rungs = _tighten_potential(
                 space.rows(moved, moved), 1.0 + space.max_distance, support_local, seed)
-            tightening = {"eq": eq, "rungs": rungs}
+            # the support is a forest (`_Contracted`): one component less per pair
+            tightening = {"eq": eq, "rungs": rungs, "components": len(moved) - len(loc_pairs)}
             phi = _extend_potential(space, moved, c)
             flow_pairs = np.stack([src[loc_pairs[:, 0]], snk[loc_pairs[:, 1]]], axis=1)
             pairs = np.concatenate([diag_pairs, flow_pairs], axis=0)

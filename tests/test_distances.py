@@ -243,37 +243,68 @@ def test_row_block_size_changes_no_result(case):
 def test_pairs_within_is_built_once_under_contention():
     # more threads than cores ask for one graph at once, at a short switch
     # interval; the lock leaves one build, which every thread gets, and a
-    # new radius replaces it
-    space = ms.generate_interval_model(0.0, 2.0, 1.0, 1500)[0]
-    R, threads = 0.01, 16
-    built = []
-    row_blocks = ms.MMSpace.row_blocks
+    # new radius replaces it. Sorted interval models build by runs, other
+    # spaces by row blocks: the spy counts the build step both share
+    interval = ms.generate_interval_model(0.0, 2.0, 1.0, 1500)[0]
+    matrix = ms.build_space(list(range(300)), {"type": "matrix", "data": interval.D[:300, :300]})
+    for space in (interval, matrix):
+        R, threads = 0.01, 16
+        built = []
+        build = ms.MMSpace._pairs_graph
 
-    def counting(self, idx=None, cols=None):
-        built.append(self)
-        return row_blocks(self, idx, cols)
+        def counting(self, R):
+            built.append(self)
+            return build(self, R)
 
-    start = threading.Barrier(threads)
+        start = threading.Barrier(threads)
 
-    def ask(_):
-        start.wait(timeout=60)
-        return space.pairs_within(R)
+        def ask(_):
+            start.wait(timeout=60)
+            return space.pairs_within(R)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with mock.patch.object(ms.MMSpace, "row_blocks", counting), \
-                ThreadPoolExecutor(max_workers=threads) as pool:
-            graphs = list(pool.map(ask, range(threads), timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(built) == 1 and all(g is graphs[0] for g in graphs)
-    indptr, cols, data = graphs[0]
-    D = space.D
-    near = D < R
-    assert np.array_equal(indptr, np.r_[0, np.cumsum(near.sum(axis=1))])
-    assert np.array_equal(cols, np.nonzero(near)[1]) and np.array_equal(data, D[near])
-    assert space.pairs_within(R) is graphs[0] and space.pairs_within(R / 2) is not graphs[0]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(ms.MMSpace, "_pairs_graph", counting), \
+                    ThreadPoolExecutor(max_workers=threads) as pool:
+                graphs = list(pool.map(ask, range(threads), timeout=60))
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(built) == 1 and all(g is graphs[0] for g in graphs)
+        indptr, cols, data = graphs[0]
+        D = space.D
+        near = D < R
+        assert np.array_equal(indptr, np.r_[0, np.cumsum(near.sum(axis=1))])
+        assert np.array_equal(cols, np.nonzero(near)[1]) and np.array_equal(data, D[near])
+        assert space.pairs_within(R) is graphs[0] and space.pairs_within(R / 2) is not graphs[0]
+
+
+@pytest.mark.parametrize("kind", ["duplicates", "offset 1e6", "offset -3e8", "random"])
+def test_pairs_within_runs_match_the_row_pass(kind):
+    # sorted coordinates take the run bisection; the same coordinates
+    # reversed are unsorted and take the row pass, which is the reference.
+    # Radii include 0, every small gap between coordinates, one ulp below
+    # each, and the distance of a repeated coordinate to its neighbours
+    rng = np.random.default_rng(len(kind))
+    for n in (1, 2, 17, 64, 65, 300):
+        t = np.sort(rng.random(n))
+        if kind == "duplicates":
+            t = np.sort(np.round(7 * rng.random(n)) / 7)
+        elif kind != "random":
+            t = t + float(kind.split()[1])
+        gaps = np.diff(np.unique(t))[:4]
+        for R in [0.0, 1e-300, 0.05, 1.0, np.inf, *gaps, *np.nextafter(gaps, 0), *(t[:4] - t[0])]:
+            runs = _coordinate_space(t)._pairs_graph(R)
+            rows = _coordinate_space(t[::-1])._pairs_graph(R)
+            back = n - 1 - np.arange(n)     # the reversed space's rows, in sorted order
+            indptr = np.r_[0, np.cumsum(np.diff(rows[0])[back])]
+            assert np.array_equal(runs[0], indptr), (n, R)
+            assert runs[1].dtype == np.int32
+            for x in range(n):
+                got = slice(runs[0][x], runs[0][x + 1])
+                want = slice(rows[0][back[x]], rows[0][back[x] + 1])
+                assert np.array_equal(runs[1][got], np.sort(back[rows[1][want]])), (n, R, x)
+                assert np.array_equal(runs[2][got], rows[2][want][::-1]), (n, R, x)
 
 
 def test_rays_reads_bits_and_only_mmspace_walks_the_triangle():

@@ -34,7 +34,25 @@ def test_path_graph_shortest_path():
     assert sp.D[0, 2] == pytest.approx(2.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("bad", [[[0, 1], [3, 0]], [[5, 1], [1, 0]]])
+@pytest.mark.parametrize("edges, want", [
+    ([[0, 1, 1.0], [1, 0, 1.0], [1, 2, 1.0]], [[0, 1, 2], [1, 0, 1], [2, 1, 0]]),
+    ([[0, 1, 1.0], [0, 1, 3.0], [1, 2, 1.0]], [[0, 1, 2], [1, 0, 1], [2, 1, 0]]),
+    ([[1, 0, 3.0], [0, 1, 1.0], [2, 1, 1.0], [1, 2, 0.5]], [[0, 1, 1.5], [1, 0, 0.5], [1.5, 0.5, 0]]),
+    ([[0, 0, 5.0], [0, 1, 1.0], [2, 2, 0.0], [1, 2, 1.0]], [[0, 1, 2], [1, 0, 1], [2, 1, 0]]),
+])
+def test_graph_edges_repeated_or_looped_keep_the_least_weight(edges, want):
+    # a pair listed twice (either way round) is one edge of the least weight,
+    # and a self-loop is no edge; summed weights would lengthen every path
+    sp = ms.build_space([0, 1, 2], {"type": "graph", "edges": edges})
+    np.testing.assert_array_equal(sp.D, want)
+
+
+def test_graph_of_self_loops_alone_is_disconnected():
+    with pytest.raises(DisconnectedGraph):
+        ms.build_space([0, 1], {"type": "graph", "edges": [[0, 0, 1.0], [1, 1, 1.0]]})
+
+
+@pytest.mark.parametrize("bad",[[[0, 1], [3, 0]], [[5, 1], [1, 0]]])
 def test_raw_matrix_is_validated(bad):
     # asymmetry and a nonzero diagonal are caught before symmetrization hides them
     with pytest.raises(MetricViolation):

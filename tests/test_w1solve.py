@@ -920,6 +920,95 @@ def test_ladder_order_matches_undeflated_first_oracle(case):
         assert margin > 0 and all(r["margin"] > 0 for r in rungs)
 
 
+def _colgen_plan(D, b):
+    """Moved-point distances, support pairs (local, sources then sinks) and
+    duals of the arc generation plan for net supply b on the metric D."""
+    src, snk = np.flatnonzero(b > 0), np.flatnonzero(b < 0)
+    pairs, _, pi, _ = w1._engine_highs_generated(
+        np.ascontiguousarray(D[np.ix_(src, snk)]), b[src], -b[snk])
+    moved = np.concatenate([src, snk])
+    return D[np.ix_(moved, moved)], np.stack([pairs[:, 0], len(src) + pairs[:, 1]], axis=1), pi
+
+
+def _cloud_plan(seed, n=40):
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 2))
+    mu0, mu1 = rng.random(n), rng.random(n)
+    return _colgen_plan(np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1)),
+                        mu0 / mu0.sum() - mu1 / mu1.sum())
+
+
+@pytest.mark.parametrize("case", [f"lattice-{seed}" for seed in range(8)]
+                         + [f"cloud-{seed}" for seed in range(4)])
+def test_contracted_solve_matches_dense_oracle(case):
+    # every eq = 0 attempt relaxes one value per support component: the same
+    # feasibility and the same maximal values as dense relaxation of the
+    # uncontracted system, on optimal and arbitrary matchings, and on arc
+    # generation forests with multi-point components
+    kind, seed = case.split("-")
+    rng = np.random.default_rng(int(seed))
+    if kind == "lattice":
+        Dm, optimal = _lattice(int(seed))
+        S = len(optimal)
+        arbitrary = np.stack([np.arange(S), S + rng.permutation(S)], axis=1)
+        plans = [(optimal, rng.normal(size=2 * S)), (arbitrary, rng.normal(size=2 * S))]
+        margins = (0.0, 1e-3, 0.5, 1.0)
+    else:
+        Dm, pairs, pi = _cloud_plan(int(seed))
+        plans = [(pairs, pi), (pairs, np.zeros(len(Dm)))]
+        margins = (0.0, 1e-9, 1e-6, 1e-3, 0.5, 1.0)
+    atol = 1e-13 * (1 + Dm.max())
+    outcomes = set()
+    for pairs, start in plans:
+        merged = w1._Contracted(Dm, pairs)
+        if kind == "cloud":
+            assert np.bincount(merged.label).max() > 2
+        for t in margins:
+            want = _bellman_max(_dense_constraints(Dm, pairs, t, 0.0), start, len(Dm) + 2, atol)
+            got, record = merged.solve(t, start, atol)
+            assert (got is None) == (want is None), t
+            assert record["outcome"] == ("negative-cycle" if want is None else "feasible")
+            if want is not None:
+                np.testing.assert_allclose(got, want, rtol=0, atol=10 * atol)
+            outcomes.add(record["outcome"])
+    assert outcomes == {"feasible", "negative-cycle"}
+
+
+def test_jittered_lattice_ladder_matches_uncontracted_oracle():
+    # a near-degenerate L1 lattice: exact support equalities are a negative
+    # cycle, contracted and dense alike, so the ladder reaches eq > 0 on the
+    # moved points and accepts what the uncontracted ladder accepts
+    rng = np.random.default_rng(0)
+    n = 60
+    pts = rng.integers(0, 8, (n, 2)) + 1e-9 * rng.random((n, 2))
+    D = np.abs(pts[:, None] - pts[None, :]).sum(-1)
+    mu0, mu1 = rng.random(n) + 1e-3, rng.random(n) + 1e-3
+    Dm, pairs, pi = _colgen_plan(D, mu0 / mu0.sum() - mu1 / mu1.sum())
+    scale = 1 + D.max()
+    atol = 1e-13 * scale
+    assert _bellman_max(_dense_constraints(Dm, pairs, 0.0, 0.0), pi, len(Dm) + 2, atol) is None
+    assert w1._Contracted(Dm, pairs).solve(0.0, pi, atol)[0] is None
+    want, want_margin, want_eq, want_record = _undeflated_first(Dm, scale, pairs, pi)
+    got, margin, eq, rungs = w1._tighten_potential(Dm, scale, pairs, pi)
+    assert eq > 0 and (margin, eq) == (want_margin, want_eq)
+    accepted = [r for r in rungs if r["outcome"] == "feasible"][-1]
+    assert (accepted["margin"], accepted["eq"]) == (want_record["margin"], want_record["eq"])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
+def test_tightening_records_its_components():
+    # an assignment plan is a matching, one component per pair; one source
+    # sending to every sink is a star, one component
+    pts = np.array([[0, 0], [1, 1], [1, 0], [0, 1], [2, 2]], dtype=float)
+    space = ms.build_space(list(range(5)), {"type": "matrix",
+                                            "data": np.abs(pts[:, None] - pts[None, :]).sum(-1)})
+    tie = w1.solve_w1(space, [0.5, 0.5, 0, 0, 0], [0, 0, 0.5, 0.5, 0])
+    star = w1.solve_w1(space, [1, 0, 0, 0, 0], [0, 0.25, 0.25, 0.25, 0.25])
+    assert (tie.engine, star.engine) == ("assignment", "highs-colgen")
+    assert tie.tightening["components"] == 2 and star.tightening["components"] == 1
+    assert star.to_json()["tightening"]["components"] == 1
+
+
 def test_negative_cycle_rungs_say_how_they_were_proven():
     # the 2x2 tie's deflated rungs end at the m + 1 pass bound (m = 4); a
     # lattice's deflated rungs close pointer cycles at the first check
