@@ -6,8 +6,11 @@ supplies are uniform and balanced in count, and otherwise arc generation
 on the bipartite transportation LP: one HiGHS model holds the restricted
 LP, gains the arcs that price negative against all S x T arcs as new
 columns each round, and re-solves by dual simplex from its last basis,
-until no arc outside the set prices negative. The masses are then solved
-exactly on the final basis.
+until no arc outside the set prices negative. Each column is bounded by
+min(a_i, b_j), which the row and column sums already imply, so a new
+column can sit at its bound and the basis stays dual feasible; the bounds
+come off, with one re-solve, once the bounded LP is optimal. The masses
+are then solved exactly on the final basis.
 
 Whatever the engine, the dual potential is re-derived: seed values from
 the engine are tightened by Bellman-Ford relaxation of the difference
@@ -33,7 +36,7 @@ import dataclasses
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment
-from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+from scipy.optimize._highspy._core import HighsBasisStatus, HighsModelStatus, _Highs
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
@@ -63,8 +66,10 @@ class W1Solution:
     # potential tightening record: equality slack and every relaxation attempt
     # (see _tighten_potential); empty when the engine needs no tightening
     tightening: dict = dataclasses.field(default_factory=dict)
-    # arc generation record: LP rounds and the final restricted-LP arc
-    # count; empty on the line, identity and assignment routes
+    # arc generation record: LP rounds, the final restricted-LP arc count,
+    # simplex iterations per round and the columns left at their implied
+    # bound (`_engine_highs_generated`); empty on the line, identity and
+    # assignment routes
     colgen: dict = dataclasses.field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -212,14 +217,23 @@ def _engine_highs_generated(D_sub, a, b):
 
     The arc set starts from each point's nearest counterparts and a greedy
     staircase (so the restricted LP is feasible), and each round adds the
-    most violated arcs outside it as new columns; the dual simplex resumes
-    from the previous basis, which stays dual feasible on the old columns.
+    most violated arcs outside it as new columns. Each column has upper
+    bound min(a_i, b_j) (scaled like the rows): every feasible plan obeys
+    it, since the row and column sums force it, so neither the feasible
+    set nor the optimum changes. A new column that prices negative enters
+    nonbasic at that bound, the previous basis stays dual feasible, and
+    the dual simplex resumes in phase 2 (unbounded, each such column would
+    make the basis dual infeasible and force dual phase 1). The first time no
+    arc outside the set prices negative, every bound comes off and the LP
+    is re-solved once from its basis, as a round of its own; pricing then
+    goes on as before, so the final basis is one of the unbounded LP.
     The plan is optimal once no arc outside the set prices negative: arcs
     inside it are priced by the LP itself, whose duals can leave them at
     tiny negative reduced costs. The masses are then solved on the final
     basis exactly (`_basis_plan`). Returns (pairs, masses, seed, record)
-    with record = {"rounds", "arcs", "simplex_iterations"}, the last a
-    list with the dual simplex iterations of each round.
+    with record = {"rounds", "arcs", "simplex_iterations", "at_bound"}:
+    the dual simplex iterations of each round in a list, and the number
+    of columns nonbasic at their bound when the bounded LP converged.
     """
     S, T = D_sub.shape
     k_nn = 8
@@ -247,11 +261,13 @@ def _engine_highs_generated(D_sub, a, b):
     lp.addRows(S + T, rhs, rhs, 0, np.zeros(S + T, np.int32), np.zeros(0, np.int32), np.zeros(0))
     src, dst = np.nonzero(inset)
     new = slice(0, len(src))
-    iterations = []
+    iterations, at_bound = [], None     # at_bound is set when the bounds come off
     for rounds in range(1, _MAX_ROUNDS + 1):
         k = new.stop - new.start
         rows = np.stack([src[new], S + dst[new]], axis=1).astype(np.int32).ravel()
-        lp.addCols(k, D_sub[src[new], dst[new]], np.zeros(k), np.full(k, np.inf), 2 * k,
+        upper = (_LP_SCALE * np.minimum(a[src[new]], b[dst[new]]) if at_bound is None
+                 else np.full(k, np.inf))
+        lp.addCols(k, D_sub[src[new], dst[new]], np.zeros(k), upper, 2 * k,
                    np.arange(0, 2 * k, 2, dtype=np.int32), rows, np.ones(2 * k))
         lp.run()
         if lp.getModelStatus() != HighsModelStatus.kOptimal:
@@ -262,6 +278,15 @@ def _engine_highs_generated(D_sub, a, b):
         pi = np.concatenate([y[:S], -y[S:]])
         reduced = D_sub - pi[:S, None] + pi[None, S:]
         vi, vj = np.nonzero((reduced < -1e-11 * scale) & ~inset)
+        if len(vi) == 0 and at_bound is None:
+            # optimal over all arcs under the implied bounds: take them off
+            status = np.asarray(lp.getBasis().col_status)
+            at_bound = int(np.count_nonzero(status == HighsBasisStatus.kUpper))
+            cols = lp.getNumCol()
+            lp.changeColsBounds(cols, np.arange(cols, dtype=np.int32), np.zeros(cols),
+                                np.full(cols, np.inf))
+            new = slice(len(src), len(src))
+            continue
         if len(vi) == 0:
             basic = lp.getBasicVariables()[1]
             arcs = basic[basic >= 0]
@@ -269,7 +294,8 @@ def _engine_highs_generated(D_sub, a, b):
                                             -1 - basic[basic < 0], pi)
             keep = masses > 0
             return pairs[keep], masses[keep], pi, {
-                "rounds": rounds, "arcs": len(src), "simplex_iterations": iterations}
+                "rounds": rounds, "arcs": len(src), "simplex_iterations": iterations,
+                "at_bound": at_bound}
         order = np.argsort(reduced[vi, vj])[: 4 * (S + T)]
         inset[vi[order], vj[order]] = True
         new = slice(len(src), len(src) + len(order))

@@ -24,8 +24,9 @@ def _marginals(n, seed):
     return a / a.sum(), b / b.sum()
 
 
-def _full_lp(D, a, b):
-    """The full transportation LP over all S x T variables, by HiGHS."""
+def _full_lp(D, a, b, **options):
+    """The full transportation LP over all S x T variables, by HiGHS (with
+    linprog `options`, such as its feasibility tolerances)."""
     S, T = D.shape
     from scipy import sparse
     cols = np.arange(S * T)
@@ -35,7 +36,7 @@ def _full_lp(D, a, b):
                            (np.concatenate([ri, S + ci]), np.concatenate([cols, cols]))),
                           shape=(S + T, S * T))
     res = linprog(D.ravel(), A_eq=A.tocsc(), b_eq=np.concatenate([a, b]),
-                  bounds=(0, None), method="highs")
+                  bounds=(0, None), method="highs", options=options)
     assert res.status == 0
     return res
 
@@ -548,8 +549,10 @@ def test_colgen_record():
     mu0, mu1 = _marginals(40, 14)
     sol = w1.solve_w1(sp, mu0, mu1)
     assert sol.engine == "highs-colgen"
-    assert set(sol.colgen) == {"rounds", "arcs", "simplex_iterations"}
-    assert sol.colgen["rounds"] >= 1 and sol.colgen["arcs"] >= len(sol.pairs) - sp.n
+    assert set(sol.colgen) == {"rounds", "arcs", "simplex_iterations", "at_bound"}
+    # the re-solve after the column bounds come off is a round of its own
+    assert sol.colgen["rounds"] >= 2 and sol.colgen["arcs"] >= len(sol.pairs) - sp.n
+    assert isinstance(sol.colgen["at_bound"], int) and sol.colgen["at_bound"] >= 0
     iterations = sol.colgen["simplex_iterations"]
     assert len(iterations) == sol.colgen["rounds"]
     assert all(isinstance(k, int) and k >= 0 for k in iterations)
@@ -577,10 +580,11 @@ def _transport_lp(D, a, b):
     lp.addRows(len(rhs), rhs, rhs, 0, np.zeros(len(rhs), np.int32), np.zeros(0, np.int32),
                np.zeros(0))
 
-    def add(src, dst):
+    def add(src, dst, upper=None):
         k = len(src)
         rows = np.stack([src, S + np.asarray(dst)], axis=1).astype(np.int32).ravel()
-        lp.addCols(k, D[src, dst], np.zeros(k), np.full(k, np.inf), 2 * k,
+        upper = np.full(k, np.inf) if upper is None else upper
+        lp.addCols(k, D[src, dst], np.zeros(k), upper, 2 * k,
                    np.arange(0, 2 * k, 2, dtype=np.int32), rows, np.ones(2 * k))
 
     return lp, add
@@ -589,7 +593,7 @@ def _transport_lp(D, a, b):
 def test_highs_binding_pinned():
     # arc generation drives scipy's private HiGHS binding; a scipy release
     # that moves or changes it fails here, not deep inside solve_w1
-    from scipy.optimize._highspy._core import HighsModelStatus
+    from scipy.optimize._highspy._core import HighsBasisStatus, HighsModelStatus
     D = np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 2.0], [3.0, 2.0, 1.0]])
     a, b = np.array([0.5, 0.3, 0.2]), np.array([0.2, 0.3, 0.5])
     lp, add = _transport_lp(D, a, b)
@@ -616,6 +620,20 @@ def test_highs_binding_pinned():
     solve(src, dst, 2.0)
     add(np.array([2]), np.array([2]))             # one more column, then re-solve
     solve(np.append(src, 2), np.append(dst, 2), 1.6)
+    # arc 0 -> 0 bounded below its optimal mass 0.2 ends nonbasic at the
+    # bound; with every bound taken off, the re-solve reaches 1.6 again
+    lp, add = _transport_lp(D, a, b)
+    src, dst = np.nonzero(np.ones((3, 3), dtype=bool))
+    add(src, dst, np.where((src == 0) & (dst == 0), 0.1, np.inf))
+    lp.run()
+    assert lp.getModelStatus() == HighsModelStatus.kOptimal and lp.getNumCol() == 9
+    status = lp.getBasis().col_status
+    assert len(status) == 9 and status[0] == HighsBasisStatus.kUpper
+    assert lp.getSolution().col_value[0] == pytest.approx(0.1, abs=1e-12)
+    assert lp.getSolution().col_dual[0] < -1e-12
+    assert lp.getObjectiveValue() == pytest.approx(1.8, abs=1e-12)
+    lp.changeColsBounds(9, np.arange(9, dtype=np.int32), np.zeros(9), np.full(9, np.inf))
+    solve(src, dst, 1.6)
 
 
 def _full_basis(D, a, b):
@@ -672,7 +690,7 @@ def test_basis_plan_pivots_to_the_optimum(seed, offset):
 
 def test_negative_basic_mass_is_pivoted_out(monkeypatch):
     # HiGHS ends this near-uniform cap on a basis with a basic mass of
-    # about -7e-12, inside its 1e-10 feasibility tolerance; cutting it at
+    # about -8.5e-12, inside its 1e-10 feasibility tolerance; cutting it at
     # zero put the plan marginals off by as much. A dual pivot takes it out.
     least = []                      # least basic mass of each basis solved
     basis_masses = w1._basis_masses
@@ -683,12 +701,12 @@ def test_negative_basic_mass_is_pivoted_out(monkeypatch):
         return out
 
     monkeypatch.setattr(w1, "_basis_masses", spy)
-    sp = ms.generate_sphere_sample(2, 100, seed=12)
+    sp = ms.generate_sphere_sample(2, 100, seed=17)
     n, k = sp.n, sp.n // 4
     order = np.argsort(-sp.coords[:, 2], kind="stable")
     mu0 = np.zeros(n); mu0[order[:k]] = 1.0 / k
     mu1 = np.zeros(n); mu1[order[-k:]] = 1.0 / k
-    rng = np.random.default_rng(12)
+    rng = np.random.default_rng(17)
     mu0, mu1 = _perturbed(mu0, 1e-8, rng), _perturbed(mu1, 1e-8, rng)
     sol = w1.solve_w1(sp, mu0, mu1)
     assert sol.engine == "highs-colgen"
@@ -697,6 +715,61 @@ def test_negative_basic_mass_is_pivoted_out(monkeypatch):
     m1 = np.bincount(sol.pairs[:, 1], weights=sol.masses, minlength=n)
     assert max(np.abs(m0 - mu0).max(), np.abs(m1 - mu1).max()) <= 1e-14
     assert sol.duality_gap <= 1e-14 * (1 + sol.primal_value)
+
+
+def _net_lp(D, mu0, mu1):
+    """Costs, supplies and demands of the transportation LP between the
+    points where mu0 - mu1 is positive and where it is negative."""
+    b = mu0 - mu1
+    src, snk = np.flatnonzero(b > 0), np.flatnonzero(b < 0)
+    return np.ascontiguousarray(D[np.ix_(src, snk)]), b[src], -b[snk]
+
+
+def _boxed_case(case):
+    kind, seed, size = case.split("-")[:3]
+    rng = np.random.default_rng(int(seed))
+    if kind == "cloud":
+        pts = rng.random((int(size), 2))
+        D = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
+        return _net_lp(D, *_marginals(int(size), int(seed)))
+    if kind == "grid":
+        k = int(size)
+        edges = [[v, v + 1, float(rng.uniform(0.5, 1.5))] for v in range(k * k) if (v + 1) % k]
+        edges += [[v, v + k, float(rng.uniform(0.5, 1.5))] for v in range(k * k - k)]
+        sp = ms.build_space(list(range(k * k)), {"type": "graph", "edges": edges})
+        return _net_lp(sp.rows(np.arange(sp.n), np.arange(sp.n)), *_marginals(sp.n, int(seed)))
+    sp = ms.generate_sphere_sample(2, int(size), seed=int(seed))
+    n, m = sp.n, sp.n // 4
+    order = np.argsort(-sp.coords[:, 2], kind="stable")
+    mu0 = np.zeros(n); mu0[order[:m]] = 1.0 / m
+    mu1 = np.zeros(n); mu1[order[-m:]] = 1.0 / m
+    rel = float(case.split("-", 3)[3])
+    return _net_lp(sp.rows(np.arange(n), np.arange(n)),
+                   _perturbed(mu0, rel, rng), _perturbed(mu1, rel, rng))
+
+
+@pytest.mark.parametrize("case", ["cloud-0-60", "cloud-1-200", "grid-0-8", "grid-1-12",
+                                  "cap-0-200-1e-6", "cap-1-200-1e-8", "cap-2-200-1e-10",
+                                  "cap-3-200-1e-12"])
+def test_boxed_engine_is_optimal_over_all_arcs(case):
+    # arc columns enter bounded by min(a_i, b_j), which every feasible plan
+    # obeys; once no arc outside prices negative the bounds come off and
+    # the LP is re-solved once. The plan must be optimal over all S x T
+    # arcs: the full LP's cost (at HiGHS's tightest feasibility
+    # tolerances), no arc priced below -1e-11 scale, exact marginals
+    D, a, b = _boxed_case(case)
+    S = len(a)
+    pairs, x, pi, record = w1._engine_highs_generated(D, a, b)
+    full = _full_lp(D, a, b, primal_feasibility_tolerance=1e-10,
+                    dual_feasibility_tolerance=1e-10).fun
+    cost = float(x @ D[pairs[:, 0], pairs[:, 1]])
+    assert cost == pytest.approx(full, rel=0, abs=1e-12 * (1 + full))
+    assert (D - pi[:S, None] + pi[None, S:]).min() >= -1e-11 * max(D.max(), 1.0)
+    assert np.abs(np.bincount(pairs[:, 0], weights=x, minlength=S) - a).max() <= 1e-14
+    assert np.abs(np.bincount(pairs[:, 1], weights=x, minlength=len(b)) - b).max() <= 1e-14
+    assert len(record["simplex_iterations"]) == record["rounds"] >= 2
+    # some columns sat at their bound, so the re-solve without them had work
+    assert record["at_bound"] > 0
 
 
 def test_near_line_metric_not_line_dispatched():
