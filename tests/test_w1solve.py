@@ -725,39 +725,36 @@ def _net_lp(D, mu0, mu1):
     return np.ascontiguousarray(D[np.ix_(src, snk)]), b[src], -b[snk]
 
 
-def _boxed_case(case):
-    kind, seed, size = case.split("-")[:3]
-    rng = np.random.default_rng(int(seed))
+def _boxed_case(kind, seed, size, rel):
+    rng = np.random.default_rng(seed)
     if kind == "cloud":
-        pts = rng.random((int(size), 2))
+        pts = rng.random((size, 2))
         D = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
-        return _net_lp(D, *_marginals(int(size), int(seed)))
+        return _net_lp(D, *_marginals(size, seed))
     if kind == "grid":
-        k = int(size)
-        edges = [[v, v + 1, float(rng.uniform(0.5, 1.5))] for v in range(k * k) if (v + 1) % k]
-        edges += [[v, v + k, float(rng.uniform(0.5, 1.5))] for v in range(k * k - k)]
-        sp = ms.build_space(list(range(k * k)), {"type": "graph", "edges": edges})
-        return _net_lp(sp.rows(np.arange(sp.n), np.arange(sp.n)), *_marginals(sp.n, int(seed)))
-    sp = ms.generate_sphere_sample(2, int(size), seed=int(seed))
+        edges = [[v, v + 1, float(rng.uniform(0.5, 1.5))] for v in range(size**2) if (v + 1) % size]
+        edges += [[v, v + size, float(rng.uniform(0.5, 1.5))] for v in range(size**2 - size)]
+        sp = ms.build_space(list(range(size**2)), {"type": "graph", "edges": edges})
+        return _net_lp(sp.rows(np.arange(sp.n), np.arange(sp.n)), *_marginals(sp.n, seed))
+    sp = ms.generate_sphere_sample(2, size, seed=seed)
     n, m = sp.n, sp.n // 4
     order = np.argsort(-sp.coords[:, 2], kind="stable")
     mu0 = np.zeros(n); mu0[order[:m]] = 1.0 / m
     mu1 = np.zeros(n); mu1[order[-m:]] = 1.0 / m
-    rel = float(case.split("-", 3)[3])
     return _net_lp(sp.rows(np.arange(n), np.arange(n)),
                    _perturbed(mu0, rel, rng), _perturbed(mu1, rel, rng))
 
 
-@pytest.mark.parametrize("case", ["cloud-0-60", "cloud-1-200", "grid-0-8", "grid-1-12",
-                                  "cap-0-200-1e-6", "cap-1-200-1e-8", "cap-2-200-1e-10",
-                                  "cap-3-200-1e-12"])
-def test_boxed_engine_is_optimal_over_all_arcs(case):
+@pytest.mark.parametrize("kind, seed, size, rel", [
+    ("cloud", 0, 60, 0), ("cloud", 1, 200, 0), ("grid", 0, 8, 0), ("grid", 1, 12, 0),
+    ("cap", 0, 200, 1e-6), ("cap", 1, 200, 1e-8), ("cap", 2, 200, 1e-10), ("cap", 3, 200, 1e-12)])
+def test_boxed_engine_is_optimal_over_all_arcs(kind, seed, size, rel):
     # arc columns enter bounded by min(a_i, b_j), which every feasible plan
     # obeys; once no arc outside prices negative the bounds come off and
     # the LP is re-solved once. The plan must be optimal over all S x T
     # arcs: the full LP's cost (at HiGHS's tightest feasibility
     # tolerances), no arc priced below -1e-11 scale, exact marginals
-    D, a, b = _boxed_case(case)
+    D, a, b = _boxed_case(kind, seed, size, rel)
     S = len(a)
     pairs, x, pi, record = w1._engine_highs_generated(D, a, b)
     full = _full_lp(D, a, b, primal_feasibility_tolerance=1e-10,
