@@ -179,6 +179,8 @@ def cmd_decompose(args):
             "slack_floor": sol.slack_floor,
             "support_residual": sol.support_residual,
             "gamma_tol": needles.gamma.tol,
+            "tightening": sol.tightening,
+            "colgen": sol.colgen,
         },
         "decomposition": needles.rays.to_json(),
         "branching": {

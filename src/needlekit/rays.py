@@ -183,19 +183,16 @@ def build_transport_structure(space: MMSpace, gamma: GammaSet) -> TransportStruc
     )
 
 
-def _select_representative(space: MMSpace, points: np.ndarray, phi: np.ndarray) -> tuple[int, float]:
-    """Representative of one ray: the point whose phi is closest to the
-    median phi over the ray (ties to the point earlier in `points`, which on
-    a ray is the one with the larger phi); weight = m-mass.
+def _select_representative(space: MMSpace, points: np.ndarray) -> tuple[int, float]:
+    """Representative of one ray: its middle point, or of an even-length ray
+    the earlier of the two middle points; weight = m-mass.
 
-    `points` must be ordered by non-increasing phi, as a ray's chain is, so
-    the median is the middle value or the mean of the middle two.
+    On a ray's chain, ordered by non-increasing phi, that is a point whose
+    phi is closest to the median phi (on an even-length ray, the one with
+    the larger phi), taken by position so that rounding in phi cannot move
+    it.
     """
-    vals = phi[points]
-    mid = len(vals) // 2
-    med = vals[mid] if len(vals) % 2 else (vals[mid - 1] + vals[mid]) / 2
-    rep = points[int(np.argmin(np.abs(vals - med)))]
-    return int(rep), float(space.weights[points].sum())
+    return int(points[(len(points) - 1) // 2]), float(space.weights[points].sum())
 
 
 def partition_rays(space: MMSpace, structure: TransportStructure,
@@ -250,7 +247,7 @@ def partition_rays(space: MMSpace, structure: TransportStructure,
                 f"ordered by phi within tol={tol:g}; orphaned")
             continue
         s = np.concatenate([[0.0], np.cumsum(steps[edges[k]:edges[k + 1] - 1])])
-        rep, mass = _select_representative(space, chain, phi)
+        rep, mass = _select_representative(space, chain)
         rep_pos = int(np.where(chain == rep)[0][0])
         ray_of[chain], param[chain] = len(rays), s - s[rep_pos]
         rays.append(Ray(points=chain, params=param[chain], representative=rep, mass=mass))

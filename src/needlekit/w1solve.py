@@ -9,24 +9,24 @@ columns each round, and re-solves by dual simplex from its last basis,
 until no arc outside the set prices negative. Each column is bounded by
 min(a_i, b_j), which the row and column sums already imply, so a new
 column can sit at its bound and the basis stays dual feasible; the bounds
-come off, with one re-solve, once the bounded LP is optimal. The masses
-are then solved exactly on the final basis.
+come off, with one re-solve, once the bounded LP is optimal. Costs are
+scaled by a power of two in the LP, so that HiGHS's dual tolerance, scaled
+back, lies below the tolerance at which arcs are priced: no arc, in the
+set or out, ends below it. The masses are then solved exactly on the
+final basis.
 
 Whatever the engine, the dual potential is re-derived: seed values from
 the engine are tightened by Bellman-Ford relaxation of the difference
-constraints  phi(x) - phi(y) <= d(x,y)  plus saturation equalities on the
-plan support, then extended to unmoved points by infimal convolution with
-the distance cones. Relaxation runs over a sparse active set of
-constraints (support pairs and nearest neighbours), a blocked dense check
-adds every violated constraint until none is left, and an attempt fails
-only on a proven negative cycle, so which slack margin is accepted
-depends on the instance alone, not on the seed or a pass budget (the
-undeflated system runs only when every deflated margin fails, and cycles
-are sought among all tight in-edges). The result is 1-Lipschitz to
-machine precision and saturates every support pair up to the recorded
-`support_residual` (zero except on near-degenerate instances whose
-engine vertex is marginally suboptimal), so strong duality holds with
-no solver tolerance in the loop.
+constraints  phi(x) - phi(y) <= d(x,y)  with equality on the plan
+support, then extended to unmoved points by infimal convolution with the
+distance cones. Relaxation runs on the components of the support forest
+over a sparse active set of constraints, a blocked dense check adds every
+violated constraint until none is left, and an attempt fails only on a
+proven negative cycle, so which slack margin is accepted depends on the
+instance alone, not on the seed or a pass budget. The result is
+1-Lipschitz to machine precision and saturates every support pair up to
+the relaxation's tolerance (`support_residual`), so strong duality holds
+with no solver tolerance in the loop.
 """
 
 from __future__ import annotations
@@ -62,9 +62,9 @@ class W1Solution:
     mu1: np.ndarray
     engine: str = "unknown"
     slack_floor: float = 0.0        # guaranteed saturation slack of non-support pairs
-    support_residual: float = 0.0   # measured max saturation slack over plan pairs
-    # potential tightening record: equality slack and every relaxation attempt
-    # (see _tighten_potential); empty when the engine needs no tightening
+    support_residual: float = 0.0   # measured max saturation slack over plan pairs, <= _RTOL scale
+    # potential tightening record: every relaxation attempt and the support
+    # components (see _tighten_potential); empty when the engine needs no tightening
     tightening: dict = dataclasses.field(default_factory=dict)
     # arc generation record: LP rounds, the final restricted-LP arc count,
     # simplex iterations per round and the columns left at their implied
@@ -206,6 +206,17 @@ _MAX_ROUNDS = 60
 # back, they are 8 times smaller, and `_basis_plan` pivots them out. Duals
 # do not change.
 _LP_SCALE = 8.0
+# Arc costs are scaled by this power of two in the restricted LP, and the
+# row duals scaled back, which is exact. HiGHS leaves reduced costs down to
+# minus its dual feasibility tolerance, 1e-10 at least; scaled back, that
+# is 1e-10 / _COST_SCALE, which must stay below _RTOL (times scale >= 1).
+# With arcs outside the set priced at -_RTOL scale too, no arc's reduced
+# cost ends below it; through the triangle inequality, neither does any
+# constraint between moved points, so exact saturation of the plan is
+# feasible at the tightening's tolerance.
+_COST_SCALE = 2.0**10
+# relative tolerance (times scale) of pricing and of potential tightening
+_RTOL = 1e-13
 # basic masses below minus this, and trees of the basis out of balance by
 # more, are primal infeasible and pivoted out of the basis (`_basis_plan`)
 _MASS_TOL = 1e-15
@@ -227,9 +238,10 @@ def _engine_highs_generated(D_sub, a, b):
     arc outside the set prices negative, every bound comes off and the LP
     is re-solved once from its basis, as a round of its own; pricing then
     goes on as before, so the final basis is one of the unbounded LP.
-    The plan is optimal once no arc outside the set prices negative: arcs
-    inside it are priced by the LP itself, whose duals can leave them at
-    tiny negative reduced costs. The masses are then solved on the final
+    The plan is optimal once no arc outside the set prices below
+    -_RTOL scale: arcs inside it are priced by the LP itself, whose duals
+    can leave them at tiny negative reduced costs, held above that bound by
+    the cost scale (_COST_SCALE). The masses are then solved on the final
     basis exactly (`_basis_plan`). Returns (pairs, masses, seed, record)
     with record = {"rounds", "arcs", "simplex_iterations", "at_bound"}:
     the dual simplex iterations of each round in a list, and the number
@@ -267,17 +279,17 @@ def _engine_highs_generated(D_sub, a, b):
         rows = np.stack([src[new], S + dst[new]], axis=1).astype(np.int32).ravel()
         upper = (_LP_SCALE * np.minimum(a[src[new]], b[dst[new]]) if at_bound is None
                  else np.full(k, np.inf))
-        lp.addCols(k, D_sub[src[new], dst[new]], np.zeros(k), upper, 2 * k,
+        lp.addCols(k, _COST_SCALE * D_sub[src[new], dst[new]], np.zeros(k), upper, 2 * k,
                    np.arange(0, 2 * k, 2, dtype=np.int32), rows, np.ones(2 * k))
         lp.run()
         if lp.getModelStatus() != HighsModelStatus.kOptimal:
             raise SolverFailure("HiGHS failed on restricted LP: "
                                 + lp.modelStatusToString(lp.getModelStatus()))
         iterations.append(lp.getInfo().simplex_iteration_count)
-        y = np.asarray(lp.getSolution().row_dual)
+        y = np.asarray(lp.getSolution().row_dual) / _COST_SCALE
         pi = np.concatenate([y[:S], -y[S:]])
         reduced = D_sub - pi[:S, None] + pi[None, S:]
-        vi, vj = np.nonzero((reduced < -1e-11 * scale) & ~inset)
+        vi, vj = np.nonzero((reduced < -_RTOL * scale) & ~inset)
         if len(vi) == 0 and at_bound is None:
             # optimal over all arcs under the implied bounds: take them off
             status = np.asarray(lp.getBasis().col_status)
@@ -427,75 +439,70 @@ def _parent_cycle_weight(edge, src, w):
     return float(weight[k]), int(size[k])
 
 
-def _exempted(B, lo, r, c):
-    """Rows lo:lo + len(B) of a constraint matrix, B, less its diagonal and (r, c)."""
+def _exempted(B, lo, pairs=None):
+    """Rows lo:lo + len(B) of a constraint matrix, B, less its diagonal and
+    the entries `pairs` (rows, columns)."""
     B[np.arange(len(B)), lo + np.arange(len(B))] = np.inf
-    k = (lo <= r) & (r < lo + len(B))
-    B[r[k] - lo, c[k]] = np.inf
+    if pairs is not None:
+        r, c = pairs
+        k = (lo <= r) & (r < lo + len(B))
+        B[r[k] - lo, c[k]] = np.inf
     return B
 
 
 class _ActiveSet:
-    """Difference constraints  c_i - c_j <= W[j, i]  on the m moved points,
-    relaxed over a growing subset of the m^2 edges j -> i.
+    """Difference constraints  c_i - c_j <= W[j, i] - t  (i != j) on len(W)
+    values, relaxed over a growing subset of the edges j -> i.
 
-    W[j, i] = Dm[j, i] - t, except on the exempt pairs (the diagonal and
-    both directions of every support pair), where it is Dm[j, i], lowered
-    to -Dm[x, y] + eq on each support edge x -> y (saturation). The set
-    starts with the exempt edges and each point's _KNN nearest non-exempt
-    neighbours in both directions; it only grows, since every extra edge
-    is a constraint of the full system, and serves every (t, eq) attempt.
+    The set starts with the self-loops, which are not deflated, and each
+    value's _KNN nearest neighbours in both directions; it only grows,
+    since every extra edge is a constraint of the full system, and serves
+    every margin t.
     """
 
-    def __init__(self, Dm, pairs_local):
-        m = len(Dm)
-        x, y = pairs_local[:, 0], pairs_local[:, 1]
-        self.Dm, self.n_sat = Dm, len(x)
-        self.exempt = np.concatenate([x, y]), np.concatenate([y, x])    # off the diagonal
+    def __init__(self, W):
+        m = len(W)
+        self.W = W
         k = min(_KNN, m - 1)
         near = []                            # edge keys j * m + i
         for lo, hi in _row_ranges(m, m):
-            d = _exempted(Dm[lo:hi].copy(), lo, *self.exempt)
             i = np.repeat(np.arange(lo, hi), k)
-            j = np.argpartition(d, k - 1, axis=1)[:, :k].ravel()
-            ok = np.isfinite(d[i - lo, j])
-            near += [i[ok] * m + j[ok], j[ok] * m + i[ok]]
+            j = np.argpartition(_exempted(W[lo:hi].copy(), lo), k - 1, axis=1)[:, :k].ravel()
+            near += [i * m + j, j * m + i]
         near = np.unique(np.concatenate(near))
         diag = np.arange(m)
-        self._set(np.concatenate([diag, x, y, near // m]), np.concatenate([diag, y, x, near % m]))
+        self._set(np.concatenate([diag, near // m]), np.concatenate([diag, near % m]))
 
     def _set(self, src, dst):
-        # edge order: m self-loops, the support edges x -> y, their
-        # reverses, then the deflated (non-exempt) edges
+        # edge order: m self-loops, then the deflated edges
         self.src, self.dst = src, dst
-        self.base = self.Dm[src, dst]
+        self.base = self.W[src, dst]
         self.order = np.argsort(dst, kind="stable")
-        self.starts = np.searchsorted(dst[self.order], np.arange(len(self.Dm)))
+        self.starts = np.searchsorted(dst[self.order], np.arange(len(self.W)))
 
     def _violated(self, c, t, atol):
         """Each target's best in-edge per row block, where it beats c by more than atol."""
         srcs, dsts = [], []
         for lo, hi in _row_ranges(len(c), len(c)):
-            B = c[lo:hi, None] + self.Dm[lo:hi]
+            B = c[lo:hi, None] + self.W[lo:hi]
             B -= t
-            _exempted(B, lo, *self.exempt)
+            _exempted(B, lo)
             hit = np.flatnonzero(B.min(axis=0) < c - atol)
             srcs.append(lo + B[:, hit].argmin(axis=0))
             dsts.append(hit)
         return np.concatenate(srcs), np.concatenate(dsts)
 
-    def solve(self, t, eq, start, atol, bound=None):
-        """Maximal solution below `start` at deflation margin t and
-        equality slack eq, or None when a negative cycle is proven (`_relax`,
-        with its pass `bound`). Returns (values, record); a negative-cycle
-        record says how the cycle was proven (`_relax`'s `proof`)."""
-        m, p = len(self.Dm), self.n_sat
+    def solve(self, t, start, atol, bound=None):
+        """Maximal solution below `start` at deflation margin t, or None when
+        a negative cycle is proven (`_relax`, with its pass `bound`).
+        Returns (values, record); a negative-cycle record says how the cycle
+        was proven (`_relax`'s `proof`)."""
+        m = len(self.W)
         c, passes, rounds, proof = start, 0, 0, {}
         while True:
             rounds += 1
             w = self.base.copy()
-            w[m + 2 * p:] -= t
-            w[m:m + p] = np.minimum(w[m:m + p], eq - w[m:m + p])
+            w[m:] -= t
             o = self.order
             c, k = _relax(c, self.src[o], self.dst[o], w[o], self.starts, atol, proof, bound)
             passes += k
@@ -505,20 +512,22 @@ class _ActiveSet:
             if len(src) == 0:
                 break
             self._set(np.concatenate([self.src, src]), np.concatenate([self.dst, dst]))
-        record = {"margin": t, "eq": eq, "outcome": "negative-cycle" if c is None else "feasible",
+        record = {"margin": t, "outcome": "negative-cycle" if c is None else "feasible",
                   "passes": passes, "rounds": rounds, "active_edges": len(self.src), **proof}
         return c, record
 
 
 class _Contracted:
-    """The eq = 0 system with one value u per component of the support
-    forest: offsets with off_x - off_y = d(x, y) on every support pair make
-    c_i = u[label_i] + off_i saturate them all, and the other constraints
-    read u_a - u_b <= Mc[b, a] - t, the least d(j, i) + off_j - off_i over
-    non-exempt j in b, i in a (the diagonal: inside one component)."""
+    """Exact saturation of the plan with one value u per component of the
+    support forest: offsets with off_x - off_y = d(x, y) on every support
+    pair make c_i = u[label_i] + off_i saturate them all, and the other
+    constraints read u_a - u_b <= Mc[b, a] - t, the least d(j, i) + off_j - off_i
+    over j in b, i in a, less the diagonal and the support pairs both ways
+    (Mc's diagonal: inside one component). Distances are read from `space`
+    between the points `moved`, in row blocks."""
 
-    def __init__(self, Dm, pairs_local):
-        m, p = len(Dm), len(pairs_local)
+    def __init__(self, space, moved, pairs_local):
+        m, p = len(moved), len(pairs_local)
         x, y = pairs_local[:, 0], pairs_local[:, 1]
         K, label = connected_components(
             sparse.csr_matrix((np.ones(p), (x, y)), shape=(m, m)), directed=False)
@@ -527,61 +536,56 @@ class _Contracted:
         ends = np.concatenate([x, y, np.unique(label, return_index=True)[1]])   # pairs, roots
         walk = sparse.csc_matrix((np.repeat([1.0, -1.0, 1.0], [p, p, K]), (np.r_[:p, :m], ends)),
                                  shape=(m, m))
-        off = spsolve(walk, np.concatenate([Dm[x, y], np.zeros(K)]))     # sums along the forest
+        off = spsolve(walk, np.concatenate([space.dist(moved[x], moved[y]), np.zeros(K)]))
         exempt = np.concatenate([x, y]), np.concatenate([y, x])
         Mc = np.full(K * K, np.inf)
-        for lo, hi in _row_ranges(m, m):
-            B = _exempted(Dm[lo:hi] + off[lo:hi, None], lo, *exempt)
+        for lo, hi, B in space.row_blocks(moved, cols=moved):
+            B = _exempted(B + off[lo:hi, None], lo, exempt)
             B -= off
             np.minimum.at(Mc, (K * label[lo:hi, None] + label).ravel(), B.ravel())
         Mc = Mc.reshape(K, K)
         self.label, self.off, self.inner = label, off, float(Mc.diagonal().min())
         np.fill_diagonal(Mc, 0.0)
-        self.active = _ActiveSet(Mc, np.zeros((0, 2), int))
+        self.active = _ActiveSet(Mc)
 
     def solve(self, t, seed, atol):
-        """`_ActiveSet.solve` at eq = 0, on components: a broken constraint
-        inside one is a 1-cycle; the pass bound stays the points' m + 1."""
+        """`_ActiveSet.solve` on components: a broken constraint inside one
+        is a 1-cycle; the pass bound stays the points' m + 1."""
         if self.inner - t < -atol:
-            return None, {"margin": t, "eq": 0.0, "outcome": "negative-cycle", "passes": 0,
-                          "rounds": 0, "active_edges": len(self.active.src), "proof": "cycle",
+            return None, {"margin": t, "outcome": "negative-cycle", "passes": 0, "rounds": 0,
+                          "active_edges": len(self.active.src), "proof": "cycle",
                           "cycle_length": 1, "cycle_weight": self.inner - t}
-        start = np.full(len(self.active.Dm), np.inf)
+        start = np.full(len(self.active.W), np.inf)
         np.minimum.at(start, self.label, seed - self.off)
-        u, record = self.active.solve(t, 0.0, start, atol, len(self.label) + 1)
+        u, record = self.active.solve(t, start, atol, len(self.label) + 1)
         return None if u is None else u[self.label] + self.off, record
 
 
 SLACK_LADDER = (1e-6, 1e-7, 1e-8, 1e-9, 3e-10)
 
 
-def _tighten_potential(Dm, scale, pairs_local, seed):
-    """Exact dual values on the moved points (distances Dm, scale = 1 + max d) by relaxation.
+def _tighten_potential(space, moved, pairs_local, seed):
+    """Exact dual values on the points `moved` by relaxation.
 
     Difference constraints: c_p - c_q <= d(p,q) for all moved p,q, with
-    equality enforced on support pairs. Optimality of the plan rules out
-    negative cycles, so the maximal solution below the seed exists.
+    equality on the support pairs `pairs_local` (indices into `moved`).
+    Optimality of the plan rules out negative cycles, so the maximal
+    solution below the seed exists; every engine leaves each arc's reduced
+    cost above -_RTOL scale (scale = 1 + max d, the tolerance `atol` of
+    every attempt), so it exists at that tolerance too.
 
     The raw maximal solution rides a spanning tree of accidentally tight
     constraints (every Bellman fixed point has one active constraint per
     node), which downstream Gamma extraction would mistake for transport
-    pairs. Further attempts therefore deflate all non-support constraints
-    by a margin: support saturation stays (near-)exact while non-forced
-    pairs keep slack at least the margin. Feasibility of the deflated
-    system needs the margin below the instance's smallest mean
-    co-optimality gap, so a descending ladder is tried and the largest
-    feasible margin is returned (0.0 when every deflation is infeasible;
-    the undeflated solution is then used).
-
-    The ladder runs first, at exact support equalities (eq = 0), on the
-    support components (`_Contracted`): deflation only lowers constraints,
-    so a feasible rung proves the undeflated system feasible too, which is
-    attempted only when every rung fails. When the engine's plan is
-    marginally suboptimal (near-degenerate exchange ties below its pivot
-    tolerance), exact support equalities are themselves a negative cycle;
-    the equality constraints are then relaxed along their own tiny ladder,
-    trading up to `eq` saturation slack on support pairs for feasibility,
-    and the rungs above 2 eq rerun at the first feasible eq.
+    pairs. Attempts therefore deflate all non-support constraints by a
+    margin: support saturation stays exact while non-forced pairs keep
+    slack at least the margin. Feasibility of the deflated system needs
+    the margin below the instance's smallest mean co-optimality gap, so a
+    descending ladder is tried and the largest feasible margin is
+    returned. The undeflated system runs last, only when every margin
+    fails: deflation only lowers constraints, so a feasible margin proves
+    it feasible too. Every attempt runs on the support components
+    (`_Contracted`).
 
     Each attempt relaxes over a sparse active edge set (`_ActiveSet`),
     then checks the full system densely, in row blocks; violated
@@ -592,40 +596,22 @@ def _tighten_potential(Dm, scale, pairs_local, seed):
     a cycle of the full system too. Outcomes are thus properties of the
     instance, not of the seed or of a pass budget.
 
-    Returns (values, margin, eq, rungs), where `rungs` records every
-    attempt in the order run, undeflated ones included: margin, eq,
-    outcome ("feasible" / "negative-cycle"), passes, rounds, active edges
-    and, on a negative cycle, how it was proven (`_relax`; components at eq = 0).
+    Returns (values, margin, rungs), where `rungs` records every attempt
+    in the order run: margin, outcome ("feasible" / "negative-cycle"),
+    passes, rounds, active edges and, on a negative cycle, how it was
+    proven (`_relax`; counted in components). A negative cycle in the
+    undeflated system raises SolverFailure: the plan is not optimal.
     """
-    seed = seed if seed is not None else np.zeros(len(Dm))
-    atol = 1e-13 * scale
-    merged, rungs = _Contracted(Dm, pairs_local), []
-
-    def attempt(t, eq):     # eq = 0 on the support components, eq > 0 on the moved points
-        c, record = merged.solve(t, seed, atol) if eq == 0 else active.solve(t, eq, seed, atol)
-        rungs.append(record)
-        return c
-
+    scale = 1.0 + space.max_distance
+    seed = seed if seed is not None else np.zeros(len(moved))
+    merged, rungs = _Contracted(space, moved, pairs_local), []
     for rel in (*SLACK_LADDER, 0.0):       # the undeflated system last
-        c = attempt(rel * scale, 0.0)
+        c, record = merged.solve(rel * scale, seed, _RTOL * scale)
+        rungs.append(record)
         if c is not None:
-            return c, rel * scale, 0.0, rungs
-    active = _ActiveSet(Dm, pairs_local)
-    for eq_rel in (1e-12, 1e-11, 1e-10):
-        eq = eq_rel * scale
-        c0 = attempt(0.0, eq)
-        if c0 is not None:
-            break
-    else:
-        raise SolverFailure("potential tightening found a negative cycle at every "
-                            "equality slack: the plan is not optimal")
-    for rel in SLACK_LADDER:
-        if rel * scale <= 2 * eq:
-            break
-        c = attempt(rel * scale, eq)
-        if c is not None:
-            return c, rel * scale, eq, rungs
-    return c0, 0.0, eq, rungs
+            return c, rel * scale, rungs
+    raise SolverFailure("potential tightening found a negative cycle at exact saturation: "
+                        "the plan is not optimal")
 
 
 def _check_probability(mu, n, name):
@@ -673,10 +659,9 @@ def solve_w1(space: MMSpace, mu0, mu1) -> W1Solution:
                 tag = "highs-colgen"
             moved = np.concatenate([src, snk])
             support_local = np.stack([loc_pairs[:, 0], S + loc_pairs[:, 1]], axis=1)
-            c, slack_floor, eq, rungs = _tighten_potential(
-                space.rows(moved, moved), 1.0 + space.max_distance, support_local, seed)
+            c, slack_floor, rungs = _tighten_potential(space, moved, support_local, seed)
             # the support is a forest (`_Contracted`): one component less per pair
-            tightening = {"eq": eq, "rungs": rungs, "components": len(moved) - len(loc_pairs)}
+            tightening = {"rungs": rungs, "components": len(moved) - len(loc_pairs)}
             phi = _extend_potential(space, moved, c)
             flow_pairs = np.stack([src[loc_pairs[:, 0]], snk[loc_pairs[:, 1]]], axis=1)
             pairs = np.concatenate([diag_pairs, flow_pairs], axis=0)

@@ -68,9 +68,24 @@ def test_solve_monge_and_decompose(interval_spec, tmp_path):
     rep2 = json.load(open(out2))
     assert rep2["decomposition"]["rays"]
     solution = rep2["solution"]
-    assert {"slack_floor", "support_residual", "gamma_tol"} <= set(solution)
+    assert {"slack_floor", "support_residual", "gamma_tol", "tightening", "colgen"} <= set(solution)
     assert solution["gamma_tol"] >= 4 * solution["support_residual"]
+    assert solution["tightening"] == solution["colgen"] == {}     # the line engine
     assert "mass_fraction" in rep2["branching"]
+
+    # off the line, both reports carry the tightening and arc generation records
+    sphere = tmp_path / "sphere.json"
+    sphere.write_text(json.dumps({"metric": {"type": "sphere2", "n": 120, "seed": 0}}))
+    reports = []
+    for command in ("solve-monge", "decompose"):
+        assert cli.main([command, "--space", str(sphere), "--seed", "5", "--out", out]) == 0
+        reports.append(json.load(open(out)))
+    w1, solution = reports[0]["w1"], reports[1]["solution"]
+    assert solution["engine"] == "highs-colgen"
+    assert (solution["tightening"], solution["colgen"]) == (w1["tightening"], w1["colgen"])
+    assert set(solution["tightening"]) == {"rungs", "components"}
+    assert solution["tightening"]["rungs"][-1]["outcome"] == "feasible"
+    assert set(solution["colgen"]) == {"rounds", "arcs", "simplex_iterations", "at_bound"}
 
 
 def test_decompose_reports_the_coupling(interval_spec, tmp_path):

@@ -216,7 +216,7 @@ def _needles_record(space, mu0, mu1):
     rays = [(ray.points.tobytes(), ray.params.tobytes(), ray.representative)
             for ray in needles.rays.rays]
     return (sol.pairs.tobytes(), sol.masses.tobytes(), sol.potential.tobytes(),
-            sol.slack_floor, [(r["margin"], r["eq"], r["outcome"]) for r in sol.tightening["rungs"]],
+            sol.slack_floor, [(r["margin"], r["outcome"]) for r in sol.tightening["rungs"]],
             needles.gamma.fwd.tobytes(), needles.gamma.bwd.tobytes(), rays,
             needles.rays.orphan_points.tobytes())
 

@@ -397,6 +397,19 @@ def test_representative_ties_go_to_the_larger_phi():
     # one earlier on the ray (larger phi) is taken, not the lower index
     phi = np.array([3.0, 1.0, 2.0, 0.0])
     space = ms.build_space([0, 1, 2, 3], {"type": "matrix", "data": np.abs(phi[:, None] - phi)})
-    rep, mass = ry._select_representative(space, np.array([0, 2, 1, 3]), phi)
+    rep, mass = ry._select_representative(space, np.array([0, 2, 1, 3]))
     assert rep == 2
     assert mass == pytest.approx(1.0)
+
+
+def test_representative_exact_tie_is_taken_by_position():
+    # the middle values 2.92 and 2.43 are equally far from their mean in
+    # exact arithmetic, but in floats the later one rounds nearer; the
+    # earlier middle point is taken all the same, and an odd ray's middle
+    phi = np.array([3.5, 2.92, 2.43, 1.0, 0.0])
+    space = ms.build_space(list(range(5)), {"type": "matrix", "data": np.abs(phi[:, None] - phi)})
+    med = (phi[1] + phi[2]) / 2
+    assert abs(phi[2] - med) < abs(phi[1] - med)
+    assert ry._select_representative(space, np.arange(4))[0] == 1
+    assert ry._select_representative(space, np.arange(5))[0] == 2
+    assert ry._select_representative(space, np.array([3]))[0] == 3

@@ -25,8 +25,10 @@ def _marginals(n, seed):
 
 
 def _full_lp(D, a, b, **options):
-    """The full transportation LP over all S x T variables, by HiGHS (with
-    linprog `options`, such as its feasibility tolerances)."""
+    """The full transportation LP over all S x T variables, by HiGHS at its
+    tightest feasibility tolerances, 1e-10 (with linprog `options` over them)."""
+    options = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10,
+               **options}
     S, T = D.shape
     from scipy import sparse
     cols = np.arange(S * T)
@@ -752,16 +754,15 @@ def test_boxed_engine_is_optimal_over_all_arcs(kind, seed, size, rel):
     # arc columns enter bounded by min(a_i, b_j), which every feasible plan
     # obeys; once no arc outside prices negative the bounds come off and
     # the LP is re-solved once. The plan must be optimal over all S x T
-    # arcs: the full LP's cost (at HiGHS's tightest feasibility
-    # tolerances), no arc priced below -1e-11 scale, exact marginals
+    # arcs: the full LP's cost, no arc, in the set or out, priced below
+    # the tightening's tolerance -_RTOL scale, exact marginals
     D, a, b = _boxed_case(kind, seed, size, rel)
     S = len(a)
     pairs, x, pi, record = w1._engine_highs_generated(D, a, b)
-    full = _full_lp(D, a, b, primal_feasibility_tolerance=1e-10,
-                    dual_feasibility_tolerance=1e-10).fun
+    full = _full_lp(D, a, b).fun
     cost = float(x @ D[pairs[:, 0], pairs[:, 1]])
     assert cost == pytest.approx(full, rel=0, abs=1e-12 * (1 + full))
-    assert (D - pi[:S, None] + pi[None, S:]).min() >= -1e-11 * max(D.max(), 1.0)
+    assert (D - pi[:S, None] + pi[None, S:]).min() >= -w1._RTOL * max(D.max(), 1.0)
     assert np.abs(np.bincount(pairs[:, 0], weights=x, minlength=S) - a).max() <= 1e-14
     assert np.abs(np.bincount(pairs[:, 1], weights=x, minlength=len(b)) - b).max() <= 1e-14
     assert len(record["simplex_iterations"]) == record["rounds"] >= 2
@@ -796,37 +797,41 @@ def _bellman_max(W, seed, max_passes, atol):
     return None
 
 
-def _dense_constraints(Dm, pairs, t, eq):
+def _dense_constraints(Dm, pairs, t):
+    """c_i - c_j <= W[j, i]: Dm less t off the diagonal and the support
+    pairs (both ways), with equality on each support pair x -> y."""
     x, y = pairs[:, 0], pairs[:, 1]
     exempt = np.eye(len(Dm), dtype=bool)
     exempt[x, y] = exempt[y, x] = True
     W = np.where(exempt, Dm, Dm - t)
-    np.minimum.at(W, (x, y), -Dm[x, y] + eq)
+    np.minimum.at(W, (x, y), -Dm[x, y])
     return W
+
+
+def _space(Dm):
+    """Dm as the distances of a matrix space (not validated: any Dm)."""
+    m = len(Dm)
+    return ms.MMSpace(list(range(m)), Dm, np.full(m, 1.0 / m))
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_active_set_relaxation_matches_dense_oracle(seed):
     # Manhattan distances between lattice points: many exact ties, hence
-    # co-optimal plans, exact-zero cycles and infeasible deflations
-    from scipy.optimize import linear_sum_assignment
+    # exact-zero cycles, and 2-cycles of weight 2 (1 - t) that deflations
+    # past t = 1 break; the asymmetric case relaxes the lattice's distances
+    # offset by a random potential, as the contracted weights are
     rng = np.random.default_rng(seed)
-    S = 10
-    cells = rng.choice(49, size=2 * S, replace=False)
-    pts = np.stack([cells // 7, cells % 7], axis=1)
-    Dm = np.abs(pts[:, None] - pts[None, :]).sum(-1).astype(float)
-    rows, cols = linear_sum_assignment(Dm[:S, S:])
-    optimal = np.stack([rows, S + cols], axis=1)
-    arbitrary = np.stack([np.arange(S), S + rng.permutation(S)], axis=1)
+    Dm, _ = _lattice(seed)
     atol = 1e-13 * (1 + Dm.max())
-    start = rng.normal(size=2 * S)
-    outcomes = set()
-    for pairs in (optimal, arbitrary):
-        active = w1._ActiveSet(Dm, pairs)
-        for t, eq in ((0.0, 0.0), (1e-3, 0.0), (0.5, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 2.0)):
-            want = _bellman_max(_dense_constraints(Dm, pairs, t, eq), start, 2 * S + 2, atol)
-            got, record = active.solve(t, eq, start, atol)
-            assert (got is None) == (want is None), (t, eq)
+    shift = rng.normal(size=len(Dm))
+    no_pairs, outcomes = np.zeros((0, 2), int), set()
+    for W in (Dm, Dm + shift[:, None] - shift[None, :]):
+        start = rng.normal(size=len(Dm))
+        active = w1._ActiveSet(W)
+        for t in (0.0, 1e-3, 0.5, 1.0, 1.5, 3.0):
+            want = _bellman_max(_dense_constraints(W, no_pairs, t), start, len(W) + 2, atol)
+            got, record = active.solve(t, start, atol)
+            assert (got is None) == (want is None), t
             assert record["outcome"] == ("negative-cycle" if want is None else "feasible")
             if want is not None:
                 np.testing.assert_allclose(got, want, rtol=0, atol=10 * atol)
@@ -870,15 +875,15 @@ def test_planted_negative_cycle_is_proven():
     sp = ms.build_space(list(range(4)), {"type": "matrix", "data": D})
     sol = w1.solve_w1(sp, [0.5, 0.5, 0, 0], [0, 0, 0.5, 0.5])
     rungs = sol.tightening["rungs"]
-    assert sol.slack_floor == 0.0 and sol.tightening["eq"] == 0.0
+    assert sol.slack_floor == 0.0
     assert rungs[-1]["margin"] == 0.0 and rungs[-1]["outcome"] == "feasible"
     assert [r["margin"] > 0 for r in rungs[:-1]] == [True] * len(w1.SLACK_LADDER)
     assert all(r["outcome"] == "negative-cycle" and r["passes"] <= 5 for r in rungs[:-1])
 
-    # a suboptimal plan is a negative cycle at every equality slack
+    # a suboptimal plan is a negative cycle at exact saturation
     Dm = np.array([[0, 5, 1, 3], [5, 0, 3, 1], [1, 3, 0, 5], [3, 1, 5, 0]], dtype=float)
     with pytest.raises(SolverFailure, match="negative cycle"):
-        w1._tighten_potential(Dm, 1 + Dm.max(), np.array([[0, 3], [1, 2]]), None)
+        w1._tighten_potential(_space(Dm), np.arange(4), np.array([[0, 3], [1, 2]]), None)
 
 
 def test_slack_floor_does_not_depend_on_the_seed():
@@ -895,9 +900,8 @@ def test_slack_floor_does_not_depend_on_the_seed():
     rows, cols = linear_sum_assignment(D_sub)
     pairs = np.stack([rows, 250 + cols], axis=1)
     moved = np.concatenate([src, snk])
-    Dm, scale = sp.D[np.ix_(moved, moved)], 1 + sp.max_distance
-    _, floor_zero, _, rungs_zero = w1._tighten_potential(Dm, scale, pairs, None)
-    _, floor_duals, _, rungs_duals = w1._tighten_potential(Dm, scale, pairs, duals)
+    _, floor_zero, rungs_zero = w1._tighten_potential(sp, moved, pairs, None)
+    _, floor_duals, rungs_duals = w1._tighten_potential(sp, moved, pairs, duals)
     assert floor_zero > 0
     assert floor_duals == floor_zero
     assert [r["outcome"] for r in rungs_duals] == [r["outcome"] for r in rungs_zero]
@@ -923,25 +927,24 @@ def test_cycle_is_proven_one_check_after_a_lap():
 
 
 def _undeflated_first(Dm, scale, pairs_local, seed):
-    """Oracle: the tightening ladder in its earlier order. The undeflated
-    system first, at the least equality slack where it is feasible, then
-    the deflated rungs at that slack. Returns (values, margin, eq, the
-    accepted record)."""
-    active = w1._ActiveSet(Dm, pairs_local)
+    """Oracle: the tightening ladder in its earlier order, by dense
+    relaxation of the uncontracted system. The undeflated system first
+    (None when it is a negative cycle), then the deflated rungs. Returns
+    (values, margin)."""
     seed = np.zeros(len(Dm)) if seed is None else seed
-    atol = 1e-13 * scale
-    for eq_rel in (0.0, 1e-12, 1e-11, 1e-10):
-        eq = eq_rel * scale
-        c0, record0 = active.solve(0.0, eq, seed, atol)
-        if c0 is not None:
-            break
+
+    def attempt(t):
+        return _bellman_max(_dense_constraints(Dm, pairs_local, t), seed, len(Dm) + 2,
+                            1e-13 * scale)
+
+    c0 = attempt(0.0)
+    if c0 is None:
+        return None, None
     for rel in w1.SLACK_LADDER:
-        if rel * scale <= 2 * eq:
-            break
-        c, record = active.solve(rel * scale, eq, seed, atol)
+        c = attempt(rel * scale)
         if c is not None:
-            return c, rel * scale, eq, record
-    return c0, 0.0, eq, record0
+            return c, rel * scale
+    return c0, 0.0
 
 
 def _lattice(seed, S=10):
@@ -957,34 +960,32 @@ def _lattice(seed, S=10):
 
 
 def _uniform_cap(n=1000):
-    """Moved-point distances and the assignment plan of the uniform polar
-    caps (top quarter to bottom quarter) on an n-point S^2 sample."""
+    """The n-point S^2 sample, its moved points and the assignment plan of
+    the uniform polar caps (top quarter to bottom quarter)."""
     from scipy.optimize import linear_sum_assignment
     sp = ms.generate_sphere_sample(2, n, seed=0)
     order = np.argsort(-sp.coords[:, 2], kind="stable")
     k = n // 4
     moved = np.concatenate([order[:k], order[-k:]])
-    Dm = sp.D[np.ix_(moved, moved)]
-    rows, cols = linear_sum_assignment(Dm[:k, k:])
-    return Dm, 1 + sp.max_distance, np.stack([rows, k + cols], axis=1)
+    rows, cols = linear_sum_assignment(sp.rows(moved[:k], moved[k:]))
+    return sp, moved, np.stack([rows, k + cols], axis=1)
 
 
 @pytest.mark.parametrize("case", [f"lattice-{seed}" for seed in range(8)] + ["cap-n1000"])
 def test_ladder_order_matches_undeflated_first_oracle(case):
-    # a deflated rung feasible at eq = 0 makes the undeflated system
-    # feasible there, so trying the rungs first accepts what the earlier
-    # order accepted, with the same maximal values
+    # a deflated rung feasible at exact saturation makes the undeflated
+    # system feasible too, so trying the rungs first accepts what the
+    # earlier order accepted, with the same maximal values
     if case == "cap-n1000":
-        Dm, scale, pairs = _uniform_cap()
+        space, moved, pairs = _uniform_cap()
     else:
         Dm, pairs = _lattice(int(case.split("-")[1]))
-        scale = 1 + Dm.max()
-    want, want_margin, want_eq, want_record = _undeflated_first(Dm, scale, pairs, None)
-    got, margin, eq, rungs = w1._tighten_potential(Dm, scale, pairs, None)
-    assert (margin, eq) == (want_margin, want_eq)
-    accepted = rungs[-1]
-    assert (accepted["margin"], accepted["eq"], accepted["outcome"]) == (
-        want_record["margin"], want_record["eq"], want_record["outcome"])
+        space, moved = _space(Dm), np.arange(len(Dm))
+    scale = 1 + space.max_distance
+    want, want_margin = _undeflated_first(space.rows(moved, moved), scale, pairs, None)
+    got, margin, rungs = w1._tighten_potential(space, moved, pairs, None)
+    assert margin == want_margin
+    assert (rungs[-1]["margin"], rungs[-1]["outcome"]) == (margin, "feasible")
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
     if case == "cap-n1000":     # the 1e-8 rung certifies, and no undeflated attempt runs
         assert margin > 0 and all(r["margin"] > 0 for r in rungs)
@@ -1030,11 +1031,11 @@ def test_contracted_solve_matches_dense_oracle(case):
     atol = 1e-13 * (1 + Dm.max())
     outcomes = set()
     for pairs, start in plans:
-        merged = w1._Contracted(Dm, pairs)
+        merged = w1._Contracted(_space(Dm), np.arange(len(Dm)), pairs)
         if kind == "cloud":
             assert np.bincount(merged.label).max() > 2
         for t in margins:
-            want = _bellman_max(_dense_constraints(Dm, pairs, t, 0.0), start, len(Dm) + 2, atol)
+            want = _bellman_max(_dense_constraints(Dm, pairs, t), start, len(Dm) + 2, atol)
             got, record = merged.solve(t, start, atol)
             assert (got is None) == (want is None), t
             assert record["outcome"] == ("negative-cycle" if want is None else "feasible")
@@ -1044,26 +1045,21 @@ def test_contracted_solve_matches_dense_oracle(case):
     assert outcomes == {"feasible", "negative-cycle"}
 
 
-def test_jittered_lattice_ladder_matches_uncontracted_oracle():
-    # a near-degenerate L1 lattice: exact support equalities are a negative
-    # cycle, contracted and dense alike, so the ladder reaches eq > 0 on the
-    # moved points and accepts what the uncontracted ladder accepts
+@pytest.mark.parametrize("n", [60, 200, 800])
+def test_jittered_lattice_saturates_exactly(n):
+    # a near-degenerate L1 lattice (integer points plus 1e-9 jitter): with
+    # HiGHS's dual tolerance scaled below the pricing tolerance, arc
+    # generation ends with no arc below -_RTOL scale, so exact saturation
+    # of the plan is feasible; the support pairs saturate up to rounding
     rng = np.random.default_rng(0)
-    n = 60
     pts = rng.integers(0, 8, (n, 2)) + 1e-9 * rng.random((n, 2))
     D = np.abs(pts[:, None] - pts[None, :]).sum(-1)
     mu0, mu1 = rng.random(n) + 1e-3, rng.random(n) + 1e-3
-    Dm, pairs, pi = _colgen_plan(D, mu0 / mu0.sum() - mu1 / mu1.sum())
-    scale = 1 + D.max()
-    atol = 1e-13 * scale
-    assert _bellman_max(_dense_constraints(Dm, pairs, 0.0, 0.0), pi, len(Dm) + 2, atol) is None
-    assert w1._Contracted(Dm, pairs).solve(0.0, pi, atol)[0] is None
-    want, want_margin, want_eq, want_record = _undeflated_first(Dm, scale, pairs, pi)
-    got, margin, eq, rungs = w1._tighten_potential(Dm, scale, pairs, pi)
-    assert eq > 0 and (margin, eq) == (want_margin, want_eq)
-    accepted = [r for r in rungs if r["outcome"] == "feasible"][-1]
-    assert (accepted["margin"], accepted["eq"]) == (want_record["margin"], want_record["eq"])
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+    sol = w1.solve_w1(_space(D), mu0 / mu0.sum(), mu1 / mu1.sum())
+    assert sol.engine == "highs-colgen"
+    assert set(sol.tightening) == {"rungs", "components"}
+    assert sol.tightening["rungs"][-1]["outcome"] == "feasible"
+    assert sol.support_residual <= w1._RTOL * (1 + D.max())
 
 
 def test_tightening_records_its_components():
@@ -1091,7 +1087,7 @@ def test_negative_cycle_rungs_say_how_they_were_proven():
     mu0[:10] = mu1[10:] = 0.1
     lattice = w1.solve_w1(ms.build_space(list(range(20)), {"type": "matrix", "data": Dm}),
                           mu0, mu1)
-    base = {"margin", "eq", "outcome", "passes", "rounds", "active_edges"}
+    base = {"margin", "outcome", "passes", "rounds", "active_edges"}
     proofs = []
     for sol in (tie, lattice):
         rungs = sol.to_json()["tightening"]["rungs"]
