@@ -98,13 +98,15 @@ def tau(K: float, N: float, t, theta):
 
 def _interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     """np.interp(x, xp, fp) bit for bit while slopes are finite: the bracket xp[j] <= x < xp[j + 1]
-    is guessed from the mean step, moved one cell up when x reaches xp[j + 1] (node queries often
-    round one cell low) and checked; only misses, x out of range or NaN among them, are searched."""
+    is guessed from the mean step, moved one cell up when x reaches xp[j + 1] or down when x is
+    below xp[j] (the guess rounds one cell off near nodes) and checked; only misses, x out of
+    range or NaN among them, are searched."""
     last = len(xp) - 2
     xp1, fp1 = xp[1:], fp[1:]       # xp1[j] is xp[j + 1]
     g = (x - xp[0]) * ((last + 1) / (xp[-1] - xp[0]))
     j = np.minimum(np.fmax(g, 0, out=g), last, out=g).astype(np.intp)     # fmax sends NaN to 0
     j += (x >= xp1[j]) & (j < last)
+    j -= (x < xp[j]) & (j > 0)
     x0, x1 = xp[j], xp1[j]
     miss = np.flatnonzero(~((x0 <= x) & (x < x1)))
     xm = x[miss]

@@ -2,26 +2,32 @@
 
 Everything is driven by the saturated pair set Gamma of a solved W1
 instance. Pairs at zero distance count as diagonal ("x = y"): they are
-the space's `coincident` pairs, so Gamma and R are read as bit rows, and
+the space's `coincident` pairs, so Gamma and R are read as rows, and
 distances only along the chains. The branching sets are computed by
 their definition: x is forward-branching when two of its
 Gamma-successors are not related by R = Gamma u Gamma^-1, that is when
-some z in Gamma(x) has Gamma(x) & ~R(z) != 0. The test runs on Gamma and
-R as bit rows packed into 64-bit words: one AND of Gamma(x) with ~R on
-the rows of Gamma(x)'s bits and the words it spans, both read once by
-the clique cover; it is exact on every space.
+some z in Gamma(x) has Gamma(x) & ~R(z) != 0.
 
-Most rows never need that test. x is non-branching exactly when Gamma(x)
-is an R-clique, and any subset of an R-clique is one. So the rows are
-covered by cliques (`_clique_cover`): visited by popcount, largest first,
-a row c that passes the test becomes a head, and every unvisited y among
-c's bits whose packed row lies inside c's is non-branching without a
-test; rows of at most two bits, {x} or {x, y}, are cliques unvisited.
-The same cover runs on the rows of R restricted to T, where a head
-has no other point of its row at distance 0: every edge y-w of a row y
-inside head c's row is replaced by the path y-c-w, both of whose edges
-are kept, so the component graph needs only the rows of heads and of
-rows that cannot be covered, and its components are exact.
+When Gamma is kept as runs (`GammaSet.runs`, sorted coordinates), R(x)
+is one run too, and the end points, the branching sets, the components
+and the chain test are read from the run ends, with no bit row.
+
+Every other Gamma is read as bit rows packed into 64-bit words. The test
+is one AND of Gamma(x) with ~R on the rows of Gamma(x)'s bits and the
+words it spans, both read once by the clique cover; it is exact on every
+space. Most rows never need that test. x is non-branching exactly when
+Gamma(x) is an R-clique, and any subset of an R-clique is one. So the
+rows are covered by cliques (`_clique_cover`): visited by popcount,
+largest first, a row c that passes the test becomes a head, and every
+unvisited y among c's bits whose packed row lies inside c's is
+non-branching without a test; rows of at most two bits, {x} or {x, y},
+are cliques unvisited. The same cover runs on the rows of R restricted
+to T, where a head has no other point of its row at distance 0: every
+edge y-w of a row y inside head c's row is replaced by the path y-c-w,
+both of whose edges are kept, so the component graph needs only the
+rows of heads and of rows that cannot be covered, and its components
+are exact.
+
 Components of R restricted to the non-branching transport set T are
 accepted as rays only when they are chains totally ordered by phi;
 anything else is downgraded to orphan status and reported, never split
@@ -37,19 +43,40 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from .mmspace import MMSpace
-from .w1solve import GammaSet, W1Solution, _bit, _nonzero_bits, _packed, _set_bits, _unpacked
+from .w1solve import (GammaSet, W1Solution, _bit, _nonzero_bits, _packed, _run_words,
+                      _set_bits, _unpacked)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(init=False)
 class TransportStructure:
+    """End points, T_e, the branching sets and T of one Gamma.
+
+    `r` is R = Gamma u Gamma^-1 as bit rows (`_packed`): as given, or, when
+    Gamma is kept as runs and none is given, built from them on first read
+    and kept."""
+
     gamma: GammaSet
-    r: np.ndarray                  # symmetric closure R, as bit rows (`_packed`)
     initial_points: np.ndarray     # indices with no strict Gamma-predecessor
     final_points: np.ndarray       # indices with no strict Gamma-successor
     transport_set_e: np.ndarray    # T_e
     branching_fwd: np.ndarray      # A+
     branching_bwd: np.ndarray      # A-
     transport_set: np.ndarray      # T = T_e minus (A+ u A-)
+    _r: np.ndarray | None
+
+    def __init__(self, gamma, initial_points, final_points, transport_set_e,
+                 branching_fwd, branching_bwd, transport_set, r=None):
+        self.gamma, self._r = gamma, r
+        self.initial_points, self.final_points = initial_points, final_points
+        self.transport_set_e, self.transport_set = transport_set_e, transport_set
+        self.branching_fwd, self.branching_bwd = branching_fwd, branching_bwd
+
+    @property
+    def r(self) -> np.ndarray:
+        if self._r is None:
+            g = self.gamma
+            self._r = g.fwd | g.bwd if g.runs is None else _run_words(*_r_runs(g))
+        return self._r
 
     @property
     def R(self) -> np.ndarray:
@@ -155,31 +182,67 @@ def _has_distinct(P: np.ndarray, space: MMSpace) -> np.ndarray:
     return count > 0
 
 
+def _r_runs(gamma: GammaSet) -> tuple[np.ndarray, np.ndarray]:
+    """R(x) = [lo, hi) from Gamma's runs: both runs of row x hold x."""
+    lo, hi, blo, bhi = gamma.runs
+    return np.minimum(lo, blo), np.maximum(hi, bhi)
+
+
+def _range_max(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """max of v[lo[k]:hi[k]] for each k (lo < hi), from a sparse table of the
+    maxima over windows of 2^j entries."""
+    table = [v]
+    while 2 ** len(table) <= len(v):
+        step = 2 ** (len(table) - 1)
+        table.append(np.maximum(table[-1][:-step], table[-1][step:]))
+    level = np.frexp(hi - lo)[1] - 1       # floor(log2(hi - lo))
+    out = np.empty(len(lo), v.dtype)
+    for j, row in enumerate(table):
+        k = np.flatnonzero(level == j)
+        out[k] = np.maximum(row[lo[k]], row[hi[k] - 2 ** j])
+    return out
+
+
 def build_transport_structure(space: MMSpace, gamma: GammaSet) -> TransportStructure:
     """End points, T_e, branching sets and T, straight from the definitions: a
     point has a strict successor (predecessor) when its row of Gamma (Gamma^-1)
     holds a point at positive distance."""
-    fwd, bwd = gamma.fwd, gamma.bwd
-    has_succ, has_pred = _has_distinct(fwd, space), _has_distinct(bwd, space)
-    te = np.where(has_succ | has_pred)[0]
-    r = fwd | bwd
+    r = None
+    if gamma.runs is not None:
+        # a run holds a point at positive distance when it reaches past x's
+        # block of equal coordinates. Gamma(x) = [lo, hi) is an R-clique unless
+        # some z in it has an R-run that starts after lo: of two points of
+        # Gamma(x) that the symmetric R does not relate, the later one's R-run
+        # starts after the earlier one.
+        t, (lo, hi, blo, bhi) = space.line_coord, gamma.runs
+        start, end = np.searchsorted(t, t, "left"), np.searchsorted(t, t, "right")
+        has_succ, has_pred = (lo < start) | (hi > end), (blo < start) | (bhi > end)
+        te = np.flatnonzero(has_succ | has_pred)
+        rlo = _r_runs(gamma)[0]
+        a_plus, a_minus = (te[_range_max(rlo, a[te], b[te]) > a[te]]
+                           for a, b in ((lo, hi), (blo, bhi)))
+    else:
+        fwd, bwd = gamma.fwd, gamma.bwd
+        has_succ, has_pred = _has_distinct(fwd, space), _has_distinct(bwd, space)
+        te = np.flatnonzero(has_succ | has_pred)
+        r = fwd | bwd
+        small = bool(_bit(fwd, *np.diag_indices(len(fwd))).all())    # rows of two bits are {x, y}
 
-    small = bool(_bit(fwd, *np.diag_indices(len(fwd))).all())     # rows of two bits are {x, y}
+        def branching(G):   # a row covered by a clique is not branching; a failed one is
+            cover = _clique_cover(G, te, lambda c, y, words: not _branching(G, r, c, y, words),
+                                  small)
+            return te[cover[te] < 0]
 
-    def branching(G):   # a row covered by a clique is not branching; a failed one is
-        cover = _clique_cover(G, te, lambda c, y, words: not _branching(G, r, c, y, words), small)
-        return te[cover[te] < 0]
-
-    a_plus, a_minus = branching(fwd), branching(bwd)
+        a_plus, a_minus = branching(fwd), branching(bwd)
     return TransportStructure(
         gamma=gamma,
-        r=r,
-        initial_points=np.where(~has_pred)[0],
-        final_points=np.where(~has_succ)[0],
+        initial_points=np.flatnonzero(~has_pred),
+        final_points=np.flatnonzero(~has_succ),
         transport_set_e=te,
         branching_fwd=a_plus,
         branching_bwd=a_minus,
         transport_set=np.setdiff1d(te, np.union1d(a_plus, a_minus)),
+        r=r,
     )
 
 
@@ -193,6 +256,47 @@ def _select_representative(space: MMSpace, points: np.ndarray) -> tuple[int, flo
     it.
     """
     return int(points[(len(points) - 1) // 2]), float(space.weights[points].sum())
+
+
+def _run_components(space: MMSpace, T: np.ndarray, rhi: np.ndarray):
+    """Components of R restricted to T, less the pairs at distance 0, from R's
+    run ends `rhi`: on sorted coordinates the neighbours of x after it are
+    the points of T from the end of x's block of coincident points up to
+    rhi[x], a range of places in T. Joining x to the first of them and each
+    of them to the next keeps every component, so the graph has fewer than
+    2 len(T) edges."""
+    t = space.line_coord
+    first = np.searchsorted(T, np.searchsorted(t, t[T], "right"))
+    stop = np.searchsorted(T, rhi[T])
+    x = np.flatnonzero(first < stop)
+    # place k is joined to k + 1 when some x's range holds both
+    cover = np.cumsum(np.bincount(first[x], minlength=len(T))
+                      - np.bincount(stop[x] - 1, minlength=len(T)))
+    k = np.flatnonzero(cover[:-1] > 0)
+    rows, cols = np.concatenate([x, k]), np.concatenate([first[x], k + 1])
+    graph = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(T), len(T)))
+    return connected_components(graph, directed=False)
+
+
+def _bit_components(space: MMSpace, structure: TransportStructure):
+    """Components of R restricted to T, less the diagonal and the coincident
+    pairs (distance 0), from R's bit rows: the graph needs only the rows of
+    the clique cover's heads and of rows that cannot be covered."""
+    T, n = structure.transport_set, space.n
+    in_t = np.zeros((1, n), dtype=bool)
+    in_t[0, T] = True
+    rt = structure.r & _packed(in_t)
+    ci, cj = space.coincident
+    duplicate = np.zeros(n, dtype=bool)     # a coincident partner in its row of rt
+    duplicate[ci[_bit(rt, ci, cj)]] = True
+    cover = _clique_cover(rt, T, lambda c, y, words: not duplicate[c], True)[T]
+    keep = np.flatnonzero((cover < 0) | (cover == T))
+    pts = T[keep]
+    r, c = _nonzero_bits(rt[pts])
+    edge = (c != pts[r]) & ~np.isin(pts[r] * n + c, ci * n + cj)
+    rows, cols = keep[r[edge]], np.searchsorted(T, c[edge])
+    graph = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(T), len(T)))
+    return connected_components(graph, directed=False)
 
 
 def partition_rays(space: MMSpace, structure: TransportStructure,
@@ -209,31 +313,20 @@ def partition_rays(space: MMSpace, structure: TransportStructure,
     if len(T) == 0:
         return RayDecomposition(rays, T, diagnostics, ray_of, param)
 
-    # a visited head has no other point of its row at distance 0, so it is
-    # joined to every row it covers and to all of their neighbours: the graph
-    # needs only the rows of heads and of rows that cannot be covered. Its
-    # edges are R in T less the diagonal and the coincident pairs (distance 0).
-    in_t = np.zeros((1, n), dtype=bool)
-    in_t[0, T] = True
-    rt = structure.r & _packed(in_t)
-    ci, cj = space.coincident
-    duplicate = np.zeros(n, dtype=bool)     # a coincident partner in its row of rt
-    duplicate[ci[_bit(rt, ci, cj)]] = True
-    cover = _clique_cover(rt, T, lambda c, y, words: not duplicate[c], True)[T]
-    keep = np.flatnonzero((cover < 0) | (cover == T))
-    pts = T[keep]
-    r, c = _nonzero_bits(rt[pts])
-    edge = (c != pts[r]) & ~np.isin(pts[r] * n + c, ci * n + cj)
-    rows, cols = keep[r[edge]], np.searchsorted(T, c[edge])
-    graph = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(T), len(T)))
-    ncomp, labels = connected_components(graph, directed=False)
+    if structure.gamma.runs is not None:
+        ncomp, labels = _run_components(space, T, _r_runs(structure.gamma)[1])
+    else:
+        ncomp, labels = _bit_components(space, structure)
     # all chains at once: by component, then by decreasing phi, then by index
     order = np.lexsort((T, -phi[T], labels))
     chains, comp = T[order], labels[order]
     edges = np.searchsorted(comp, np.arange(ncomp + 1))
     a, b = chains[:-1], chains[1:]
     steps = space.dist(a, b)
-    in_gamma = _bit(structure.gamma.fwd, a, b)
+    if structure.gamma.runs is not None:     # b in a's run of Gamma
+        in_gamma = (structure.gamma.runs[0, a] <= b) & (b < structure.gamma.runs[1, a])
+    else:
+        in_gamma = _bit(structure.gamma.fwd, a, b)
     broken = np.zeros(ncomp, dtype=bool)
     broken[comp[:-1][(comp[:-1] == comp[1:]) & (~in_gamma | (steps <= 0))]] = True
     for k in range(ncomp):

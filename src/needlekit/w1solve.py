@@ -117,14 +117,37 @@ def _bit(P: np.ndarray, i, j) -> np.ndarray:
     return (P.view(np.uint8)[i, j >> 3] >> (7 - (j & 7)) & 1) == 1
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(init=False)
 class GammaSet:
-    """Pairs with phi(x) - phi(y) >= d(x,y) - tol, diagonal included, as bit rows
-    (`_packed`) of Gamma (fwd) and Gamma^-1 (bwd)."""
+    """Pairs with phi(x) - phi(y) >= d(x,y) - tol, diagonal included, as rows
+    of Gamma (`fwd`) and Gamma^-1 (`bwd`).
 
-    fwd: np.ndarray
+    On sorted coordinates, where every row is one run of columns, the rows
+    are kept as `runs`, a (4, n) array: row x of Gamma is [runs[0, x],
+    runs[1, x]) and row x of Gamma^-1 is [runs[2, x], runs[3, x]). `fwd` and
+    `bwd` are then bit rows (`_packed`) built on first read and kept; `count`
+    reads the runs. Every other Gamma is given as bit rows, and `runs` is None.
+    """
+
     tol: float
-    bwd: np.ndarray
+    runs: np.ndarray | None
+    _fwd: np.ndarray | None
+    _bwd: np.ndarray | None
+
+    def __init__(self, fwd, tol, bwd, runs=None):
+        self._fwd, self.tol, self._bwd, self.runs = fwd, tol, bwd, runs
+
+    @property
+    def fwd(self) -> np.ndarray:
+        if self._fwd is None:
+            self._fwd = _run_words(self.runs[0], self.runs[1])
+        return self._fwd
+
+    @property
+    def bwd(self) -> np.ndarray:
+        if self._bwd is None:
+            self._bwd = _run_words(self.runs[2], self.runs[3])
+        return self._bwd
 
     @property
     def mask(self) -> np.ndarray:
@@ -133,6 +156,8 @@ class GammaSet:
 
     @property
     def count(self) -> int:
+        if self.runs is not None:
+            return int((self.runs[1] - self.runs[0]).sum())
         return int(np.bitwise_count(self.fwd).sum())
 
 
@@ -774,9 +799,14 @@ def gamma_tol(space: MMSpace, solution: W1Solution,
 
 def gamma_set(space: MMSpace, solution: W1Solution, tol: float | None = None) -> GammaSet:
     """All pairs with phi(x) - phi(y) >= d(x,y) - tol (diagonal included);
-    `tol` defaults to `gamma_tol(space, solution)`. Gamma^-1 is packed in
-    the same row pass, which is exact as every space's distances are symmetric;
-    where `saturation_runs` exist, only rows with pairs between runs take it."""
+    `tol` defaults to `gamma_tol(space, solution)`. Gamma^-1 is decided in
+    the same row pass, which is exact as every space's distances are symmetric.
+
+    Where `saturation_runs` exist, each row of Gamma and Gamma^-1 lies
+    between a certain and a possible run, and only rows with pairs between
+    the two take the row pass. If every row it decides is one run too, Gamma
+    is kept as runs (`GammaSet.runs`); if one is not, the certain runs are
+    written as bit rows and the decided rows over them."""
     if tol is None:
         tol = gamma_tol(space, solution)
     if np.isnan(tol):
@@ -785,16 +815,33 @@ def gamma_set(space: MMSpace, solution: W1Solution, tol: float | None = None) ->
         raise TolTooSmall(
             f"lipschitz residual {solution.lipschitz_residual} above tol {tol}")
     phi, n = solution.potential, space.n
-    fwd, bwd = np.empty((2, n, -(-n // 64)), np.uint64)
+    runs = None
     tested = None       # the rows the pair test runs on: all, or those with a pair between runs
-    if (runs := space.saturation_runs(phi, tol)) is not None:   # Gamma^-1(phi) is Gamma(-phi)
-        tested = np.flatnonzero(_run_words(fwd, runs)
-                                | _run_words(bwd, space.saturation_runs(-phi, tol)))
+    if (ahead := space.saturation_runs(phi, tol)) is not None:  # Gamma^-1(phi) is Gamma(-phi)
+        back = space.saturation_runs(-phi, tol)
+        runs = np.array([ahead[0], ahead[1], back[0], back[1]])     # the certain runs
+        tested = np.flatnonzero((ahead[2] < ahead[0]) | (ahead[1] < ahead[3])
+                                | (back[2] < back[0]) | (back[1] < back[3]))
+    words = np.empty((2, n if tested is None else len(tested), -(-n // 64)), np.uint64)
+    single = True       # whether every tested row is one run (each holds its diagonal)
     for lo, hi, block in space.row_blocks(tested):
         rows = slice(lo, hi) if tested is None else tested[lo:hi]
         gap = phi[rows, None] - phi[None, :]
         lim = block - tol       # a new array: a matrix space's block is a view of its matrix
-        fwd[rows], bwd[rows] = _packed(gap >= lim), _packed(-gap >= lim)
+        for k, inside in enumerate((gap >= lim, -gap >= lim)):
+            words[k, lo:hi] = _packed(inside)
+            if runs is not None:
+                first, end = inside.argmax(axis=1), n - inside[:, ::-1].argmax(axis=1)
+                single &= bool((np.count_nonzero(inside, axis=1) == end - first).all())
+                runs[2 * k:2 * k + 2, rows] = first, end
+    if runs is not None and single:
+        fwd = bwd = None
+    elif tested is None:
+        fwd, bwd = words
+    else:
+        fwd, bwd = _run_words(runs[0], runs[1]), _run_words(runs[2], runs[3])
+        fwd[tested], bwd[tested] = words
+        runs = None
     moving = solution.masses > 0
     i, j = solution.pairs[moving, 0], solution.pairs[moving, 1]
     offdiag = i != j
@@ -802,19 +849,18 @@ def gamma_set(space: MMSpace, solution: W1Solution, tol: float | None = None) ->
         raise TolTooSmall(
             "positive-mass plan pair excluded from Gamma at this tol "
             f"(solution.support_residual = {solution.support_residual:g})")
-    return GammaSet(fwd, tol, bwd)
+    return GammaSet(fwd, tol, bwd, runs)
 
 
-def _run_words(P: np.ndarray, runs) -> np.ndarray:
-    """Write into the bit rows P each row's certain run [lo_in, hi_in) from
-    `MMSpace.saturation_runs`, as whole words, in row strips; return which
-    rows have pairs between their certain and their possible run."""
-    lo_in, hi_in, lo_out, hi_out = runs
+def _run_words(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Bit rows (`_packed`) whose row x holds the columns [lo[x], hi[x]),
+    written as whole words in row strips."""
+    P = np.empty((len(lo), -(-len(lo) // 64)), np.uint64)
     first = 64 * np.arange(P.shape[1])      # each word's first column
-    for lo, hi in _row_ranges(len(P), P.shape[1]):  # as big-endian words, column 64 k + c is bit 63 - c
-        P.view(">u8")[lo:hi] = (_RUN_FROM.take(np.clip(lo_in[lo:hi, None] - first, 0, 64))
-                                & ~_RUN_FROM.take(np.clip(hi_in[lo:hi, None] - first, 0, 64)))
-    return (lo_out < lo_in) | (hi_in < hi_out)
+    for a, b in _row_ranges(len(P), P.shape[1]):   # as big-endian words, column 64 k + c is bit 63 - c
+        P.view(">u8")[a:b] = (_RUN_FROM.take(np.clip(lo[a:b, None] - first, 0, 64))
+                              & ~_RUN_FROM.take(np.clip(hi[a:b, None] - first, 0, 64)))
+    return P
 
 
 def check_cyclic_monotonicity(space: MMSpace, gamma: GammaSet, k: int = 4,
@@ -825,13 +871,24 @@ def check_cyclic_monotonicity(space: MMSpace, gamma: GammaSet, k: int = 4,
     if not (isinstance(trials, (int, np.integer)) and trials >= 1):
         raise BadParameter(f"trials must be >= 1 (an integer), got {trials!r}")
     rng = rng or np.random.default_rng(0)
-    i, j = _nonzero_bits(gamma.fwd)     # row-major, as np.argwhere
-    offdiag = i != j
-    i, j = i[offdiag], j[offdiag]
-    if len(i) == 0:
+    if gamma.runs is None:
+        i, j = _nonzero_bits(gamma.fwd)     # row-major, as np.argwhere
+        offdiag = i != j
+        i, j = i[offdiag], j[offdiag]
+        count = len(i)
+    else:   # the off-diagonal pairs of row x take the places start[x]:start[x + 1]
+        lo, hi = gamma.runs[0], gamma.runs[1]
+        start = np.concatenate([[0], np.cumsum(hi - lo - 1)])
+        count = int(start[-1])
+    if count == 0:
         return {"worst_violation": 0.0, "trials": 0, "k": k, "vacuous": True}
-    idx = rng.integers(0, len(i), size=(trials, k))
-    x, y = i[idx], j[idx]
+    idx = rng.integers(0, count, size=(trials, k))
+    if gamma.runs is None:
+        x, y = i[idx], j[idx]
+    else:
+        x = np.searchsorted(start, idx, side="right") - 1
+        y = lo[x] + idx - start[x]
+        y += y >= x     # skip the diagonal
     matched = space.dist(x, y).sum(axis=1)
     shifted = space.dist(x, np.roll(y, -1, axis=1)).sum(axis=1)
     worst = float((matched - shifted).max())

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import mpmath
 import numpy as np
 import pytest
@@ -343,6 +345,23 @@ def test_bracket_interp_on_model_triples(model, n):
     for x in (t0, t1, (1 - s) * t0 + s * t1):
         assert np.array_equal(cv._interp(x, dens.grid, dens.values),
                               np.interp(x, dens.grid, dens.values))
+
+
+@pytest.mark.parametrize("grid", [ms.model_density(1.0, 2.0, np.pi, 2000).grid,
+                                  np.linspace(0.0, 1.0, 2000), np.linspace(-3e8, 1.0, 4001)])
+def test_bracket_guess_searches_only_out_of_range_queries(grid):
+    # the mean-step guess rounds one cell off near nodes, either way; moved by
+    # a cell it is exact for model midpoints and for queries one ulp about nodes
+    fp = np.sin(grid)
+    t0, t1, s = cv.sample_triples(grid, 20_000, np.random.default_rng(len(grid))).T
+    x = np.concatenate([(1 - s) * t0 + s * t1, grid, np.nextafter(grid, -np.inf),
+                        np.nextafter(grid, np.inf)])
+    with mock.patch.object(cv.np, "searchsorted", wraps=np.searchsorted) as search:
+        out = cv._interp(x, grid, fp)
+    assert np.array_equal(out, np.interp(x, grid, fp))
+    searched = search.call_args.args[1]
+    outside = x[(x < grid[0]) | (x >= grid[-1])]
+    assert np.array_equal(np.sort(searched), np.sort(outside))
 
 
 _FLAT = ms.Density1D(np.linspace(0.0, 1.0, 9), np.ones(9))

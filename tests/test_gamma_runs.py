@@ -1,6 +1,8 @@
 """Gamma, Gamma^-1 and the Lipschitz residual on sorted coordinates, built from
 `MMSpace.saturation_runs`, against their dense definitions, and the distance
-entries they read there and on the spaces that keep the row passes."""
+entries they read there and on the spaces that keep the row passes; the
+structure, rays and cyclic-monotonicity pairs read from Gamma's runs against
+the bit route on a matrix copy of the same coordinates."""
 
 from unittest import mock
 
@@ -9,6 +11,7 @@ import pytest
 from test_distance_passes import _dense_lipschitz
 
 from needlekit import mmspace as ms
+from needlekit import rays as ry
 from needlekit import w1solve as w1
 
 
@@ -184,3 +187,86 @@ def test_unsorted_and_matrix_spaces_take_full_passes_with_equal_bits():
         assert np.array_equal(other.mask, gamma.mask[np.ix_(p, p)])
         assert np.array_equal(other.bwd, w1._packed(gamma.mask.T[np.ix_(p, p)]))
         assert other_lip == lip
+
+
+def _matrix_copy(t):
+    """The same coordinates as a matrix space, whose Gamma is always bit rows."""
+    space = ms.build_space(list(range(len(t))),
+                           {"type": "matrix", "data": np.abs(t[:, None] - t[None, :])})
+    assert space.line_coord is not None
+    return space
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _route(space, sol, tol):
+    gamma = w1.gamma_set(space, sol, tol)
+    st = ry.build_transport_structure(space, gamma)
+    return gamma, st, ry.partition_rays(space, st, sol)
+
+
+def _assert_routes_agree(line, matrix, phi, tol):
+    """Gamma, the structure and the rays of phi on `line` equal the bit route's
+    on `matrix`; returns whether `line` kept Gamma as runs."""
+    sol = _solution(phi)
+    (gamma, st, dec), (bits, bst, bdec) = _route(line, sol, tol), _route(matrix, sol, tol)
+    assert bits.runs is None
+    runs = gamma.runs is not None
+    for name in ("initial_points", "final_points", "transport_set_e", "branching_fwd",
+                 "branching_bwd", "transport_set"):
+        assert _same(getattr(st, name), getattr(bst, name)), name
+    assert dec.diagnostics == bdec.diagnostics
+    for name in ("orphan_points", "ray_of", "param"):
+        assert _same(getattr(dec, name), getattr(bdec, name)), name
+    assert len(dec.rays) == len(bdec.rays)
+    for ray, other in zip(dec.rays, bdec.rays):
+        assert _same(ray.points, other.points) and _same(ray.params, other.params)
+        assert ray.representative == other.representative and ray.mass == other.mass
+    assert gamma.count == bits.count
+    # the bit rows, built on request from the runs
+    assert _same(gamma.fwd, bits.fwd) and _same(gamma.bwd, bits.bwd) and _same(st.r, bst.r)
+    return runs
+
+
+LIPSCHITZ = ("slope", "staircase", "zigzag", "cones")
+
+
+@pytest.mark.parametrize("n, offset, duplicates", GRID)
+def test_run_route_equals_the_bit_route(n, offset, duplicates):
+    t = _coordinates(n, offset, duplicates, seed=n)
+    line, matrix = _line(t), _matrix_copy(t)
+    step = float(np.median(np.diff(t))) or 1e-3
+    for name, phi in _potentials(t, np.random.default_rng(n)).items():
+        for tol in (0.0, 1e-12, 1e-6, step):
+            runs = _assert_routes_agree(line, matrix, phi, tol)
+            # at tol 0 rounding can split an exactly saturated row: the bit route
+            assert runs or name not in LIPSCHITZ or tol == 0, (name, tol)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6, -3e8])
+def test_run_route_equals_the_bit_route_on_ties_at_the_tolerance(offset):
+    t = offset + 0.1 * np.arange(300)
+    line, matrix = _line(t), _matrix_copy(t)
+    for phi in (np.zeros_like(t), t - t[0], 0.5 * (t - t[0])):
+        for tol in (0.1, 0.2, 0.3, 1.7):
+            assert _assert_routes_agree(line, matrix, phi, tol), tol
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cyclic_monotonicity_reads_pairs_from_the_runs(seed):
+    # the same pairs in the row-major order of np.argwhere: equal reports for
+    # equal rng draws, and no bit row is built
+    space = ms.generate_interval_model(1.0, 2.0, np.pi, 700)[0]
+    sol, tol = _solved(space, seed)
+    gamma = w1.gamma_set(space, sol, tol)
+    bits = w1.gamma_set(_matrix_copy(space.line_coord), sol, tol)
+    assert gamma.runs is not None and bits.runs is None
+    for k in (2, 3, 5):
+        got = w1.check_cyclic_monotonicity(space, gamma, k=k, trials=3000,
+                                           rng=np.random.default_rng(seed + k))
+        assert got == w1.check_cyclic_monotonicity(space, bits, k=k, trials=3000,
+                                                   rng=np.random.default_rng(seed + k))
+    assert gamma._fwd is None and gamma._bwd is None

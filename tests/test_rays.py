@@ -9,6 +9,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from needlekit import mmspace as ms
+from needlekit import monge1d as mg
 from needlekit import rays as ry
 from needlekit import w1solve as w1
 from needlekit.selftest import _grid_construction
@@ -355,10 +356,19 @@ def _interval_2000():
     return space, sol, g
 
 
+def _matrix_interval_2000():
+    """`_interval_2000` on a matrix copy of its coordinates: the same Gamma, as bit rows."""
+    space, sol, _ = _interval_2000()
+    copy = ms.build_space(list(range(space.n)), {"type": "matrix", "data": space.D})
+    g = w1.gamma_set(copy, sol)
+    assert g.runs is None
+    return copy, sol, g
+
+
 def test_cover_tests_few_rows_and_prunes_the_graph(monkeypatch):
     # the full test ran on every row of T_e, and the graph held every edge of
     # R & (D > 0) on T: 4,000 tested rows and 1.9M stored entries here
-    space, sol, g = _interval_2000()
+    space, sol, g = _matrix_interval_2000()
     tested, graphs = {}, []
     branching, components = ry._branching, ry.connected_components
 
@@ -377,6 +387,47 @@ def test_cover_tests_few_rows_and_prunes_the_graph(monkeypatch):
     assert len(tested) == 2
     assert all(k <= 0.05 * len(st.transport_set_e) for k in tested.values())
     assert len(graphs) == 1 and graphs[0] <= 2 * space.n
+
+
+def test_bit_route_memory_on_the_matrix_copy():
+    # the bounds of the two memory tests below, on the route that reads bit rows
+    space, sol, g = _matrix_interval_2000()
+    tracemalloc.start()
+    try:
+        st = ry.build_transport_structure(space, g)
+        structure = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        ry.partition_rays(space, st, sol)
+        partition = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert structure <= 4 * space.n ** 2 and partition <= 2 * space.n ** 2
+
+
+def test_decompose_on_an_interval_model_builds_no_bit_rows(monkeypatch):
+    # Gamma is kept as runs from gamma_set to the coupling: no array of n bit
+    # rows is packed or written, and the clique cover never runs
+    space, sol, _ = _interval_2000()
+    rows = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(M, *more):
+            rows.append(len(M))
+            return real(M, *more)
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (w1, ry):
+        spy(module, "_packed")
+        spy(module, "_run_words")
+    monkeypatch.setattr(ry, "_clique_cover", mock.Mock(side_effect=AssertionError("cover")))
+    needles = mg.decompose(space, sol)
+    assert needles.gamma.runs is not None and len(needles.rays.rays) > 0
+    assert needles.gamma._fwd is None and needles.gamma._bwd is None
+    assert needles.structure._r is None
+    assert space.n not in rows
+    assert len(needles.structure.r) == space.n and space.n in rows     # the spies see a build
 
 
 def test_partition_memory_below_2n2_bytes():
