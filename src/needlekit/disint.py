@@ -14,8 +14,8 @@ import dataclasses
 
 import numpy as np
 
-from .errors import NotMeanZero
-from .mmspace import MMSpace
+from .errors import BadParameter, NotMeanZero
+from .mmspace import MMSpace, _vector
 from .rays import RayDecomposition
 
 
@@ -39,7 +39,7 @@ def _ray_sums(decomposition: RayDecomposition, values: np.ndarray) -> np.ndarray
 def disintegrate(space: MMSpace, decomposition: RayDecomposition,
                  measure) -> Disintegration:
     """Conditional = measure restricted to each ray, renormalized."""
-    measure = np.asarray(measure, dtype=float)
+    measure = _vector(measure, space.n, "measure")
     weights = _ray_sums(decomposition, measure)
     conds = [measure[ray.points] / w if w > 0 else np.zeros(0)
              for ray, w in zip(decomposition.rays, weights)]
@@ -52,12 +52,12 @@ def check_consistency(disint: Disintegration, n_pairs: int = 100,
                       rng=None, test_sets=None, ray_subsets=None) -> dict:
     """Exact check of m(B n Q^{-1}(C)) = sum_{q in C} q(q) m_q(B).
 
-    Explicit point sets B (`test_sets`, boolean masks) and ray-index sets
-    C (`ray_subsets`) can be supplied; otherwise random ones are drawn,
-    plus the trivial pairs (whole space, all rays) and (empty set, all
-    rays). The right side reads each point's q(q) m_q(x) off the ray map,
-    so both sides are sums over B n Q^{-1}(C); max absolute discrepancy
-    returned.
+    Explicit point sets B (`test_sets`, boolean masks of length n) and
+    ray-index sets C (`ray_subsets`, one per set, each index below the
+    number of rays) can be supplied; otherwise random ones are drawn, plus
+    the trivial pairs (whole space, all rays) and (empty set, all rays).
+    The right side reads each point's q(q) m_q(x) off the ray map, so both
+    sides are sums over B n Q^{-1}(C); max absolute discrepancy returned.
     """
     rng = rng or np.random.default_rng(0)
     n = len(disint.measure)
@@ -75,8 +75,12 @@ def check_consistency(disint: Disintegration, n_pairs: int = 100,
         return disint.measure[mask].sum(), density[mask].sum()
 
     if test_sets is not None:
-        cases = list(zip([np.asarray(b, dtype=bool) for b in test_sets],
-                         [np.asarray(c, dtype=int) for c in ray_subsets]))
+        if ray_subsets is None or len(ray_subsets) != len(test_sets):
+            raise BadParameter("test_sets needs ray_subsets, one ray-index set per point set")
+        subsets = [np.asarray(c, dtype=int) for c in ray_subsets]
+        if any(((c < 0) | (c >= nrays)).any() for c in subsets):
+            raise BadParameter(f"ray_subsets must index the rays 0..{nrays - 1}")
+        cases = list(zip([_vector(b, n, "test set", bool) for b in test_sets], subsets))
     else:
         cases = [(np.ones(n, dtype=bool), np.arange(nrays)),
                  (np.zeros(n, dtype=bool), np.arange(nrays))]
@@ -98,7 +102,7 @@ def check_balance(space: MMSpace, decomposition: RayDecomposition, f) -> dict:
     f_+ m and f_- m (normalized); Lemma-style balance then predicts zero
     integrals ray by ray.
     """
-    f = np.asarray(f, dtype=float)
+    f = _vector(f, space.n, "f")
     total = float(f @ space.weights)
     if abs(total) > 1e-10:
         raise NotMeanZero(f"global integral of f is {total}")

@@ -24,7 +24,7 @@ import dataclasses
 import numpy as np
 
 from .errors import BadDiameter, BadParameter, BadVolume, MeshTooCoarse
-from .mmspace import MMSpace, _check_KN
+from .mmspace import MMSpace, _check_KN, _vector
 
 
 @dataclasses.dataclass(frozen=True)
@@ -204,7 +204,7 @@ def minkowski_content(space: MMSpace, set_indicator, eps_list) -> MinkowskiEstim
     mesh = space.mesh
     if eps_arr[0] < 2.0 * mesh * (1 - 1e-12):
         raise MeshTooCoarse(f"min eps {eps_arr[0]} below 2*mesh = {2*mesh}")
-    A = np.asarray(set_indicator, dtype=bool)
+    A = _vector(set_indicator, space.n, "set indicator", bool)
     if A.sum() == 0:
         return MinkowskiEstimate(0.0, [(float(e), 0.0) for e in eps_arr])
     mass_A = space.weights[A].sum()
@@ -252,8 +252,9 @@ def empirical_profile(space: MMSpace, v: float, candidate_budget: int = 32,
     """
     if not 0.0 < v < 1.0:
         raise BadVolume(f"v={v} outside (0, 1)")
-    if not candidate_budget >= 1:   # NaN fails too
-        raise BadParameter(f"candidate_budget must be >= 1, got {candidate_budget}")
+    if (isinstance(candidate_budget, bool) or not isinstance(candidate_budget, (int, np.integer))
+            or candidate_budget < 1):
+        raise BadParameter(f"candidate_budget must be an integer >= 1, got {candidate_budget!r}")
     rng = rng or np.random.default_rng(0)
     coarse = default_eps_window(space, 6)
     fine = default_eps_window(space, 16)

@@ -41,6 +41,14 @@ def _row_ranges(m, width):
     return [(lo, min(lo + step, m)) for lo in range(0, m, step)]
 
 
+def _vector(values, n: int, name: str, dtype=float) -> np.ndarray:
+    """`values` as an (n,) array; any other shape is a BadParameter naming it."""
+    values = np.asarray(values, dtype=dtype)
+    if values.shape != (n,):
+        raise BadParameter(f"{name} has shape {values.shape}, expected ({n},)")
+    return values
+
+
 def _check_KN(K: float, N: float, N_min: float) -> None:
     """K finite (else BadParameter), N finite and >= N_min (else BadDimension); NaN fails."""
     if not np.isfinite(K):
@@ -402,8 +410,8 @@ def model_density(K: float, N: float, D: float, n: int) -> Density1D:
 def generate_interval_model(K: float, N: float, D: float, n: int) -> tuple[MMSpace, Density1D]:
     """Interval model space: uniform grid on [0, D], weights = trapezoid masses."""
     _check_KN(K, N, 1)
-    if n < 16:
-        raise BadParameter("need n >= 16 grid points")
+    if not (isinstance(n, (int, np.integer)) and n >= 16):
+        raise BadParameter(f"need an integer n >= 16 grid points, got {n!r}")
     if not 0 < D < np.inf:
         raise BadDiameter("D must be finite and positive")
     if K > 0:
@@ -446,8 +454,8 @@ def generate_sphere_sample(n_dim: int, n: int, seed: int = 0) -> MMSpace:
     """n quasi-uniform points on the round S^2 with great-circle metric."""
     if n_dim != 2:
         raise BadDimension("only the round S^2 (n_dim=2) is supported")
-    if n < 100:
-        raise BadParameter("need n >= 100 sample points")
+    if not (isinstance(n, (int, np.integer)) and n >= 100):
+        raise BadParameter(f"need an integer n >= 100 sample points, got {n!r}")
     pts = fibonacci_sphere(n, seed=seed)
     D = great_circle_matrix(pts)
     _validate_metric(D, rng=np.random.default_rng(seed + 1))

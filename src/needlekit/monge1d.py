@@ -2,9 +2,9 @@
 
 Atomic inputs force couplings rather than maps; the sweep splits source
 atoms across targets when mass dictates and flags `is_map` accordingly.
-Mass arithmetic runs on 64-bit integers (1e-12 granularity, exact
-remainder tracking) so that marginals balance exactly and the sweep
-terminates cleanly.
+Mass arithmetic runs on 64-bit integers at the plan's quantum
+(`w1solve.MASS_SCALE` units per unit of mass, exact remainder tracking)
+so that marginals balance exactly and the sweep terminates cleanly.
 
 Target conditioning follows the plan pushforward: the mass a ray receives
 is what the optimal plan sends from that ray. Plan pairs whose target
@@ -29,9 +29,7 @@ from .errors import MassMismatch
 from .disint import Disintegration
 from .mmspace import MMSpace
 from .rays import RayDecomposition, TransportStructure
-from .w1solve import GammaSet, W1Solution, _quantile_pairs, quantize_masses
-
-ATOM_SCALE = 10**12
+from .w1solve import MASS_SCALE, GammaSet, W1Solution, _quantile_pairs, quantize_masses
 
 
 @dataclasses.dataclass
@@ -61,7 +59,7 @@ def _couple(spos, smass, s_edges, tpos, tmass, t_edges):
 
     Group q is sources s_edges[q]:s_edges[q+1] and targets
     t_edges[q]:t_edges[q+1], each sorted by position, with equal positive
-    totals. Each group is quantized to its own ATOM_SCALE units, so source
+    totals. Each group is quantized to its own MASS_SCALE units, so source
     and target partial sums meet at every group boundary and no piece of
     the sweep crosses one. Returns the integer units, the (k, 3) rows
     (source, target, units) in group order, and each group's cost.
@@ -72,7 +70,7 @@ def _couple(spos, smass, s_edges, tpos, tmass, t_edges):
         s = slice(s_edges[q], s_edges[q + 1])
         t = slice(t_edges[q], t_edges[q + 1])
         s_total, t_total = smass[s].sum(), tmass[t].sum()
-        units = int(round(s_total * ATOM_SCALE))
+        units = int(round(s_total * MASS_SCALE))
         su[s] = quantize_masses(smass[s] / s_total * units, units)
         tu[t] = quantize_masses(tmass[t] / t_total * units, units)
     rows = _quantile_pairs(su, tu)
@@ -80,23 +78,27 @@ def _couple(spos, smass, s_edges, tpos, tmass, t_edges):
     terms = m * np.abs(spos[i] - tpos[j])
     cut = np.searchsorted(i, s_edges)
     costs = np.array([_running_sum(terms[lo:hi]) for lo, hi in zip(cut[:-1], cut[1:])])
-    return su, tu, rows, costs / ATOM_SCALE
+    return su, tu, rows, costs / MASS_SCALE
 
 
 def monotone_rearrangement(source_atoms, target_atoms) -> MonotoneMap1D:
     """Quantile coupling of two atom lists: sweep both in position order.
 
-    `source_atoms`, `target_atoms`: sequences of (position, mass) with
-    equal totals (1e-10). The coupling never crosses: i < i' coupled to
-    j, j' implies j <= j'.
+    `source_atoms`, `target_atoms`: sequences of finite (position, mass)
+    with equal totals (1e-10) of at most 2**53 / MASS_SCALE (about 90).
+    The coupling never crosses: i < i' coupled to j, j' implies j <= j'.
     """
     spos, smass = _sorted_atoms(source_atoms)
     tpos, tmass = _sorted_atoms(target_atoms)
+    if not np.isfinite(np.concatenate([spos, smass, tpos, tmass])).all():
+        raise MassMismatch("atom positions and masses must be finite")
     if np.any(smass < 0) or np.any(tmass < 0):
         raise MassMismatch("negative atom mass")
     s_total, t_total = smass.sum(), tmass.sum()
     if abs(s_total - t_total) > 1e-10 * max(1.0, s_total):
         raise MassMismatch(f"total masses differ: {s_total} vs {t_total}")
+    if s_total * MASS_SCALE > 2**53:     # float unit counts stop being exact integers
+        raise MassMismatch(f"total mass {s_total} above {2**53 / MASS_SCALE:g}")
     if s_total <= 0:
         return MonotoneMap1D(spos, np.zeros(0, np.int64), tpos,
                              np.zeros(0, np.int64), np.zeros((0, 3), np.int64), 0.0, True)
@@ -192,7 +194,7 @@ def assemble_monge_map(space: MMSpace, decomposition: RayDecomposition,
     pt = cond.passthrough
     pairs = np.concatenate([np.stack([s_pts[rows[:, 0]], t_pts[rows[:, 1]]], axis=1),
                             np.stack([pt["i"], pt["j"]], axis=1)])
-    masses = np.concatenate([rows[:, 2] / ATOM_SCALE, pt["mass"]])
+    masses = np.concatenate([rows[:, 2] / MASS_SCALE, pt["mass"]])
     cost = float((masses * space.dist(pairs[:, 0], pairs[:, 1])).sum()) if len(masses) else 0.0
     pcost = _running_sum(pt["mass"] * space.dist(pt["i"], pt["j"]))
     pmass = _running_sum(np.where(pt["i"] != pt["j"], pt["mass"], 0.0))

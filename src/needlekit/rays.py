@@ -341,7 +341,6 @@ def partition_rays(space: MMSpace, structure: TransportStructure,
             continue
         s = np.concatenate([[0.0], np.cumsum(steps[edges[k]:edges[k + 1] - 1])])
         rep, mass = _select_representative(space, chain)
-        rep_pos = int(np.where(chain == rep)[0][0])
-        ray_of[chain], param[chain] = len(rays), s - s[rep_pos]
+        ray_of[chain], param[chain] = len(rays), s - s[(len(chain) - 1) // 2]   # rep's place
         rays.append(Ray(points=chain, params=param[chain], representative=rep, mass=mass))
     return RayDecomposition(rays, T[ray_of[T] < 0], diagnostics, ray_of, param)

@@ -155,7 +155,7 @@ def _grid_construction(rows=20, cols=50, cut_frac=0.4):
             list(zip(pts[row_idx, 0], mu1[row_idx])))
         for i, j, m in mono.assignment:
             pairs.append((row_idx[order[i]], row_idx[order[j]]))
-            masses.append(m / mg.ATOM_SCALE)
+            masses.append(m / w1.MASS_SCALE)
     sol = w1.from_certificate(sp, mu0, mu1, pairs, masses, -pts[:, 0])
     needles = mg.decompose(sp, sol, tol=1e-12 * (1 + sp.max_distance))
     return sp, sol, f, needles.structure, needles.rays

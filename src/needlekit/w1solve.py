@@ -41,7 +41,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
 from .errors import BadParameter, SolverFailure, TolTooSmall, UnbalancedMarginals
-from .mmspace import MMSpace, _row_ranges
+from .mmspace import MMSpace, _row_ranges, _vector
 
 MASS_SCALE = 10**14
 DEFAULT_GAMMA_TOL_FACTOR = 1e-6
@@ -409,41 +409,39 @@ _KNN = 8            # nearest moved neighbours per point in the starting edge se
 _CYCLE_CHECK = 16   # relaxation passes between negative-cycle checks
 
 
-def _relax(c, src, dst, w, starts, atol, proof=None, bound=None):
+def _relax(c, src, dst, w, starts, atol, bound=None):
     """Jacobi Bellman-Ford for  c[dst] <= c[src] + w  over an edge list
     sorted by target (`starts` indexes each target's first edge).
 
-    Returns the maximal solution below `c` and the passes taken, or None
-    once a negative cycle is proven. Every _CYCLE_CHECK passes, each point
-    whose new value equals a non-self in-edge points at that edge (points
-    with none keep their last pointer); a pointer cycle whose weight is
-    below -atol is a negative cycle (Cherkassky-Goldberg's parent-graph
-    check). Otherwise values still dropping by more than `atol` after
-    `bound` passes (default, and least, m + 1) prove one, since shortest
-    walks would need more than m edges. The absolute tolerance absorbs
-    exact-zero cycles that float rounding turns into 1e-16-rate descent.
-    On a proof, the dict `proof` gets "proof": "cycle" with
-    "cycle_length" and "cycle_weight", or "proof": "pass-bound"."""
+    Returns (values, passes, proof): the maximal solution below `c`, the
+    passes taken and an empty dict, or values None once a negative cycle
+    is proven. Every _CYCLE_CHECK passes, each point whose new value
+    equals a non-self in-edge points at that edge (points with none keep
+    their last pointer); a pointer cycle whose weight is below -atol is a
+    negative cycle (Cherkassky-Goldberg's parent-graph check), and the
+    proof is {"proof": "cycle", "cycle_length", "cycle_weight"}.
+    Otherwise values still dropping by more than `atol` after `bound`
+    passes (default, and least, m + 1) prove one, since shortest walks
+    would need more than m edges: the proof is {"proof": "pass-bound"}.
+    The absolute tolerance absorbs exact-zero cycles that float rounding
+    turns into 1e-16-rate descent."""
     m = len(c)
     edge = np.full(m, -1)
     loop = src == dst
-    proof = {} if proof is None else proof
     bound = m + 1 if bound is None else bound
     for k in range(1, bound + 1):
         vals = c[src] + w
         c2 = np.minimum(c, np.minimum.reduceat(vals, starts))
         if (c - c2).max() <= atol:
-            return c2, k
+            return c2, k, {}
         if k % _CYCLE_CHECK == 0:
             e = np.flatnonzero((vals == c2[dst]) & ~loop)
             edge[dst[e]] = e
             weight, length = _parent_cycle_weight(edge, src, w)
             if weight < -atol:
-                proof.update(proof="cycle", cycle_length=length, cycle_weight=weight)
-                return None, k
+                return None, k, {"proof": "cycle", "cycle_length": length, "cycle_weight": weight}
         c = c2
-    proof.update(proof="pass-bound")
-    return None, bound
+    return None, bound, {"proof": "pass-bound"}
 
 
 def _parent_cycle_weight(edge, src, w):
@@ -521,15 +519,15 @@ class _ActiveSet:
         """Maximal solution below `start` at deflation margin t, or None when
         a negative cycle is proven (`_relax`, with its pass `bound`).
         Returns (values, record); a negative-cycle record says how the cycle
-        was proven (`_relax`'s `proof`)."""
+        was proven (`_relax`'s proof)."""
         m = len(self.W)
-        c, passes, rounds, proof = start, 0, 0, {}
+        c, passes, rounds = start, 0, 0
         while True:
             rounds += 1
             w = self.base.copy()
             w[m:] -= t
             o = self.order
-            c, k = _relax(c, self.src[o], self.dst[o], w[o], self.starts, atol, proof, bound)
+            c, k, proof = _relax(c, self.src[o], self.dst[o], w[o], self.starts, atol, bound)
             passes += k
             if c is None:
                 break
@@ -772,14 +770,18 @@ def from_certificate(space: MMSpace, mu0, mu1, pairs, masses, potential) -> W1So
     """Assemble a W1Solution from an explicitly given plan and potential.
 
     Validates marginals, strong duality and the Lipschitz bound; raises
-    SolverFailure if the certificate does not close. Useful when a
-    construction carries a known optimal pair (plan, phi).
+    SolverFailure if the certificate does not close, and BadParameter for
+    pairs outside the points or masses or a potential of the wrong length.
+    Useful when a construction carries a known optimal pair (plan, phi).
     """
     n = space.n
     mu0 = _check_probability(mu0, n, "mu0")
     mu1 = _check_probability(mu1, n, "mu1")
     pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
-    phi = np.asarray(potential, dtype=float)
+    if not ((0 <= pairs) & (pairs < n)).all():
+        raise BadParameter(f"pairs must index the points 0..{n - 1}")
+    masses = _vector(masses, len(pairs), "masses")
+    phi = _vector(potential, n, "potential")
     return _certify(space, mu0, mu1, pairs, masses, phi, engine="certificate")
 
 
@@ -802,11 +804,9 @@ def gamma_set(space: MMSpace, solution: W1Solution, tol: float | None = None) ->
     `tol` defaults to `gamma_tol(space, solution)`. Gamma^-1 is decided in
     the same row pass, which is exact as every space's distances are symmetric.
 
-    Where `saturation_runs` exist, each row of Gamma and Gamma^-1 lies
-    between a certain and a possible run, and only rows with pairs between
-    the two take the row pass. If every row it decides is one run too, Gamma
-    is kept as runs (`GammaSet.runs`); if one is not, the certain runs are
-    written as bit rows and the decided rows over them."""
+    Where `saturation_runs` exist and every row of Gamma and Gamma^-1 is one
+    run, Gamma is kept as runs (`GammaSet.runs`, `_gamma_runs`) and no bit row
+    is packed. Otherwise every row takes the row pass and is packed."""
     if tol is None:
         tol = gamma_tol(space, solution)
     if np.isnan(tol):
@@ -815,33 +815,13 @@ def gamma_set(space: MMSpace, solution: W1Solution, tol: float | None = None) ->
         raise TolTooSmall(
             f"lipschitz residual {solution.lipschitz_residual} above tol {tol}")
     phi, n = solution.potential, space.n
-    runs = None
-    tested = None       # the rows the pair test runs on: all, or those with a pair between runs
-    if (ahead := space.saturation_runs(phi, tol)) is not None:  # Gamma^-1(phi) is Gamma(-phi)
-        back = space.saturation_runs(-phi, tol)
-        runs = np.array([ahead[0], ahead[1], back[0], back[1]])     # the certain runs
-        tested = np.flatnonzero((ahead[2] < ahead[0]) | (ahead[1] < ahead[3])
-                                | (back[2] < back[0]) | (back[1] < back[3]))
-    words = np.empty((2, n if tested is None else len(tested), -(-n // 64)), np.uint64)
-    single = True       # whether every tested row is one run (each holds its diagonal)
-    for lo, hi, block in space.row_blocks(tested):
-        rows = slice(lo, hi) if tested is None else tested[lo:hi]
-        gap = phi[rows, None] - phi[None, :]
-        lim = block - tol       # a new array: a matrix space's block is a view of its matrix
-        for k, inside in enumerate((gap >= lim, -gap >= lim)):
-            words[k, lo:hi] = _packed(inside)
-            if runs is not None:
-                first, end = inside.argmax(axis=1), n - inside[:, ::-1].argmax(axis=1)
-                single &= bool((np.count_nonzero(inside, axis=1) == end - first).all())
-                runs[2 * k:2 * k + 2, rows] = first, end
-    if runs is not None and single:
-        fwd = bwd = None
-    elif tested is None:
-        fwd, bwd = words
-    else:
-        fwd, bwd = _run_words(runs[0], runs[1]), _run_words(runs[2], runs[3])
-        fwd[tested], bwd[tested] = words
-        runs = None
+    fwd = bwd = None
+    if (runs := _gamma_runs(space, phi, tol)) is None:
+        fwd, bwd = np.empty((2, n, -(-n // 64)), np.uint64)
+        for lo, hi, block in space.row_blocks():
+            gap = phi[lo:hi, None] - phi[None, :]
+            lim = block - tol       # a new array: a matrix space's block is a view of its matrix
+            fwd[lo:hi], bwd[lo:hi] = _packed(gap >= lim), _packed(-gap >= lim)
     moving = solution.masses > 0
     i, j = solution.pairs[moving, 0], solution.pairs[moving, 1]
     offdiag = i != j
@@ -850,6 +830,30 @@ def gamma_set(space: MMSpace, solution: W1Solution, tol: float | None = None) ->
             "positive-mass plan pair excluded from Gamma at this tol "
             f"(solution.support_residual = {solution.support_residual:g})")
     return GammaSet(fwd, tol, bwd, runs)
+
+
+def _gamma_runs(space: MMSpace, phi: np.ndarray, tol: float) -> np.ndarray | None:
+    """Gamma and Gamma^-1 as runs (`GammaSet.runs`), or None where the space has
+    no `saturation_runs` or some row is not one run. Each row lies between a
+    certain and a possible run, and only rows with pairs between the two are
+    decided, by the row pass."""
+    if (ahead := space.saturation_runs(phi, tol)) is None:
+        return None
+    back = space.saturation_runs(-phi, tol)     # Gamma^-1(phi) is Gamma(-phi)
+    runs = np.array([ahead[0], ahead[1], back[0], back[1]])     # the certain runs
+    tested = np.flatnonzero((ahead[2] < ahead[0]) | (ahead[1] < ahead[3])
+                            | (back[2] < back[0]) | (back[1] < back[3]))
+    n = space.n
+    for lo, hi, block in space.row_blocks(tested):
+        rows = tested[lo:hi]
+        gap = phi[rows, None] - phi[None, :]
+        lim = block - tol
+        for k, inside in enumerate((gap >= lim, -gap >= lim)):
+            first, end = inside.argmax(axis=1), n - inside[:, ::-1].argmax(axis=1)
+            if (np.count_nonzero(inside, axis=1) != end - first).any():   # each holds its diagonal
+                return None
+            runs[2 * k:2 * k + 2, rows] = first, end
+    return runs
 
 
 def _run_words(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -876,19 +880,21 @@ def check_cyclic_monotonicity(space: MMSpace, gamma: GammaSet, k: int = 4,
         offdiag = i != j
         i, j = i[offdiag], j[offdiag]
         count = len(i)
+
+        def pair(idx):
+            return i[idx], j[idx]
     else:   # the off-diagonal pairs of row x take the places start[x]:start[x + 1]
         lo, hi = gamma.runs[0], gamma.runs[1]
         start = np.concatenate([[0], np.cumsum(hi - lo - 1)])
         count = int(start[-1])
+
+        def pair(idx):
+            x = np.searchsorted(start, idx, side="right") - 1
+            y = lo[x] + idx - start[x]
+            return x, y + (y >= x)      # skip the diagonal
     if count == 0:
         return {"worst_violation": 0.0, "trials": 0, "k": k, "vacuous": True}
-    idx = rng.integers(0, count, size=(trials, k))
-    if gamma.runs is None:
-        x, y = i[idx], j[idx]
-    else:
-        x = np.searchsorted(start, idx, side="right") - 1
-        y = lo[x] + idx - start[x]
-        y += y >= x     # skip the diagonal
+    x, y = pair(rng.integers(0, count, size=(trials, k)))
     matched = space.dist(x, y).sum(axis=1)
     shifted = space.dist(x, np.roll(y, -1, axis=1)).sum(axis=1)
     worst = float((matched - shifted).max())

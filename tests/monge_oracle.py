@@ -8,8 +8,8 @@ for byte-equal results.
 """
 
 import numpy as np
-from needlekit.monge1d import ATOM_SCALE, MongeCoupling, _sorted_atoms
-from needlekit.w1solve import quantize_masses
+from needlekit.monge1d import MongeCoupling, _sorted_atoms
+from needlekit.w1solve import MASS_SCALE, quantize_masses
 
 
 def quantile_pairs(units0, units1):
@@ -39,11 +39,11 @@ def rearrangement(source_atoms, target_atoms):
     s_total, t_total = smass.sum(), tmass.sum()
     if s_total <= 0:
         return [], 0.0
-    total_units = int(round(s_total * ATOM_SCALE))
+    total_units = int(round(s_total * MASS_SCALE))
     su = quantize_masses(smass / s_total * total_units, total_units)
     tu = quantize_masses(tmass / t_total * total_units, total_units)
     assignment = quantile_pairs(su, tu)
-    cost = float(sum(m * abs(spos[i] - tpos[j]) for i, j, m in assignment)) / ATOM_SCALE
+    cost = float(sum(m * abs(spos[i] - tpos[j]) for i, j, m in assignment)) / MASS_SCALE
     return assignment, cost
 
 
@@ -86,7 +86,7 @@ def condition_and_assemble(space, decomposition, solution) -> MongeCoupling:
         assignment, per_ray_costs[q] = rearrangement([s_atoms[k] for k in s_order],
                                                      [t_atoms[k] for k in t_order])
         for ii, jj, m in assignment:
-            emit(src[s_order[ii]][0], tgt[t_order[jj]][0], m / ATOM_SCALE)
+            emit(src[s_order[ii]][0], tgt[t_order[jj]][0], m / MASS_SCALE)
     pcost = 0.0
     pmass = 0.0
     for i, j, m in passthrough:

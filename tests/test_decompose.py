@@ -79,3 +79,17 @@ def test_decompose_equals_hand_chain(build, engine):
         assert _same(needles.coupling.pairs, coupling.pairs)
         assert _same(needles.coupling.masses, coupling.masses)
     assert len(dec.rays) + len(dec.orphan_points) > 0
+
+
+def test_coupling_keeps_the_plan_marginals_and_cost_on_a_4000_point_interval():
+    # the coupling was quantized at 1e-12 while the plan is at 1e-14: its
+    # marginals were off by 1.4e-12 here
+    space, _ = ms.generate_interval_model(0.0, 2.0, 1.0, 4000)
+    rng = np.random.default_rng(0)
+    a, b = rng.random(space.n) + 1e-3, rng.random(space.n) + 1e-3
+    sol = w1.solve_w1(space, a / a.sum(), b / b.sum())
+    coupling = nk.decompose(space, sol).coupling
+    (i, j), m = coupling.pairs.T, coupling.masses
+    assert np.abs(np.bincount(i, m, space.n) - sol.mu0).max() <= 1e-13
+    assert np.abs(np.bincount(j, m, space.n) - sol.mu1).max() <= 1e-13
+    assert abs(coupling.cost - sol.primal_value) <= 1e-13 * (1 + sol.primal_value)

@@ -270,3 +270,16 @@ def test_cyclic_monotonicity_reads_pairs_from_the_runs(seed):
         assert got == w1.check_cyclic_monotonicity(space, bits, k=k, trials=3000,
                                                    rng=np.random.default_rng(seed + k))
     assert gamma._fwd is None and gamma._bwd is None
+
+
+def test_runs_kept_after_the_row_pass_pack_no_bit_row(monkeypatch):
+    # on a uniform grid at tol = one step, pairs tie with the tolerance, so
+    # rows take the row pass; their bit rows were packed even when every
+    # decided row was one run and Gamma was kept as runs
+    t = 0.1 * np.arange(300)
+    phi = 0.5 * t
+    lo_in, hi_in, lo_out, hi_out = _line(t).saturation_runs(phi, 0.1)
+    assert ((lo_out < lo_in) | (hi_in < hi_out)).any()
+    monkeypatch.setattr(w1, "_packed", mock.Mock(side_effect=AssertionError("packed")))
+    gamma = w1.gamma_set(_line(t), _solution(phi), 0.1)
+    assert gamma.runs is not None and gamma._fwd is None and gamma._bwd is None

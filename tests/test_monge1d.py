@@ -47,6 +47,24 @@ def test_mass_mismatch():
         mg.monotone_rearrangement([(0.0, 0.5)], [(1.0, 0.75)])
 
 
+@pytest.mark.parametrize("source, target", [
+    ([(0.0, np.nan)], [(1.0, 0.5)]), ([(np.nan, 0.5)], [(1.0, 0.5)]),
+    ([(0.0, 0.5)], [(np.inf, 0.5)]), ([(0.0, 0.5), (1.0, np.inf)], [(1.0, np.inf)])],
+    ids=["nan-mass", "nan-position", "inf-position", "inf-mass"])
+def test_nonfinite_atom_is_a_mass_mismatch(source, target):
+    # a NaN mass raised a bare ValueError, and a NaN position was coupled
+    with pytest.raises(MassMismatch, match="must be finite"):
+        mg.monotone_rearrangement(source, target)
+
+
+def test_total_beyond_exact_units_is_a_mass_mismatch():
+    # MASS_SCALE units of a total above 2**53 / MASS_SCALE are not exact integers
+    # in floating point, and past 2**63 / MASS_SCALE they overflow int64
+    atoms = [(0.0, 50.0), (1.0, 50.0)]
+    with pytest.raises(MassMismatch, match="total mass 100.0 above"):
+        mg.monotone_rearrangement(atoms, atoms)
+
+
 def test_no_crossings():
     rng = np.random.default_rng(0)
     src = [(float(p), float(m)) for p, m in zip(rng.random(50), rng.random(50) + 0.1)]

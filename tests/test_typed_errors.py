@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from needlekit import curvature as cv
+from needlekit import disint as di
 from needlekit import isoperim as iso
 from needlekit import mmspace as ms
+from needlekit import monge1d as mg
 from needlekit import w1solve as w1
 from needlekit.errors import BadDiameter, BadParameter, BadVolume, MetricViolation
 
@@ -31,6 +33,23 @@ def _solved():
 def _gamma():
     space, sol = _solved()
     return space, w1.gamma_set(space, sol)
+
+
+def _rays():
+    space, sol = _solved()
+    return space, mg.decompose(space, sol).rays
+
+
+def _disintegration():
+    space, rays = _rays()
+    return di.disintegrate(space, rays, space.weights)
+
+
+def _consistency_past_the_rays():
+    # ray index len(rays) read the slot of the points off the rays
+    d = _disintegration()
+    return di.check_consistency(d, test_sets=[np.ones(64, bool)],
+                                ray_subsets=[[len(d.decomposition.rays)]])
 
 
 CASES = {
@@ -83,6 +102,27 @@ CASES = {
         _interval(), iso.ModelProfileSpec(0.0, 2.0, 1.0), [0.5], candidate_budget=-3),
     "empirical-profile-budget-nan": lambda: iso.empirical_profile(
         _interval(), 0.5, candidate_budget=np.nan),
+    # a fractional or boolean count leaked numpy's or the model's TypeError,
+    # or was taken as one ball
+    "empirical-profile-budget-fraction": lambda: iso.empirical_profile(
+        _interval(), 0.5, candidate_budget=2.5),
+    "empirical-profiles-budget-bool": lambda: iso.empirical_profiles(
+        _interval(), [0.5], candidate_budget=True),
+    "levy-gromov-budget-fraction": lambda: iso.levy_gromov_check(
+        _interval(), iso.ModelProfileSpec(0.0, 2.0, 1.0), [0.5], candidate_budget=4.5),
+    "interval-model-n-fraction": lambda: ms.generate_interval_model(0.0, 2.0, 1.0, 64.5),
+    "sphere-sample-n-fraction": lambda: ms.generate_sphere_sample(2, 150.5),
+    # a length other than n leaked numpy's broadcasting ValueError, and a
+    # missing or out-of-range ray subset a TypeError or IndexError
+    "consistency-test-sets-without-ray-subsets": lambda: di.check_consistency(
+        _disintegration(), test_sets=[np.ones(64, bool)]),
+    "consistency-ray-index-high": _consistency_past_the_rays,
+    "consistency-test-set-length": lambda: di.check_consistency(
+        _disintegration(), test_sets=[np.ones(63, bool)], ray_subsets=[[0]]),
+    "disintegrate-measure-length": lambda: di.disintegrate(*_rays(), np.full(63, 1 / 63)),
+    "balance-f-length": lambda: di.check_balance(*_rays(), np.zeros(63)),
+    "minkowski-indicator-length": lambda: iso.minkowski_content(
+        _interval(), np.ones(63, bool), [0.2]),
 }
 
 
@@ -123,3 +163,16 @@ def test_nonfinite_interval_diameter_is_a_bad_diameter(D):
         warnings.simplefilter("error")
         with pytest.raises(BadDiameter, match="D must be finite and positive"):
             ms.generate_interval_model(0.0, 2.0, D, 64)
+
+
+@pytest.mark.parametrize("change, name", [
+    (lambda sol, n: (np.r_[sol.pairs, [[0, n]]], np.r_[sol.masses, 0.0], sol.potential), "pairs"),
+    (lambda sol, n: (sol.pairs, sol.masses[:-1], sol.potential), "masses"),
+    (lambda sol, n: (sol.pairs, sol.masses, sol.potential[:-1]), "potential")],
+    ids=["pair-out-of-range", "masses-length", "potential-length"])
+def test_malformed_certificate_names_the_argument(change, name):
+    # an IndexError from the marginal check, or numpy's ValueError from matmul
+    # or broadcasting, before the certificate was read
+    space, sol = _solved()
+    with pytest.raises(BadParameter, match=f"^{name} "):
+        w1.from_certificate(space, sol.mu0, sol.mu1, *change(sol, space.n))

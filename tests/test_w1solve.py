@@ -858,15 +858,15 @@ def test_planted_negative_cycle_is_proven():
         return w1._relax(np.zeros(L), src, dst, w, starts, atol)
 
     # every point drops in every pass: the cycle of lowering edges is found
-    c, passes = relax(np.full(L, -1e-3))
-    assert c is None and passes == w1._CYCLE_CHECK
+    c, passes, proof = relax(np.full(L, -1e-3))
+    assert c is None and passes == w1._CYCLE_CHECK and proof["proof"] == "cycle"
     # one negative edge: a drop runs round the ring, one point per pass,
     # until the m + 1 pass bound proves the cycle
-    c, passes = relax(np.r_[-1e-9 - 0.1 * (L - 1), np.full(L - 1, 0.1)])
-    assert c is None and passes == L + 1
+    c, passes, proof = relax(np.r_[-1e-9 - 0.1 * (L - 1), np.full(L - 1, 0.1)])
+    assert c is None and passes == L + 1 and proof == {"proof": "pass-bound"}
     # exact zero weight, up to rounding: feasible
-    c, passes = relax(np.r_[-0.1 * (L - 1), np.full(L - 1, 0.1)])
-    assert c is not None and passes <= L + 1
+    c, passes, proof = relax(np.r_[-0.1 * (L - 1), np.full(L - 1, 0.1)])
+    assert c is not None and passes <= L + 1 and proof == {}
 
     # 2x2 tie: both assignments cost 2, so every deflation margin t closes
     # the cycle x1 -> y1 -> x2 -> y2 -> x1 of weight -2t
@@ -919,8 +919,7 @@ def test_cycle_is_proven_one_check_after_a_lap():
     w = np.concatenate([np.zeros(m), [-1e-9 - 0.1 * (L - 1)], np.full(L - 1, 0.1)])
     order = np.argsort(dst, kind="stable")
     starts = np.searchsorted(dst[order], np.arange(m))
-    proof = {}
-    c, passes = w1._relax(np.zeros(m), src[order], dst[order], w[order], starts, 1e-13, proof)
+    c, passes, proof = w1._relax(np.zeros(m), src[order], dst[order], w[order], starts, 1e-13)
     assert c is None and passes == 48
     assert proof["proof"] == "cycle" and proof["cycle_length"] == L
     assert proof["cycle_weight"] == pytest.approx(-1e-9, rel=1e-4)
