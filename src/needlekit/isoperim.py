@@ -237,6 +237,12 @@ def zero_mean_split(space: MMSpace, rng):
     return pos / pos.sum(), neg / neg.sum()
 
 
+def _check_budget(candidate_budget) -> None:
+    if (isinstance(candidate_budget, bool) or not isinstance(candidate_budget, (int, np.integer))
+            or candidate_budget < 1):
+        raise BadParameter(f"candidate_budget must be an integer >= 1, got {candidate_budget!r}")
+
+
 def empirical_profile(space: MMSpace, v: float, candidate_budget: int = 32,
                       rng=None) -> ProfilePoint:
     """Estimate of the isoperimetric profile by candidate search; it
@@ -252,9 +258,7 @@ def empirical_profile(space: MMSpace, v: float, candidate_budget: int = 32,
     """
     if not 0.0 < v < 1.0:
         raise BadVolume(f"v={v} outside (0, 1)")
-    if (isinstance(candidate_budget, bool) or not isinstance(candidate_budget, (int, np.integer))
-            or candidate_budget < 1):
-        raise BadParameter(f"candidate_budget must be an integer >= 1, got {candidate_budget!r}")
+    _check_budget(candidate_budget)
     rng = rng or np.random.default_rng(0)
     coarse = default_eps_window(space, 6)
     fine = default_eps_window(space, 16)
@@ -287,6 +291,7 @@ def empirical_profiles(space: MMSpace, v_grid, rng=None,
     for v in v_grid:
         if not 0.0 <= v <= 1.0:
             raise BadVolume(f"v={v} outside [0, 1]")
+    _check_budget(candidate_budget)
     points = []
     for v, stream in zip(v_grid, rng.spawn(len(v_grid))):
         if v in (0.0, 1.0):

@@ -145,22 +145,14 @@ class MMSpace:
             out = None if buf is None else buf[:hi - lo]
             yield lo, hi, self.rows(slice(lo, hi) if idx is None else idx[lo:hi], cols, out)
 
-    def triangle_blocks(self, ends=None):
-        """Yield (lo, hi, rows(slice(lo, hi), slice(lo, end))): every pair x <= y
+    def triangle_blocks(self):
+        """Yield (lo, hi, rows(slice(lo, hi), slice(lo, n))): every pair x <= y
         once, plus the lower half of each diagonal block, in blocks of about
-        _ROW_BLOCK entries (at most max(_ROW_BLOCK, n)); `end` is n, or with
-        `ends` (ends[x] > x) the largest of ends[:hi], so that every y < ends[x]
-        is read. Matrix spaces yield views; interval models reuse one buffer."""
+        _ROW_BLOCK entries (at most max(_ROW_BLOCK, n)). Matrix spaces yield views."""
         n, lo = self.n, 0
-        ends = [n] * n if ends is None else np.maximum.accumulate(ends).tolist()
-        buf = np.empty(max(_ROW_BLOCK, n)) if self._matrix is None else None
         while lo < n:
-            hi = min(lo + max(1, _ROW_BLOCK // (ends[lo] - lo)), n)
-            if (hi - lo) * (ends[hi - 1] - lo) > _ROW_BLOCK:     # a wider row later in the block
-                hi = lo + max(1, _ROW_BLOCK // (ends[hi - 1] - lo))
-            end = ends[hi - 1]
-            out = None if buf is None else buf[:(hi - lo) * (end - lo)].reshape(hi - lo, end - lo)
-            yield lo, hi, self.rows(slice(lo, hi), slice(lo, end), out)
+            hi = min(lo + max(1, _ROW_BLOCK // (n - lo)), n)
+            yield lo, hi, self.rows(slice(lo, hi), slice(lo, n))
             lo = hi
 
     def dist(self, i, j) -> np.ndarray:
@@ -196,6 +188,19 @@ class MMSpace:
         x = np.arange(self.n)
         empty = (lo_in > x) | (hi_in <= x)      # the certain run must hold x
         return np.where(empty, x, lo_in), np.where(empty, x, hi_in), lo_out, hi_out
+
+    def lipschitz_bound(self, phi):
+        """An upper bound on max(0, max |phi(x) - phi(y)| - d(x, y)) for a finite
+        phi, None on matrix spaces: with s the coordinates sorted and shifted to
+        start at 0, a pair y after x reads b(x) - b(y) or c(x) - c(y) for b = s + phi,
+        c = s - phi, so the bound is max(v - suffix_min(v)) over v = b, c plus a
+        rounding margin 8 eps (max|phi| + diameter), which the shift keeps offset-free."""
+        if self._matrix is None:
+            order = np.argsort(self.line_coord, kind="stable")
+            s, p = self.line_coord[order] - self.line_coord[order[0]], phi[order]
+            lip = max(float((v - np.minimum.accumulate(v[::-1])[::-1]).max())
+                      for v in (s + p, s - p))
+            return lip + 8 * np.finfo(float).eps * (np.abs(phi).max() + s[-1])
 
     def pairs_within(self, R: float) -> tuple:
         """The pairs at distance below R as CSR (indptr, int32 columns, exact

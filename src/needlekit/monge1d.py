@@ -198,8 +198,8 @@ def assemble_monge_map(space: MMSpace, decomposition: RayDecomposition,
     cost = float((masses * space.dist(pairs[:, 0], pairs[:, 1])).sum()) if len(masses) else 0.0
     pcost = _running_sum(pt["mass"] * space.dist(pt["i"], pt["j"]))
     pmass = _running_sum(np.where(pt["i"] != pt["j"], pt["mass"], 0.0))
-    sources = np.unique(pairs[:, 0] * space.n + pairs[:, 1]) // space.n   # one per distinct pair
-    is_map = bool((np.diff(sources) > 0).all())
+    keys = np.sort(pairs[:, 0] * space.n + pairs[:, 1], kind="stable")   # by source, then target
+    is_map = bool(((np.diff(keys) == 0) | (np.diff(keys // space.n) > 0)).all())
     return MongeCoupling(pairs, masses, cost, is_map, per_ray_costs, pcost, pmass)
 
 

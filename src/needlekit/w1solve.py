@@ -186,8 +186,8 @@ def _quantile_pairs(units0, units1) -> np.ndarray:
     c0 = np.cumsum(units0, dtype=np.int64)
     c1 = np.cumsum(units1, dtype=np.int64)
     top = min(c0[-1], c1[-1]) if len(c0) and len(c1) else 0
-    cuts = np.union1d(c0, c1)
-    cuts = cuts[(cuts > 0) & (cuts <= top)]
+    cuts = np.sort(np.concatenate([c0, c1]), kind="stable")     # a merge of two sorted runs
+    cuts = cuts[(cuts > 0) & (cuts <= top) & (np.diff(cuts, prepend=0) != 0)]   # each cut once
     return np.stack([np.searchsorted(c0, cuts), np.searchsorted(c1, cuts),
                      np.diff(cuts, prepend=0)], axis=1).astype(np.int64, copy=False)
 
@@ -203,9 +203,7 @@ def _engine_line(space: MMSpace, mu0, mu1):
     masses = couple[:, 2] / MASS_SCALE
 
     # phi' = -1 where mass still to move rightward (F0 > F1), +1 leftward.
-    c0 = np.cumsum(u0)
-    c1 = np.cumsum(u1)
-    flux = c0 - c1                       # exact integers on each gap
+    flux = np.cumsum(u0 - u1)            # exact integers on each gap
     gaps = np.diff(t[order])
     slope = np.sign(flux[:-1]).astype(float)
     phi_sorted = np.concatenate([[0.0], np.cumsum(-slope * gaps)])
@@ -704,18 +702,19 @@ def _extend_potential(space, moved, c):
 
 
 def _lipschitz_residual(phi, space):
-    """max over x, y of |phi(x) - phi(y)| - d(x, y), clipped at 0, over the pairs
-    x <= y only (both terms are symmetric bit for bit); the differences go into
-    one buffer, grown to the largest triangle block. Where the space has
-    saturation runs, only the pairs in the possible runs of phi and -phi at
-    tol 0 are read: every other pair's difference is negative."""
-    runs = space.saturation_runs(phi, 0.0)
-    ends = None if runs is None else np.maximum(runs[3], space.saturation_runs(-phi, 0.0)[3])
+    """max over x, y of |phi(x) - phi(y)| - d(x, y), clipped at 0 (+inf for a
+    non-finite phi), or the upper bound `MMSpace.lipschitz_bound` where there is
+    one; matrix spaces walk the pairs x <= y (both terms are symmetric bit for
+    bit), the differences in one buffer, grown to the largest triangle block."""
+    if not np.isfinite(phi).all():
+        return np.inf
+    if (lip := space.lipschitz_bound(phi)) is not None:
+        return lip
     lip, buf = 0.0, np.empty(0)
-    for lo, hi, block in space.triangle_blocks(ends):
+    for lo, hi, block in space.triangle_blocks():
         if buf.size < block.size:
             buf = np.empty(block.size)
-        diff = np.subtract(phi[lo:hi, None], phi[None, lo:lo + block.shape[1]],
+        diff = np.subtract(phi[lo:hi, None], phi[None, lo:],
                            out=buf[:block.size].reshape(block.shape))
         lip = max(lip, float(np.subtract(np.abs(diff, out=diff), block, out=diff).max()))
     return lip
@@ -762,7 +761,7 @@ def _check_marginals(pairs, masses, mu0, mu1, tol: float = 1e-10):
     np.add.at(m0, pairs[:, 0], masses)
     np.add.at(m1, pairs[:, 1], masses)
     err = max(np.abs(m0 - mu0).max(), np.abs(m1 - mu1).max())
-    if err > tol:
+    if not err <= tol:      # NaN fails too
         raise SolverFailure(f"plan marginal error {err} exceeds {tol}")
 
 
@@ -771,8 +770,8 @@ def from_certificate(space: MMSpace, mu0, mu1, pairs, masses, potential) -> W1So
 
     Validates marginals, strong duality and the Lipschitz bound; raises
     SolverFailure if the certificate does not close, and BadParameter for
-    pairs outside the points or masses or a potential of the wrong length.
-    Useful when a construction carries a known optimal pair (plan, phi).
+    pairs outside the points, non-finite masses, or masses or a potential of
+    the wrong length. Useful when a construction carries a known optimal pair.
     """
     n = space.n
     mu0 = _check_probability(mu0, n, "mu0")
@@ -781,6 +780,8 @@ def from_certificate(space: MMSpace, mu0, mu1, pairs, masses, potential) -> W1So
     if not ((0 <= pairs) & (pairs < n)).all():
         raise BadParameter(f"pairs must index the points 0..{n - 1}")
     masses = _vector(masses, len(pairs), "masses")
+    if (bad := np.flatnonzero(~np.isfinite(masses))).size:
+        raise BadParameter(f"masses must be finite, got {masses[bad[0]]} at pair {bad[0]}")
     phi = _vector(potential, n, "potential")
     return _certify(space, mu0, mu1, pairs, masses, phi, engine="certificate")
 

@@ -1,7 +1,8 @@
 """The passes after the plan, against the dense definitions they replace: the
-Lipschitz residual over one triangle of pairs, `MMSpace.nearest` and
-`coincident`, and the transport structure and ray partition read from the bit
-rows of Gamma and R less the diagonal and the coincident pairs."""
+Lipschitz residual over one triangle of pairs or from suffix minima,
+`MMSpace.nearest` and `coincident`, and the transport structure and ray
+partition read from the bit rows of Gamma and R less the diagonal and the
+coincident pairs."""
 
 from unittest import mock
 
@@ -80,6 +81,17 @@ def _dense_lipschitz(phi, D):
     return max(0.0, float((np.abs(phi[:, None] - phi[None, :]) - D).max()))
 
 
+def _assert_residual(lip, phi, space, D):
+    """The Lipschitz residual is the dense one on matrix spaces; on spaces with
+    coordinates (`MMSpace.lipschitz_bound`) it lies in [dense, dense + 2 delta]."""
+    dense = _dense_lipschitz(phi, D)
+    if space._matrix is not None:
+        assert lip == dense
+    else:
+        delta = 8 * np.finfo(float).eps * (np.abs(phi).max() + space.max_distance)
+        assert dense <= lip <= dense + 2 * delta, (lip, dense, delta)
+
+
 @pytest.mark.parametrize("block", [64, ms._ROW_BLOCK])
 @pytest.mark.parametrize("case", sorted(SPACES))
 def test_triangle_blocks_cover_each_pair_once(case, block):
@@ -114,9 +126,19 @@ def test_lipschitz_residual_matches_all_pairs(case, block):
     assert bad.tolist() == [[n - 2, n - 1], [n - 1, n - 2]]
     with mock.patch.object(ms, "_ROW_BLOCK", block):
         for phi in potentials + [planted]:
-            assert w1._lipschitz_residual(phi, space) == _dense_lipschitz(phi, D)
+            _assert_residual(w1._lipschitz_residual(phi, space), phi, space, D)
     assert w1._lipschitz_residual(lipschitz, space) <= 1e-12 * space.max_distance
-    assert w1._lipschitz_residual(planted, space) > 0.0
+    assert w1._lipschitz_residual(planted, space) > 1e-4 * d
+
+
+@pytest.mark.parametrize("case", sorted(SPACES))
+def test_lipschitz_residual_of_a_non_finite_potential_is_inf(case):
+    # max(0.0, nan) is 0.0: a NaN potential read as 1-Lipschitz
+    space = SPACES[case]()
+    for bad in (np.nan, np.inf, -np.inf):
+        phi = np.zeros(space.n)
+        phi[space.n // 2] = bad
+        assert w1._lipschitz_residual(phi, space) == np.inf, bad
 
 
 def _random(space, seed):

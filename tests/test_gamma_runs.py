@@ -8,7 +8,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from test_distance_passes import _dense_lipschitz
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_distance_passes import _assert_residual
 
 from needlekit import mmspace as ms
 from needlekit import rays as ry
@@ -70,7 +72,7 @@ def test_runs_match_the_dense_gamma_and_residual(n, offset, duplicates):
             gamma = w1.gamma_set(space, _solution(phi), tol)
             assert np.array_equal(gamma.fwd, w1._packed(gap >= D - tol)), (name, tol)
             assert np.array_equal(gamma.bwd, w1._packed(-gap >= D - tol)), (name, tol)
-        assert w1._lipschitz_residual(phi, space) == _dense_lipschitz(phi, D), name
+        _assert_residual(w1._lipschitz_residual(phi, space), phi, space, D)
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6, -3e8])
@@ -116,25 +118,26 @@ def test_spaces_without_sorted_coordinates_have_no_runs():
     assert _line(t).saturation_runs(np.r_[phi[:-1], np.nan], 1e-6) is None
 
 
-@pytest.mark.parametrize("block", [64, ms._ROW_BLOCK])
-def test_triangle_blocks_read_every_pair_below_the_ends(block):
-    t = _coordinates(700, 0.0, True, seed=3)
-    space, D, n = _line(t), np.abs(t[:, None] - t[None, :]), len(t)
-    x = np.arange(n)
-    ends = np.minimum(x + 1 + np.random.default_rng(3).integers(0, 90, n), n)
-    seen = np.zeros((n, n), dtype=int)
-    with mock.patch.object(ms, "_ROW_BLOCK", block):
-        for lo, hi, rows in space.triangle_blocks(ends):
-            assert np.array_equal(rows, D[lo:hi, lo:lo + rows.shape[1]])
-            assert rows.size <= max(block, n)
-            seen[lo:hi, lo:lo + rows.shape[1]] += 1
-    assert (seen <= 1).all()
-    assert all(seen[k, k:ends[k]].all() for k in range(n))
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 300), st.sampled_from([0.0, 1e8, -1e8]), st.booleans(), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_lipschitz_bound_brackets_the_dense_residual(n, offset, duplicates, shuffled, seed):
+    # 1-Lipschitz potentials read [0, 2 delta]; rough ones, and those off by
+    # a hair, the dense value up to 2 delta; shuffled coordinates are sorted first
+    t = _coordinates(n, offset, duplicates, seed)
+    rng = np.random.default_rng(seed)
+    p = rng.permutation(n) if shuffled else np.arange(n)
+    space, D = _line(t[p]), np.abs(t[p][:, None] - t[p][None, :])
+    for name, phi in _potentials(t, rng).items():
+        lip = w1._lipschitz_residual(phi[p], space)
+        _assert_residual(lip, phi[p], space, D)
+        if name in LIPSCHITZ:
+            assert lip <= 1e-13 * max(1.0, space.max_distance), name
 
 
 def _reads(space, sol, tol):
-    """(distance entries read, Gamma, Lipschitz residual) of gamma_set and
-    _lipschitz_residual."""
+    """(distance entries read by gamma_set, those read by _lipschitz_residual,
+    Gamma, Lipschitz residual)."""
     read = []
     rows, dist = ms.MMSpace.rows, ms.MMSpace.dist
 
@@ -151,8 +154,9 @@ def _reads(space, sol, tol):
     with mock.patch.object(ms.MMSpace, "rows", counted_rows), \
             mock.patch.object(ms.MMSpace, "dist", counted_dist):
         gamma = w1.gamma_set(space, sol, tol)
+        gamma_read = sum(read)
         lip = w1._lipschitz_residual(sol.potential, space)
-    return sum(read), gamma, lip
+    return gamma_read, sum(read) - gamma_read, gamma, lip
 
 
 def _solved(space, seed):
@@ -164,29 +168,32 @@ def _solved(space, seed):
 def test_sorted_interval_model_reads_a_third_of_the_distances():
     space = ms.generate_interval_model(0.0, 2.0, 1.0, 4000)[0]
     sol, tol = _solved(space, 0)
-    read, gamma, lip = _reads(space, sol, tol)
-    assert read <= space.n ** 2 / 3
+    read, lip_read, gamma, lip = _reads(space, sol, tol)
+    assert read <= space.n ** 2 / 3 and lip_read == 0
     assert gamma.count > 10 * space.n and lip == sol.lipschitz_residual
 
 
 def test_unsorted_and_matrix_spaces_take_full_passes_with_equal_bits():
-    # the same metric on shuffled coordinates and as a line-detected matrix
+    # the same metric on shuffled coordinates and as a line-detected matrix;
+    # only the matrix space walks the pairs for the Lipschitz residual
     space = ms.generate_interval_model(1.0, 2.0, np.pi, 1000)[0]
     n, t = space.n, space.line_coord
     sol, tol = _solved(space, 1)
-    read, gamma, lip = _reads(space, sol, tol)
-    assert read <= n ** 2 / 3
+    read, lip_read, gamma, lip = _reads(space, sol, tol)
+    assert read <= n ** 2 / 3 and lip_read == 0
+    _assert_residual(lip, sol.potential, space, space.D)
     p = np.random.default_rng(1).permutation(n)      # point k of the copy is point p[k]
     inv = np.argsort(p)
     for copy in (_line(t[p]), ms.build_space(list(range(n)), {"type": "matrix",
                                                              "data": space.rows(p, p)})):
         moved = w1.W1Solution(inv[sol.pairs], sol.masses, sol.primal_value, sol.potential[p],
                               sol.lipschitz_residual, sol.duality_gap, sol.mu0[p], sol.mu1[p])
-        read, other, other_lip = _reads(copy, moved, tol)
-        assert read >= 1.5 * n ** 2 - n
+        read, lip_read, other, other_lip = _reads(copy, moved, tol)
+        assert read >= n ** 2
+        assert lip_read == 0 if copy._matrix is None else lip_read >= n * (n + 1) // 2
         assert np.array_equal(other.mask, gamma.mask[np.ix_(p, p)])
         assert np.array_equal(other.bwd, w1._packed(gamma.mask.T[np.ix_(p, p)]))
-        assert other_lip == lip
+        _assert_residual(other_lip, moved.potential, copy, copy.D)
 
 
 def _matrix_copy(t):

@@ -238,6 +238,34 @@ def test_sweep_equals_loop_oracle(units):
     assert got.tolist() == [list(row) for row in quantile_pairs(u0, u1)]
 
 
+def _union_pairs(units0, units1):
+    """The sweep with its cuts taken by np.union1d."""
+    c0, c1 = np.cumsum(units0, dtype=np.int64), np.cumsum(units1, dtype=np.int64)
+    top = min(c0[-1], c1[-1]) if len(c0) and len(c1) else 0
+    cuts = np.union1d(c0, c1)
+    cuts = cuts[(cuts > 0) & (cuts <= top)]
+    return np.stack([np.searchsorted(c0, cuts), np.searchsorted(c1, cuts),
+                     np.diff(cuts, prepend=0)], axis=1).astype(np.int64, copy=False)
+
+
+_UNITS = st.lists(st.integers(0, 10**12) | st.just(0), max_size=40).map(
+    lambda u: np.asarray(u, np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_UNITS, _UNITS)
+@example(np.zeros(0, np.int64), np.zeros(0, np.int64))
+@example(np.zeros(0, np.int64), np.array([3, 4], np.int64))
+@example(np.zeros(3, np.int64), np.zeros(2, np.int64))
+@example(np.array([0, 5, 0, 5], np.int64), np.array([5, 0, 5, 0, 0], np.int64))
+def test_sweep_cuts_equal_union1d(u0, u1):
+    # the cuts are merged by a stable sort and a neighbour test, bit for bit;
+    # lists of unequal totals, empty and zero-atom lists included
+    got, want = w1._quantile_pairs(u0, u1), _union_pairs(u0, u1)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=20), st.integers(min_value=1, max_value=20),
        st.integers(min_value=0, max_value=10**6))

@@ -110,6 +110,11 @@ CASES = {
         _interval(), [0.5], candidate_budget=True),
     "levy-gromov-budget-fraction": lambda: iso.levy_gromov_check(
         _interval(), iso.ModelProfileSpec(0.0, 2.0, 1.0), [0.5], candidate_budget=4.5),
+    # on trivial volumes alone no profile read the budget
+    "empirical-profiles-budget-fraction-trivial-volumes": lambda: iso.empirical_profiles(
+        _interval(), [0.0, 1.0], candidate_budget=2.5),
+    "levy-gromov-budget-zero-trivial-volumes": lambda: iso.levy_gromov_check(
+        _interval(), iso.ModelProfileSpec(0.0, 2.0, 1.0), [0.0, 1.0], candidate_budget=0),
     "interval-model-n-fraction": lambda: ms.generate_interval_model(0.0, 2.0, 1.0, 64.5),
     "sphere-sample-n-fraction": lambda: ms.generate_sphere_sample(2, 150.5),
     # a length other than n leaked numpy's broadcasting ValueError, and a
@@ -168,8 +173,9 @@ def test_nonfinite_interval_diameter_is_a_bad_diameter(D):
 @pytest.mark.parametrize("change, name", [
     (lambda sol, n: (np.r_[sol.pairs, [[0, n]]], np.r_[sol.masses, 0.0], sol.potential), "pairs"),
     (lambda sol, n: (sol.pairs, sol.masses[:-1], sol.potential), "masses"),
+    (lambda sol, n: (sol.pairs, np.r_[sol.masses[:-1], np.inf], sol.potential), "masses"),
     (lambda sol, n: (sol.pairs, sol.masses, sol.potential[:-1]), "potential")],
-    ids=["pair-out-of-range", "masses-length", "potential-length"])
+    ids=["pair-out-of-range", "masses-length", "masses-inf", "potential-length"])
 def test_malformed_certificate_names_the_argument(change, name):
     # an IndexError from the marginal check, or numpy's ValueError from matmul
     # or broadcasting, before the certificate was read

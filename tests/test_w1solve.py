@@ -395,14 +395,24 @@ def test_bad_certificate_rejected():
 
 @pytest.mark.parametrize("bad", ["mass", "potential"])
 def test_certificate_with_nan_is_rejected(bad):
-    # a NaN opens no comparison, so the duality gap test must fail on it
+    # a NaN opens no comparison, so the duality gap test must fail on a NaN
+    # potential; a NaN mass is named before the certificate is read
     sp = _cloud(8, 12)
     mu0, mu1 = _marginals(8, 12)
     sol = w1.solve_w1(sp, mu0, mu1)
     masses, phi = sol.masses.copy(), sol.potential.copy()
     (masses if bad == "mass" else phi)[0] = np.nan
-    with pytest.raises(SolverFailure, match="duality gap nan"):
+    err, match = ((BadParameter, "^masses must be finite, got nan at pair 0") if bad == "mass"
+                  else (SolverFailure, "duality gap nan"))
+    with pytest.raises(err, match=match):
         w1.from_certificate(sp, mu0, mu1, sol.pairs, masses, phi)
+
+
+def test_nan_marginal_error_fails_the_marginal_check():
+    # err > tol is False for a NaN error
+    pairs, masses = np.array([[0, 1], [1, 0]]), np.array([0.5, np.nan])
+    with pytest.raises(SolverFailure, match="plan marginal error nan"):
+        w1._check_marginals(pairs, masses, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
 
 
 def test_certificate_marginal_error_named():
