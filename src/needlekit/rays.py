@@ -234,6 +234,9 @@ def build_transport_structure(space: MMSpace, gamma: GammaSet) -> TransportStruc
             return te[cover[te] < 0]
 
         a_plus, a_minus = branching(fwd), branching(bwd)
+    keep = np.zeros(len(has_succ), bool)
+    keep[te] = True
+    keep[a_plus] = keep[a_minus] = False
     return TransportStructure(
         gamma=gamma,
         initial_points=np.flatnonzero(~has_pred),
@@ -241,7 +244,7 @@ def build_transport_structure(space: MMSpace, gamma: GammaSet) -> TransportStruc
         transport_set_e=te,
         branching_fwd=a_plus,
         branching_bwd=a_minus,
-        transport_set=np.setdiff1d(te, np.union1d(a_plus, a_minus)),
+        transport_set=np.flatnonzero(keep),
         r=r,
     )
 

@@ -1,9 +1,11 @@
 """Wasserstein-1 primal/dual solver and the saturated pair set.
 
 The primal is solved exactly per instance class: a quantile sweep for
-1D-embeddable metrics, the Jonker-Volgenant assignment solver when net
-supplies are uniform and balanced in count, and otherwise arc generation
-on the bipartite transportation LP: one HiGHS model holds the restricted
+1D-embeddable metrics; when net supplies are uniform and balanced in count,
+scipy's shortest-augmenting-path assignment solver on row- and
+column-reduced costs, which keep the optimal permutations and spare its
+augmenting paths most columns; and otherwise arc generation on the
+bipartite transportation LP: one HiGHS model holds the restricted
 LP, gains the arcs that price negative against all S x T arcs as new
 columns each round, and re-solves by dual simplex from its last basis,
 until no arc outside the set prices negative. Each column is bounded by
@@ -213,7 +215,11 @@ def _engine_line(space: MMSpace, mu0, mu1):
 
 
 def _engine_assignment(D_sub, a, b):
-    rows, cols = linear_sum_assignment(D_sub)
+    # each row, then each column, less its least entry: every assignment's
+    # cost shifts alike, and zero minima stop the searches early
+    R = D_sub - D_sub.min(axis=1, keepdims=True)
+    R -= R.min(axis=0)
+    rows, cols = linear_sum_assignment(R)
     masses = a[rows]
     return np.stack([rows, cols], axis=1), masses, None, "assignment"
 
@@ -448,8 +454,11 @@ def _parent_cycle_weight(edge, src, w):
     point has one pointer at most, so each strong component of more than
     one point is a single cycle, made of its points' pointer edges."""
     m = len(edge)
-    x = np.flatnonzero(edge >= 0)
-    graph = sparse.csr_matrix((np.ones(len(x)), (src[edge[x]], x)), shape=(m, m))
+    has = edge >= 0
+    x = np.flatnonzero(has)
+    # the transpose, x -> src[edge[x]]: the same strong components, and CSR as it stands
+    indptr = np.concatenate([[0], np.cumsum(has)])
+    graph = sparse.csr_matrix((np.ones(len(x)), src[edge[x]], indptr), shape=(m, m))
     label = connected_components(graph, directed=True, connection="strong")[1]
     size = np.bincount(label)
     x = x[size[label[x]] > 1]

@@ -1154,3 +1154,72 @@ def test_gamma_tol_nan_is_bad_parameter():
     sol = w1.solve_w1(space, *_marginals(space.n, 2))
     with pytest.raises(BadParameter):
         w1.gamma_set(space, sol, tol=np.nan)
+
+
+def _spy_assignment(monkeypatch):
+    """Record each matrix the assignment engine hands to linear_sum_assignment."""
+    from scipy.optimize import linear_sum_assignment
+    seen = []
+
+    def spy(C):
+        seen.append(C.copy())
+        return linear_sum_assignment(C)
+
+    monkeypatch.setattr(w1, "linear_sum_assignment", spy)
+    return seen
+
+
+def _uniform_instance(case, seed):
+    """A space whose first S points carry mu0 and next S points mu1, uniformly:
+    integer L1 lattice points (many tied costs), S^2 polar caps, or a planar
+    cloud with its coordinates, or its distances, offset by 1e6."""
+    rng = np.random.default_rng(seed)
+    if case == "lattice":
+        cells = rng.choice(81, size=40, replace=False)
+        pts = np.stack([cells // 9, cells % 9], axis=1)
+        D = np.abs(pts[:, None] - pts[None, :]).sum(-1).astype(float)
+    elif case == "cap":
+        sp = ms.generate_sphere_sample(2, 400, seed=seed)
+        order = np.argsort(-sp.coords[:, 2], kind="stable")
+        keep = np.concatenate([order[:100], order[-100:]])
+        D = sp.D[np.ix_(keep, keep)]
+    else:
+        pts = rng.random((200, 2)) + (1e6 if case == "cloud-shifted" else 0.0)
+        D = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
+        if case == "cloud-offset":
+            D += 1e6 * (1 - np.eye(len(D)))
+    n, S = len(D), len(D) // 2
+    mu0, mu1 = np.zeros(n), np.zeros(n)
+    mu0[:S], mu1[S:] = 1 / S, 1 / S
+    return ms.build_space(list(range(n)), {"type": "matrix", "data": D}), mu0, mu1, S
+
+
+def test_assignment_runs_on_reduced_costs(monkeypatch):
+    seen = _spy_assignment(monkeypatch)
+    for case, seed in (("cap", 0), ("cloud-offset", 1), ("lattice", 2)):
+        sp, mu0, mu1, _ = _uniform_instance(case, seed)
+        assert w1.solve_w1(sp, mu0, mu1).engine == "assignment"
+    assert len(seen) == 3
+    for C in seen:
+        assert (C.min(axis=1) == 0).all() and (C.min(axis=0) == 0).all()
+
+
+@pytest.mark.parametrize("case, seed", [("lattice", s) for s in range(4)]
+                         + [("cap", s) for s in range(2)]
+                         + [(c, s) for c in ("cloud-shifted", "cloud-offset") for s in range(2)])
+def test_reduced_assignment_is_optimal_for_the_raw_costs(monkeypatch, case, seed):
+    # row and column reduction keeps the optimal permutations; on ties the
+    # engine may take another co-optimal one, and the solve still certifies
+    from scipy.optimize import linear_sum_assignment
+    seen = _spy_assignment(monkeypatch)
+    sp, mu0, mu1, S = _uniform_instance(case, seed)
+    sol = w1.solve_w1(sp, mu0, mu1)
+    C, = seen
+    assert sol.engine == "assignment" and C.min() == 0
+    D_sub = sp.D[:S, S:]
+    rows, cols = linear_sum_assignment(D_sub)
+    raw = D_sub[rows, cols].sum() / S
+    got = sp.D[sol.pairs[:, 0], sol.pairs[:, 1]].sum() / S
+    assert abs(got - raw) <= 1e-14 * (1 + raw)
+    assert sol.duality_gap <= 1e-9 * (1 + sol.primal_value)
+    assert sol.lipschitz_residual <= 1e-9 * max(1.0, sp.max_distance)
