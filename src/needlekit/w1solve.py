@@ -22,10 +22,12 @@ the engine are tightened by Bellman-Ford relaxation of the difference
 constraints  phi(x) - phi(y) <= d(x,y)  with equality on the plan
 support, then extended to unmoved points by infimal convolution with the
 distance cones. Relaxation runs on the components of the support forest
-over a sparse active set of constraints, a blocked dense check adds every
-violated constraint until none is left, and an attempt fails only on a
-proven negative cycle, so which slack margin is accepted depends on the
-instance alone, not on the seed or a pass budget. The result is
+over a sparse active set of constraints, each Jacobi pass followed by a
+walk of its pointer forest (pointer jumping), so passes do not follow hop
+depth; a blocked dense check adds every violated constraint until none is
+left, and an attempt fails only on a proven negative cycle (a broken 1- or
+2-cycle of components before any pass), so which slack margin is accepted
+depends on the instance alone, not on the seed or a pass budget. The result is
 1-Lipschitz to machine precision and saturates every support pair up to
 the relaxation's tolerance (`support_residual`), so strong duality holds
 with no solver tolerance in the loop.
@@ -419,16 +421,18 @@ def _relax(c, src, dst, w, starts, atol, bound=None):
 
     Returns (values, passes, proof): the maximal solution below `c`, the
     passes taken and an empty dict, or values None once a negative cycle
-    is proven. Every _CYCLE_CHECK passes, each point whose new value
-    equals a non-self in-edge points at that edge (points with none keep
-    their last pointer); a pointer cycle whose weight is below -atol is a
-    negative cycle (Cherkassky-Goldberg's parent-graph check), and the
-    proof is {"proof": "cycle", "cycle_length", "cycle_weight"}.
-    Otherwise values still dropping by more than `atol` after `bound`
-    passes (default, and least, m + 1) prove one, since shortest walks
-    would need more than m edges: the proof is {"proof": "pass-bound"}.
-    The absolute tolerance absorbs exact-zero cycles that float rounding
-    turns into 1e-16-rate descent."""
+    is proven. After each pass, each point whose new value equals a
+    non-self in-edge points at that edge (points with none keep their last
+    pointer), and the pass's drops go down its pointer forest
+    (`_walk_forest`): walk values, so still above the maximal solution;
+    convergence is judged on the Jacobi step. Every _CYCLE_CHECK passes, a
+    pointer cycle whose weight is below -atol is a negative cycle
+    (Cherkassky-Goldberg's parent-graph check), and the proof is {"proof":
+    "cycle", "cycle_length", "cycle_weight"}. Otherwise values still
+    dropping by more than `atol` after `bound` passes (default, and least,
+    m + 1) prove one, since shortest walks would need more than m edges:
+    the proof is {"proof": "pass-bound"}. The absolute tolerance absorbs
+    exact-zero cycles that float rounding turns into 1e-16-rate descent."""
     m = len(c)
     edge = np.full(m, -1)
     loop = src == dst
@@ -438,14 +442,28 @@ def _relax(c, src, dst, w, starts, atol, bound=None):
         c2 = np.minimum(c, np.minimum.reduceat(vals, starts))
         if (c - c2).max() <= atol:
             return c2, k, {}
+        x = dst[e := np.flatnonzero((vals == c2[dst]) & ~loop)]
+        edge[x] = e
         if k % _CYCLE_CHECK == 0:
-            e = np.flatnonzero((vals == c2[dst]) & ~loop)
-            edge[dst[e]] = e
             weight, length = _parent_cycle_weight(edge, src, w)
             if weight < -atol:
                 return None, k, {"proof": "cycle", "cycle_length": length, "cycle_weight": weight}
-        c = c2
+        c = _walk_forest(c2, x, src[edge[x]], w[edge[x]])
     return None, bound, {"proof": "pass-bound"}
+
+
+def _walk_forest(c, x, up, wt):
+    """c where each point x[i] hangs below up[i] by an edge of weight wt[i]:
+    by pointer jumping (Wyllie), in ceil(log2 m) steps at most, each point
+    takes the least of its value and each ancestor's plus the path weight."""
+    parent, weight = np.arange(len(c)), np.zeros(len(c))
+    parent[x], weight[x] = up, wt
+    for _ in range((len(c) - 1).bit_length()):
+        c = np.minimum(c, c[parent] + weight)
+        if ((grand := parent[parent]) == parent).all():
+            break
+        weight, parent = weight + weight[parent], grand
+    return c
 
 
 def _parent_cycle_weight(edge, src, w):
@@ -554,7 +572,10 @@ class _Contracted:
     constraints read u_a - u_b <= Mc[b, a] - t, the least d(j, i) + off_j - off_i
     over j in b, i in a, less the diagonal and the support pairs both ways
     (Mc's diagonal: inside one component). Distances are read from `space`
-    between the points `moved`, in row blocks."""
+    between the points `moved`, in row blocks. `short` holds the least
+    1-cycle (Mc's diagonal) and 2-cycle (Mc[a, b] + Mc[b, a]) weights with
+    their lengths, and `cycle_bound` their least weight per component, above
+    every feasible margin (up to the tolerance)."""
 
     def __init__(self, space, moved, pairs_local):
         m, p = len(moved), len(pairs_local)
@@ -574,17 +595,22 @@ class _Contracted:
             B -= off
             np.minimum.at(Mc, (K * label[lo:hi, None] + label).ravel(), B.ravel())
         Mc = Mc.reshape(K, K)
-        self.label, self.off, self.inner = label, off, float(Mc.diagonal().min())
+        two = min(float(_exempted(Mc[lo:hi] + Mc[:, lo:hi].T, lo).min())
+                  for lo, hi in _row_ranges(K, K))
+        self.label, self.off, self.short = label, off, ((float(Mc.diagonal().min()), 1), (two, 2))
+        self.cycle_bound = min(weight / length for weight, length in self.short)
         np.fill_diagonal(Mc, 0.0)
         self.active = _ActiveSet(Mc)
 
     def solve(self, t, seed, atol):
-        """`_ActiveSet.solve` on components: a broken constraint inside one
-        is a 1-cycle; the pass bound stays the points' m + 1."""
-        if self.inner - t < -atol:
-            return None, {"margin": t, "outcome": "negative-cycle", "passes": 0, "rounds": 0,
-                          "active_edges": len(self.active.src), "proof": "cycle",
-                          "cycle_length": 1, "cycle_weight": self.inner - t}
+        """`_ActiveSet.solve` on components, unless a 1- or 2-cycle that
+        margin t breaks proves a negative cycle before any pass (proof
+        "screen"); the pass bound stays the points' m + 1."""
+        for weight, length in self.short:
+            if weight - length * t < -atol:
+                return None, {"margin": t, "outcome": "negative-cycle", "passes": 0, "rounds": 0,
+                              "active_edges": len(self.active.src), "proof": "screen",
+                              "cycle_length": length, "cycle_weight": weight - length * t}
         start = np.full(len(self.active.W), np.inf)
         np.minimum.at(start, self.label, seed - self.off)
         u, record = self.active.solve(t, start, atol, len(self.label) + 1)
@@ -617,20 +643,22 @@ def _tighten_potential(space, moved, pairs_local, seed):
     it feasible too. Every attempt runs on the support components
     (`_Contracted`).
 
-    Each attempt relaxes over a sparse active edge set (`_ActiveSet`),
-    then checks the full system densely, in row blocks; violated
-    constraints join the set and relaxation resumes from the current
-    values, which stay above the full system's maximal solution. An
-    attempt is feasible once the dense check passes, and infeasible only
-    when relaxation on the active set proves a negative cycle, which is
-    a cycle of the full system too. Outcomes are thus properties of the
-    instance, not of the seed or of a pass budget.
+    A margin that breaks a 1- or 2-cycle is rejected with no pass
+    (`_Contracted.short`); otherwise it relaxes over a sparse active edge
+    set (`_ActiveSet`, `_relax`), then checks the full system densely, in
+    row blocks; violated constraints join the set and relaxation resumes
+    from the current values, which stay above the full system's maximal
+    solution. An attempt is feasible once the dense check passes, and
+    infeasible only when a negative cycle is proven, which is a cycle of
+    the full system too. Outcomes are thus properties of the instance, not
+    of the seed or of a pass budget.
 
-    Returns (values, margin, rungs), where `rungs` records every attempt
-    in the order run: margin, outcome ("feasible" / "negative-cycle"),
-    passes, rounds, active edges and, on a negative cycle, how it was
-    proven (`_relax`; counted in components). A negative cycle in the
-    undeflated system raises SolverFailure: the plan is not optimal.
+    Returns (values, margin, rungs, `_Contracted.cycle_bound`), where
+    `rungs` records every attempt in the order run: margin, outcome
+    ("feasible" / "negative-cycle"), passes, rounds, active edges and, on
+    a negative cycle, how it was proven ("screen" or `_relax`'s proof;
+    counted in components). A negative cycle in the undeflated system
+    raises SolverFailure: the plan is not optimal.
     """
     scale = 1.0 + space.max_distance
     seed = seed if seed is not None else np.zeros(len(moved))
@@ -639,7 +667,7 @@ def _tighten_potential(space, moved, pairs_local, seed):
         c, record = merged.solve(rel * scale, seed, _RTOL * scale)
         rungs.append(record)
         if c is not None:
-            return c, rel * scale, rungs
+            return c, rel * scale, rungs, merged.cycle_bound
     raise SolverFailure("potential tightening found a negative cycle at exact saturation: "
                         "the plan is not optimal")
 
@@ -689,9 +717,10 @@ def solve_w1(space: MMSpace, mu0, mu1) -> W1Solution:
                 tag = "highs-colgen"
             moved = np.concatenate([src, snk])
             support_local = np.stack([loc_pairs[:, 0], S + loc_pairs[:, 1]], axis=1)
-            c, slack_floor, rungs = _tighten_potential(space, moved, support_local, seed)
+            c, slack_floor, rungs, bound = _tighten_potential(space, moved, support_local, seed)
             # the support is a forest (`_Contracted`): one component less per pair
-            tightening = {"rungs": rungs, "components": len(moved) - len(loc_pairs)}
+            tightening = {"rungs": rungs, "components": len(moved) - len(loc_pairs),
+                          "cycle_bound": bound}
             phi = _extend_potential(space, moved, c)
             flow_pairs = np.stack([src[loc_pairs[:, 0]], snk[loc_pairs[:, 1]]], axis=1)
             pairs = np.concatenate([diag_pairs, flow_pairs], axis=0)

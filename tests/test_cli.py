@@ -83,7 +83,7 @@ def test_solve_monge_and_decompose(interval_spec, tmp_path):
     w1, solution = reports[0]["w1"], reports[1]["solution"]
     assert solution["engine"] == "highs-colgen"
     assert (solution["tightening"], solution["colgen"]) == (w1["tightening"], w1["colgen"])
-    assert set(solution["tightening"]) == {"rungs", "components"}
+    assert set(solution["tightening"]) == {"rungs", "components", "cycle_bound"}
     assert solution["tightening"]["rungs"][-1]["outcome"] == "feasible"
     assert set(solution["colgen"]) == {"rounds", "arcs", "simplex_iterations", "at_bound"}
 

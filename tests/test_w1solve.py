@@ -910,10 +910,11 @@ def test_slack_floor_does_not_depend_on_the_seed():
     rows, cols = linear_sum_assignment(D_sub)
     pairs = np.stack([rows, 250 + cols], axis=1)
     moved = np.concatenate([src, snk])
-    _, floor_zero, rungs_zero = w1._tighten_potential(sp, moved, pairs, None)
-    _, floor_duals, rungs_duals = w1._tighten_potential(sp, moved, pairs, duals)
+    _, floor_zero, rungs_zero, bound_zero = w1._tighten_potential(sp, moved, pairs, None)
+    _, floor_duals, rungs_duals, bound_duals = w1._tighten_potential(sp, moved, pairs, duals)
     assert floor_zero > 0
     assert floor_duals == floor_zero
+    assert bound_duals == bound_zero >= floor_zero
     assert [r["outcome"] for r in rungs_duals] == [r["outcome"] for r in rungs_zero]
 
 
@@ -933,6 +934,145 @@ def test_cycle_is_proven_one_check_after_a_lap():
     assert c is None and passes == 48
     assert proof["proof"] == "cycle" and proof["cycle_length"] == L
     assert proof["cycle_weight"] == pytest.approx(-1e-9, rel=1e-4)
+
+
+def _edge_system(m, src, dst, w):
+    """The edges src -> dst of weight w on m points, each point's self-loop
+    added, sorted by target as `_relax` takes them: (src, dst, w, starts),
+    and the dense W of the same constraints c_i - c_j <= W[j, i]."""
+    src, dst = np.r_[np.arange(m), src], np.r_[np.arange(m), dst]
+    w = np.r_[np.zeros(m), w]
+    W = np.full((m, m), np.inf)
+    np.minimum.at(W, (src, dst), w)
+    o = np.argsort(dst, kind="stable")
+    return src[o], dst[o], w[o], np.searchsorted(dst[o], np.arange(m)), W
+
+
+def _random_system(kind, seed, m=60):
+    """Random difference constraints of one `kind`: "ties" (integer
+    potential differences plus slack in {0, 1/2, 1}, so exact-zero cycles
+    abound), "rounding" (real potential differences, cycles zero up to
+    rounding), "negative" (ties plus a cycle of weight -1/2) and "chain"
+    (a potential falling along a path through every point, whose edges
+    are tight, plus edges with slack at least 1/2: shortest walks follow
+    the path, up to m - 1 edges deep)."""
+    rng = np.random.default_rng(seed)
+    src, dst = rng.integers(0, m, (2, 4 * m))
+    src, dst = src[src != dst], dst[src != dst]
+    k = len(src)
+    p = rng.normal(size=m) if kind == "rounding" else rng.integers(0, 6, m).astype(float)
+    if kind == "chain":
+        path = rng.permutation(m)
+        p[path] = -np.cumsum(1 + rng.random(m))
+        src, dst = np.r_[src, path[:-1]], np.r_[dst, path[1:]]
+    w = p[dst] - p[src]
+    if kind != "rounding":
+        w[:k] += rng.integers(kind == "chain", 3, k) / 2
+    if kind == "negative":
+        ring = rng.choice(m, size=int(rng.integers(3, 12)), replace=False)
+        nxt = np.roll(ring, -1)
+        src, dst = np.r_[src, ring], np.r_[dst, nxt]
+        w = np.r_[w, p[nxt] - p[ring] - 0.5 / len(ring)]
+    return _edge_system(m, src, dst, w)
+
+
+@pytest.mark.parametrize("kind", ["ties", "rounding", "negative", "chain"])
+@pytest.mark.parametrize("seed", range(6))
+def test_forest_walk_relaxation_matches_dense_oracle(kind, seed):
+    # walking each pass's pointer forest changes neither the outcome nor
+    # the maximal solution below the start
+    src, dst, w, starts, W = _random_system(kind, seed)
+    m = len(W)
+    atol = 1e-13 * (1 + np.abs(w).max())
+    start = np.random.default_rng(seed).normal(size=m)
+    want = _bellman_max(W, start, m + 2, atol)
+    got, passes, proof = w1._relax(start, src, dst, w, starts, atol)
+    assert (got is None) == (want is None) == (kind == "negative")
+    if want is not None:
+        assert proof == {} and passes <= m + 1
+        np.testing.assert_allclose(got, want, rtol=0, atol=10 * atol)
+    else:
+        assert proof["proof"] in ("cycle", "pass-bound")
+
+
+def test_forest_walk_converges_a_deep_chain_in_few_passes(monkeypatch):
+    # a 1000-point path whose every edge lowers the next point: plain
+    # Jacobi moves the drop one point per pass, the walk down the first
+    # pass's pointer chain reaches its end at once
+    m = 1000
+    lower = -1 - np.random.default_rng(0).random(m - 1)
+    src, dst, w, starts, _ = _edge_system(m, np.arange(m - 1), np.arange(1, m), lower)
+    atol = 1e-13 * m
+    c, passes, _ = w1._relax(np.zeros(m), src, dst, w, starts, atol)
+    assert passes <= 3
+    monkeypatch.setattr(w1, "_walk_forest", lambda c, *forest: c)     # plain Jacobi
+    plain, plain_passes, _ = w1._relax(np.zeros(m), src, dst, w, starts, atol)
+    assert plain_passes == m
+    np.testing.assert_allclose(c, plain, rtol=0, atol=10 * atol)
+    np.testing.assert_allclose(c, np.r_[0.0, np.cumsum(lower)], rtol=0, atol=10 * atol)
+
+
+class _Unscreened(w1._Contracted):
+    """`_Contracted` screening 1-cycles alone: relaxation proves every
+    other negative cycle."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.short = self.short[:1]
+
+
+@pytest.mark.parametrize("case", [f"lattice-{seed}" for seed in range(8)] + ["cap-n1000"])
+def test_screened_ladder_matches_unscreened(case, monkeypatch):
+    # rejecting rungs by their broken 2-cycles accepts the same margin, with
+    # the same potential, as proving every cycle by relaxation
+    if case == "cap-n1000":
+        space = ms.generate_sphere_sample(2, 1000, seed=0)
+        order = np.argsort(-space.coords[:, 2], kind="stable")
+        mu0, mu1 = np.zeros(1000), np.zeros(1000)
+        mu0[order[:250]] = mu1[order[-250:]] = 1 / 250
+    else:
+        Dm, _ = _lattice(int(case.split("-")[1]))
+        space = _space(Dm)
+        mu0, mu1 = np.r_[np.full(10, 0.1), np.zeros(10)], np.r_[np.zeros(10), np.full(10, 0.1)]
+    screened = w1.solve_w1(space, mu0, mu1)
+    monkeypatch.setattr(w1, "_Contracted", _Unscreened)
+    unscreened = w1.solve_w1(space, mu0, mu1)
+    rungs, want = screened.tightening["rungs"], unscreened.tightening["rungs"]
+    assert any(r.get("proof") == "screen" and r["cycle_length"] == 2 for r in rungs)
+    assert not any(r.get("proof") == "screen" and r["cycle_length"] == 2 for r in want)
+    assert [(r["margin"], r["outcome"]) for r in rungs] == [(r["margin"], r["outcome"]) for r in want]
+    assert screened.slack_floor == unscreened.slack_floor <= screened.tightening["cycle_bound"]
+    np.testing.assert_array_equal(screened.pairs, unscreened.pairs)
+    np.testing.assert_allclose(screened.potential, unscreened.potential, rtol=0,
+                               atol=1e-14 * (1 + space.max_distance))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_short_cycle_screen_is_exact(seed):
+    # the screened 1- and 2-cycle weights are the least of the dense
+    # contracted system, whose constraints are read here point by point
+    Dm, pairs, _ = _cloud_plan(seed)
+    merged = w1._Contracted(_space(Dm), np.arange(len(Dm)), pairs)
+    label, off, K = merged.label, merged.off, merged.label.max() + 1
+    E = Dm + off[:, None] - off[None, :]        # E[j, i]: c_i - c_j <= E[j, i]
+    np.fill_diagonal(E, np.inf)
+    E[pairs[:, 0], pairs[:, 1]] = E[pairs[:, 1], pairs[:, 0]] = np.inf
+    Mc = np.full((K, K), np.inf)
+    np.minimum.at(Mc, (label[:, None], label[None, :]), E)
+    two = (Mc + Mc.T + np.diag(np.full(K, np.inf))).min()
+    assert merged.short == ((Mc.diagonal().min(), 1), (two, 2))
+    assert merged.cycle_bound == min(Mc.diagonal().min(), two / 2)
+    # on the 3x3 cyclic tie each swap of two pairs costs 1 more: a margin
+    # is screened exactly when it breaks that 2-cycle by more than atol
+    tie = w1._Contracted(_space(_cyclic_tie(3)), np.arange(6), np.array([[0, 3], [1, 4], [2, 5]]))
+    atol = 3e-13
+    assert tie.short == ((np.inf, 1), (1.0, 2)) and tie.cycle_bound == 0.5
+    for t, screened in ((0.5 + 2 * atol, True), (0.5 + atol / 4, False), (0.5, False)):
+        _, record = tie.solve(t, np.zeros(6), atol)
+        assert record["outcome"] == "negative-cycle"    # the tie's 3-cycle, at any t > 0
+        assert (record["proof"] == "screen") == screened
+        if screened:
+            assert (record["cycle_length"], record["passes"]) == (2, 0)
 
 
 def _undeflated_first(Dm, scale, pairs_local, seed):
@@ -992,8 +1132,8 @@ def test_ladder_order_matches_undeflated_first_oracle(case):
         space, moved = _space(Dm), np.arange(len(Dm))
     scale = 1 + space.max_distance
     want, want_margin = _undeflated_first(space.rows(moved, moved), scale, pairs, None)
-    got, margin, rungs = w1._tighten_potential(space, moved, pairs, None)
-    assert margin == want_margin
+    got, margin, rungs, cycle_bound = w1._tighten_potential(space, moved, pairs, None)
+    assert margin == want_margin <= cycle_bound
     assert (rungs[-1]["margin"], rungs[-1]["outcome"]) == (margin, "feasible")
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
     if case == "cap-n1000":     # the 1e-8 rung certifies, and no undeflated attempt runs
@@ -1066,7 +1206,7 @@ def test_jittered_lattice_saturates_exactly(n):
     mu0, mu1 = rng.random(n) + 1e-3, rng.random(n) + 1e-3
     sol = w1.solve_w1(_space(D), mu0 / mu0.sum(), mu1 / mu1.sum())
     assert sol.engine == "highs-colgen"
-    assert set(sol.tightening) == {"rungs", "components"}
+    assert set(sol.tightening) == {"rungs", "components", "cycle_bound"}
     assert sol.tightening["rungs"][-1]["outcome"] == "feasible"
     assert sol.support_residual <= w1._RTOL * (1 + D.max())
 
@@ -1084,13 +1224,24 @@ def test_tightening_records_its_components():
     assert star.to_json()["tightening"]["components"] == 1
 
 
+def _cyclic_tie(k):
+    """Distances between k sources and k sinks: d(x_i, y_i) = d(x_i, y_i+1 mod k)
+    = 1 and every other distance 2. The identity and the cyclic shift both
+    cost k, so every deflation margin t closes a k-cycle of components of
+    weight -k t, while each swap of two pairs costs at least 1 more."""
+    D = np.full((2 * k, 2 * k), 2.0)
+    np.fill_diagonal(D, 0.0)
+    for i in range(k):
+        for j in (i, (i + 1) % k):
+            D[i, k + j] = D[k + j, i] = 1.0
+    return D
+
+
 def test_negative_cycle_rungs_say_how_they_were_proven():
-    # the 2x2 tie's deflated rungs end at the m + 1 pass bound (m = 4); a
-    # lattice's deflated rungs close pointer cycles at the first check
-    pts = np.array([[0, 0], [1, 1], [1, 0], [0, 1]], dtype=float)
-    D = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
-    tie = w1.solve_w1(ms.build_space(list(range(4)), {"type": "matrix", "data": D}),
-                      [0.5, 0.5, 0, 0], [0, 0, 0.5, 0.5])
+    # the 3x3 cyclic tie's deflated rungs end at the m + 1 pass bound
+    # (m = 6), the 8x8 tie's close its pointer cycle at the first check,
+    # and a lattice's deflated rungs break an exact-tie 2-cycle, which the
+    # screen proves before any pass
     Dm, _ = _lattice(0)
     mu0, mu1 = np.zeros(20), np.zeros(20)
     mu0[:10] = mu1[10:] = 0.1
@@ -1098,7 +1249,12 @@ def test_negative_cycle_rungs_say_how_they_were_proven():
                           mu0, mu1)
     base = {"margin", "outcome", "passes", "rounds", "active_edges"}
     proofs = []
-    for sol in (tie, lattice):
+    ties = []
+    for k in (3, 8):
+        space = ms.build_space(list(range(2 * k)), {"type": "matrix", "data": _cyclic_tie(k)})
+        ties.append(w1.solve_w1(space, np.r_[np.full(k, 1 / k), np.zeros(k)],
+                                np.r_[np.zeros(k), np.full(k, 1 / k)]))
+    for sol in (*ties, lattice):
         rungs = sol.to_json()["tightening"]["rungs"]
         assert rungs == sol.tightening["rungs"]
         for r in rungs:
@@ -1108,10 +1264,14 @@ def test_negative_cycle_rungs_say_how_they_were_proven():
                 assert set(r) == base | {"proof"}
             else:
                 assert set(r) == base | {"proof", "cycle_length", "cycle_weight"}
-                assert r["proof"] == "cycle" and type(r["cycle_length"]) is int
-                assert r["cycle_length"] >= 2 and r["cycle_weight"] < 0
+                assert r["proof"] in ("cycle", "screen") and type(r["cycle_length"]) is int
+                assert r["cycle_weight"] < 0
+                if r["proof"] == "cycle":
+                    assert r["cycle_length"] >= 3 and r["passes"] > 0
+                else:
+                    assert r["cycle_length"] in (1, 2) and r["passes"] == r["rounds"] == 0
         proofs.append({r.get("proof") for r in rungs} - {None})
-    assert proofs == [{"pass-bound"}, {"cycle"}]
+    assert proofs == [{"pass-bound"}, {"cycle"}, {"screen"}]
 
 
 def _walked_cycle(edge, src, w):
