@@ -40,6 +40,9 @@ def disintegrate(space: MMSpace, decomposition: RayDecomposition,
                  measure) -> Disintegration:
     """Conditional = measure restricted to each ray, renormalized."""
     measure = _vector(measure, space.n, "measure")
+    if (bad := np.flatnonzero(~((measure >= 0) & (measure < np.inf)))).size:     # NaN too
+        raise BadParameter(
+            f"measure must be finite and >= 0, got {measure[bad[0]]} at point {bad[0]}")
     weights = _ray_sums(decomposition, measure)
     conds = [measure[ray.points] / w if w > 0 else np.zeros(0)
              for ray, w in zip(decomposition.rays, weights)]
@@ -103,6 +106,8 @@ def check_balance(space: MMSpace, decomposition: RayDecomposition, f) -> dict:
     integrals ray by ray.
     """
     f = _vector(f, space.n, "f")
+    if (bad := np.flatnonzero(~np.isfinite(f))).size:
+        raise BadParameter(f"f must be finite, got {f[bad[0]]} at point {bad[0]}")
     total = float(f @ space.weights)
     if abs(total) > 1e-10:
         raise NotMeanZero(f"global integral of f is {total}")

@@ -8,25 +8,26 @@ their definition: x is forward-branching when two of its
 Gamma-successors are not related by R = Gamma u Gamma^-1, that is when
 some z in Gamma(x) has Gamma(x) & ~R(z) != 0.
 
+R is never stored: it is read from Gamma in Gamma's one stored form.
 When Gamma is kept as runs (`GammaSet.runs`, sorted coordinates), R(x)
 is one run too, and the end points, the branching sets, the components
 and the chain test are read from the run ends, with no bit row.
 
-Every other Gamma is read as bit rows packed into 64-bit words. The test
-is one AND of Gamma(x) with ~R on the rows of Gamma(x)'s bits and the
-words it spans, both read once by the clique cover; it is exact on every
-space. Most rows never need that test. x is non-branching exactly when
-Gamma(x) is an R-clique, and any subset of an R-clique is one. So the
-rows are covered by cliques (`_clique_cover`): visited by popcount,
-largest first, a row c that passes the test becomes a head, and every
-unvisited y among c's bits whose packed row lies inside c's is
-non-branching without a test; rows of at most two bits, {x} or {x, y},
-are cliques unvisited. The same cover runs on the rows of R restricted
-to T, where a head has no other point of its row at distance 0: every
-edge y-w of a row y inside head c's row is replaced by the path y-c-w,
-both of whose edges are kept, so the component graph needs only the
-rows of heads and of rows that cannot be covered, and its components
-are exact.
+Every other Gamma is kept as bit rows packed into 64-bit words, and R's
+rows are Gamma's OR Gamma^-1's. The test is one AND of Gamma(x) with ~R
+on the rows of Gamma(x)'s bits and the words it spans, both read once by
+the clique cover; it is exact on every space. Most rows never need that
+test. x is non-branching exactly when Gamma(x) is an R-clique, and any
+subset of an R-clique is one. So the rows are covered by cliques
+(`_clique_cover`): visited by popcount, largest first, a row c that
+passes the test becomes a head, and every unvisited y among c's bits
+whose packed row lies inside c's is non-branching without a test; rows
+of at most two bits, {x} or {x, y}, are cliques unvisited. The same
+cover runs on the rows of R restricted to T, where a head has no other
+point of its row at distance 0: every edge y-w of a row y inside head
+c's row is replaced by the path y-c-w, both of whose edges are kept, so
+the component graph needs only the rows of heads and of rows that cannot
+be covered, and its components are exact.
 
 Components of R restricted to the non-branching transport set T are
 accepted as rays only when they are chains totally ordered by phi;
@@ -43,17 +44,14 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from .mmspace import MMSpace
-from .w1solve import (GammaSet, W1Solution, _bit, _nonzero_bits, _packed, _run_words,
+from .w1solve import (GammaSet, W1Solution, _bit, _nonzero_bits, _packed, _run_rows,
                       _set_bits, _unpacked)
 
 
-@dataclasses.dataclass(init=False)
+@dataclasses.dataclass
 class TransportStructure:
-    """End points, T_e, the branching sets and T of one Gamma.
-
-    `r` is R = Gamma u Gamma^-1 as bit rows (`_packed`): as given, or, when
-    Gamma is kept as runs and none is given, built from them on first read
-    and kept."""
+    """End points, T_e, the branching sets and T of one Gamma. R = Gamma u
+    Gamma^-1 is not stored: it is read from `gamma`, as runs or bit rows."""
 
     gamma: GammaSet
     initial_points: np.ndarray     # indices with no strict Gamma-predecessor
@@ -62,30 +60,20 @@ class TransportStructure:
     branching_fwd: np.ndarray      # A+
     branching_bwd: np.ndarray      # A-
     transport_set: np.ndarray      # T = T_e minus (A+ u A-)
-    _r: np.ndarray | None
-
-    def __init__(self, gamma, initial_points, final_points, transport_set_e,
-                 branching_fwd, branching_bwd, transport_set, r=None):
-        self.gamma, self._r = gamma, r
-        self.initial_points, self.final_points = initial_points, final_points
-        self.transport_set_e, self.transport_set = transport_set_e, transport_set
-        self.branching_fwd, self.branching_bwd = branching_fwd, branching_bwd
-
-    @property
-    def r(self) -> np.ndarray:
-        if self._r is None:
-            g = self.gamma
-            self._r = g.fwd | g.bwd if g.runs is None else _run_words(*_r_runs(g))
-        return self._r
 
     @property
     def R(self) -> np.ndarray:
-        """R as an (n, n) bool array, unpacked afresh on each call; for inspection."""
-        return _unpacked(self.r, len(self.r))
+        """R as an (n, n) bool array, built afresh on each call; for inspection."""
+        g = self.gamma
+        if g.runs is not None:
+            return _run_rows(*_r_runs(g))
+        return _unpacked(g.fwd | g.bwd, len(g.fwd))
 
     def branching_mass(self, weights: np.ndarray) -> dict:
         te = float(weights[self.transport_set_e].sum())
-        br = float(weights[np.union1d(self.branching_fwd, self.branching_bwd)].sum())
+        branching = np.zeros(len(weights), bool)
+        branching[self.branching_fwd] = branching[self.branching_bwd] = True
+        br = float(weights[branching].sum())
         return {
             "mass_Te": te,
             "mass_branching": br,
@@ -207,7 +195,6 @@ def build_transport_structure(space: MMSpace, gamma: GammaSet) -> TransportStruc
     """End points, T_e, branching sets and T, straight from the definitions: a
     point has a strict successor (predecessor) when its row of Gamma (Gamma^-1)
     holds a point at positive distance."""
-    r = None
     if gamma.runs is not None:
         # a run holds a point at positive distance when it reaches past x's
         # block of equal coordinates. Gamma(x) = [lo, hi) is an R-clique unless
@@ -245,7 +232,6 @@ def build_transport_structure(space: MMSpace, gamma: GammaSet) -> TransportStruc
         branching_fwd=a_plus,
         branching_bwd=a_minus,
         transport_set=np.flatnonzero(keep),
-        r=r,
     )
 
 
@@ -285,10 +271,10 @@ def _bit_components(space: MMSpace, structure: TransportStructure):
     """Components of R restricted to T, less the diagonal and the coincident
     pairs (distance 0), from R's bit rows: the graph needs only the rows of
     the clique cover's heads and of rows that cannot be covered."""
-    T, n = structure.transport_set, space.n
+    T, n, g = structure.transport_set, space.n, structure.gamma
     in_t = np.zeros((1, n), dtype=bool)
     in_t[0, T] = True
-    rt = structure.r & _packed(in_t)
+    rt = (g.fwd | g.bwd) & _packed(in_t)
     ci, cj = space.coincident
     duplicate = np.zeros(n, dtype=bool)     # a coincident partner in its row of rt
     duplicate[ci[_bit(rt, ci, cj)]] = True

@@ -49,7 +49,6 @@ from .mmspace import MMSpace, _row_ranges, _vector
 
 MASS_SCALE = 10**14
 DEFAULT_GAMMA_TOL_FACTOR = 1e-6
-_RUN_FROM = np.array([(1 << 64) - 1 >> s for s in range(65)], np.uint64)   # columns s:64 of a word
 
 
 @dataclasses.dataclass
@@ -121,41 +120,34 @@ def _bit(P: np.ndarray, i, j) -> np.ndarray:
     return (P.view(np.uint8)[i, j >> 3] >> (7 - (j & 7)) & 1) == 1
 
 
-@dataclasses.dataclass(init=False)
+def _run_rows(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(len(lo), len(lo)) bools whose row x holds the columns [lo[x], hi[x])."""
+    j = np.arange(len(lo))
+    return (lo[:, None] <= j) & (j < hi[:, None])
+
+
+@dataclasses.dataclass
 class GammaSet:
-    """Pairs with phi(x) - phi(y) >= d(x,y) - tol, diagonal included, as rows
-    of Gamma (`fwd`) and Gamma^-1 (`bwd`).
+    """Pairs with phi(x) - phi(y) >= d(x,y) - tol, diagonal included, in one
+    stored form.
 
     On sorted coordinates, where every row is one run of columns, the rows
     are kept as `runs`, a (4, n) array: row x of Gamma is [runs[0, x],
-    runs[1, x]) and row x of Gamma^-1 is [runs[2, x], runs[3, x]). `fwd` and
-    `bwd` are then bit rows (`_packed`) built on first read and kept; `count`
-    reads the runs. Every other Gamma is given as bit rows, and `runs` is None.
+    runs[1, x]) and row x of Gamma^-1 is [runs[2, x], runs[3, x]); `fwd`
+    and `bwd` are then None. Every other Gamma is kept as bit rows
+    (`_packed`) of Gamma (`fwd`) and Gamma^-1 (`bwd`), and `runs` is None.
     """
 
+    fwd: np.ndarray | None
     tol: float
-    runs: np.ndarray | None
-    _fwd: np.ndarray | None
-    _bwd: np.ndarray | None
-
-    def __init__(self, fwd, tol, bwd, runs=None):
-        self._fwd, self.tol, self._bwd, self.runs = fwd, tol, bwd, runs
-
-    @property
-    def fwd(self) -> np.ndarray:
-        if self._fwd is None:
-            self._fwd = _run_words(self.runs[0], self.runs[1])
-        return self._fwd
-
-    @property
-    def bwd(self) -> np.ndarray:
-        if self._bwd is None:
-            self._bwd = _run_words(self.runs[2], self.runs[3])
-        return self._bwd
+    bwd: np.ndarray | None
+    runs: np.ndarray | None = None
 
     @property
     def mask(self) -> np.ndarray:
-        """The (n, n) bool mask, unpacked afresh on each call; for inspection."""
+        """Gamma as an (n, n) bool array, built afresh on each call; for inspection."""
+        if self.runs is not None:
+            return _run_rows(self.runs[0], self.runs[1])
         return _unpacked(self.fwd, len(self.fwd))
 
     @property
@@ -893,17 +885,6 @@ def _gamma_runs(space: MMSpace, phi: np.ndarray, tol: float) -> np.ndarray | Non
                 return None
             runs[2 * k:2 * k + 2, rows] = first, end
     return runs
-
-
-def _run_words(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Bit rows (`_packed`) whose row x holds the columns [lo[x], hi[x]),
-    written as whole words in row strips."""
-    P = np.empty((len(lo), -(-len(lo) // 64)), np.uint64)
-    first = 64 * np.arange(P.shape[1])      # each word's first column
-    for a, b in _row_ranges(len(P), P.shape[1]):   # as big-endian words, column 64 k + c is bit 63 - c
-        P.view(">u8")[a:b] = (_RUN_FROM.take(np.clip(lo[a:b, None] - first, 0, 64))
-                              & ~_RUN_FROM.take(np.clip(hi[a:b, None] - first, 0, 64)))
-    return P
 
 
 def check_cyclic_monotonicity(space: MMSpace, gamma: GammaSet, k: int = 4,

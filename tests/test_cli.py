@@ -7,6 +7,11 @@ import pytest
 from needlekit import cli
 
 
+def _load(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 @pytest.fixture()
 def interval_spec(tmp_path):
     path = tmp_path / "interval.json"
@@ -28,11 +33,11 @@ def test_check_cd_pass_and_fail(interval_spec, flat_spec, tmp_path):
     out = str(tmp_path / "rep.json")
     assert cli.main(["check-cd", "--space", interval_spec, "--K", "1", "--N", "2",
                      "--out", out]) == 0
-    rep = json.load(open(out))
+    rep = _load(out)
     assert rep["check"]["verdict"] == "pass"
     assert cli.main(["check-cd", "--space", flat_spec, "--K", "1", "--N", "2",
                      "--out", out]) == 2
-    rep = json.load(open(out))
+    rep = _load(out)
     assert rep["check"]["verdict"] == "fail"
     assert rep["check"]["worst_triple"] == [0.0, 3.0, 0.5]
 
@@ -48,9 +53,9 @@ def test_levy_gromov_cli(interval_spec, tmp_path):
     code = cli.main(["levy-gromov", "--space", interval_spec, "--K", "1", "--N", "2",
                      "--v-grid", "0.25,0.5,0.75", "--out", out])
     assert code == 0
-    rep = json.load(open(out))
+    rep = _load(out)
     assert rep["levy_gromov"]["verdict"] == "pass"
-    csv = open(str(tmp_path / "lg.csv")).read().splitlines()
+    csv = (tmp_path / "lg.csv").read_text().splitlines()
     assert csv[0] == "v,empirical,model"
     assert len(csv) == 4
 
@@ -59,13 +64,13 @@ def test_solve_monge_and_decompose(interval_spec, tmp_path):
     out = str(tmp_path / "monge.json")
     assert cli.main(["solve-monge", "--space", interval_spec, "--seed", "5",
                      "--out", out]) == 0
-    rep = json.load(open(out))
+    rep = _load(out)
     assert rep["cost_vs_w1"] <= 1e-6
 
     out2 = str(tmp_path / "dec.json")
     assert cli.main(["decompose", "--space", interval_spec, "--seed", "5",
                      "--out", out2]) == 0
-    rep2 = json.load(open(out2))
+    rep2 = _load(out2)
     assert rep2["decomposition"]["rays"]
     solution = rep2["solution"]
     assert {"slack_floor", "support_residual", "gamma_tol", "tightening", "colgen"} <= set(solution)
@@ -79,7 +84,7 @@ def test_solve_monge_and_decompose(interval_spec, tmp_path):
     reports = []
     for command in ("solve-monge", "decompose"):
         assert cli.main([command, "--space", str(sphere), "--seed", "5", "--out", out]) == 0
-        reports.append(json.load(open(out)))
+        reports.append(_load(out))
     w1, solution = reports[0]["w1"], reports[1]["solution"]
     assert solution["engine"] == "highs-colgen"
     assert (solution["tightening"], solution["colgen"]) == (w1["tightening"], w1["colgen"])
@@ -91,7 +96,7 @@ def test_solve_monge_and_decompose(interval_spec, tmp_path):
 def test_decompose_reports_the_coupling(interval_spec, tmp_path):
     out = str(tmp_path / "dec.json")
     assert cli.main(["decompose", "--space", interval_spec, "--seed", "5", "--out", out]) == 0
-    rep = json.load(open(out))
+    rep = _load(out)
     coupling = rep["coupling"]
     assert set(coupling) == {"cost", "is_map", "passthrough_mass", "pairs"}
     assert abs(coupling["cost"] - rep["solution"]["primal_value"]) <= 1e-9
@@ -118,8 +123,8 @@ def test_determinism_modulo_wall_time(interval_spec, tmp_path):
     for out in (a, b):
         assert cli.main(["profile", "--space", interval_spec, "--v-grid", "0.3,0.6",
                          "--seed", "9", "--out", out]) == 0
-    ra = json.load(open(a))
-    rb = json.load(open(b))
+    ra = _load(a)
+    rb = _load(b)
     ra["manifest"].pop("wall_time_s")
     rb["manifest"].pop("wall_time_s")
     ra["manifest"]["config"].pop("out")
@@ -155,7 +160,7 @@ def test_marginals_keyed_by_point_id(interval_spec, tmp_path):
     out = str(tmp_path / "keyed_out.json")
     assert cli.main(["solve-monge", "--space", interval_spec,
                      "--marginals", str(marg), "--out", out]) == 0
-    rep = json.load(open(out))
+    rep = _load(out)
     assert rep["w1"]["primal_value"] > 3.0   # nearly the full interval length
 
 
@@ -194,7 +199,7 @@ def test_manifest_config_echoes_exactly_the_flags(interval_spec, tmp_path, monke
         out = str(tmp_path / f"{name}.json")
         space = [] if name == "selftest" else ["--space", interval_spec]
         assert cli.main([name, *space, *argv[name], "--out", out]) in (0, 2)
-        manifest = json.load(open(out))["manifest"]
+        manifest = _load(out)["manifest"]
         assert manifest["command"] == name
         assert set(manifest["config"]) == {f[2:].replace("-", "_") for f in flags.split()}
 
@@ -216,10 +221,10 @@ def test_check_tol_is_used_as_given(interval_spec, tmp_path):
     out = str(tmp_path / "cd.json")
     assert cli.main(["check-cd", "--space", interval_spec, "--K", "1", "--N", "2",
                      "--samples", "200", "--tol", "0", "--out", out]) in (0, 2)
-    assert json.load(open(out))["check"]["rel_tol"] == 0.0
+    assert _load(out)["check"]["rel_tol"] == 0.0
     assert cli.main(["check-cd", "--space", interval_spec, "--K", "1", "--N", "2",
                      "--samples", "200", "--out", out]) == 0
-    assert json.load(open(out))["check"]["rel_tol"] == 1e-7
+    assert _load(out)["check"]["rel_tol"] == 1e-7
 
 
 @pytest.mark.parametrize("argv, error", [

@@ -255,10 +255,10 @@ def test_structure_and_rays_on_coincident_points_match_the_distance_oracle(case)
 def _interval_record(space, marginals):
     sol = w1.solve_w1(space, *marginals)
     needles = mg.decompose(space, sol)
-    st, dec = needles.structure, needles.rays
+    g, st, dec = needles.gamma, needles.structure, needles.rays
     return (sol.pairs.tobytes(), sol.masses.tobytes(), sol.potential.tobytes(),
             sol.lipschitz_residual, sol.duality_gap, space.mesh, space.nearest.tobytes(),
-            needles.gamma.fwd.tobytes(), needles.gamma.bwd.tobytes(), st.r.tobytes(),
+            [None if a is None else a.tobytes() for a in (g.fwd, g.bwd, g.runs)], st.R.tobytes(),
             st.initial_points.tobytes(), st.final_points.tobytes(),
             st.transport_set_e.tobytes(), st.branching_fwd.tobytes(),
             st.branching_bwd.tobytes(), st.transport_set.tobytes(),

@@ -189,8 +189,8 @@ def test_one_owner_for_bit_rows_and_row_blocks():
         blocks += [f"{path.name}:{name}" for name in sorted(names) if "BLOCK" in name]
     assert bits == [] and columns == []
     assert list(inspect.signature(w1._packed).parameters) == ["M"]
-    # Gamma and R stay bit rows: `.mask` and `.R` unpack them for inspection
-    # only, and only gamma_set makes a GammaSet
+    # `.mask` and `.R` unpack Gamma's bit rows for inspection only, and only
+    # gamma_set makes a GammaSet
     dense, makers = [], []
     for path in sorted(SRC.glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text())):

@@ -55,6 +55,19 @@ def _solution(phi):
                          np.full(n, 1.0 / n), np.full(n, 1.0 / n))
 
 
+def _assert_gamma(gamma, fwd, bwd, where=None):
+    """Gamma equals the bools fwd and Gamma^-1 equals bwd, in Gamma's one
+    stored form: runs, with no bit rows, or bit rows word for word (padding
+    bits too)."""
+    if gamma.runs is None:
+        assert np.array_equal(gamma.fwd, w1._packed(fwd)), where
+        assert np.array_equal(gamma.bwd, w1._packed(bwd)), where
+    else:
+        assert gamma.fwd is None and gamma.bwd is None, where
+        assert np.array_equal(gamma.mask, fwd), where
+        assert np.array_equal(w1._run_rows(gamma.runs[2], gamma.runs[3]), bwd), where
+
+
 GRID = ([(n, 0.0, False) for n in (16, 17, 63, 64, 65, 300, 500, 1000, 2001)]
         + [(n, offset, dup) for n in (17, 65, 300) for offset in (0.0, 1e6, -3e8)
            for dup in (False, True)])
@@ -70,8 +83,7 @@ def test_runs_match_the_dense_gamma_and_residual(n, offset, duplicates):
         gap = phi[:, None] - phi[None, :]
         for tol in (0.0, 1e-12, 1e-6, step, np.inf):
             gamma = w1.gamma_set(space, _solution(phi), tol)
-            assert np.array_equal(gamma.fwd, w1._packed(gap >= D - tol)), (name, tol)
-            assert np.array_equal(gamma.bwd, w1._packed(-gap >= D - tol)), (name, tol)
+            _assert_gamma(gamma, gap >= D - tol, -gap >= D - tol, (name, tol))
         _assert_residual(w1._lipschitz_residual(phi, space), phi, space, D)
 
 
@@ -85,8 +97,7 @@ def test_runs_match_the_dense_gamma_on_ties_at_the_tolerance(offset):
         gap = phi[:, None] - phi[None, :]
         for tol in (0.1, 0.2, 0.3, 1.7):
             gamma = w1.gamma_set(_line(t), _solution(phi), tol)
-            assert np.array_equal(gamma.fwd, w1._packed(gap >= D - tol)), tol
-            assert np.array_equal(gamma.bwd, w1._packed(-gap >= D - tol)), tol
+            _assert_gamma(gamma, gap >= D - tol, -gap >= D - tol, tol)
 
 
 def test_runs_bound_the_pairs_of_every_row():
@@ -233,8 +244,9 @@ def _assert_routes_agree(line, matrix, phi, tol):
         assert _same(ray.points, other.points) and _same(ray.params, other.params)
         assert ray.representative == other.representative and ray.mass == other.mass
     assert gamma.count == bits.count
-    # the bit rows, built on request from the runs
-    assert _same(gamma.fwd, bits.fwd) and _same(gamma.bwd, bits.bwd) and _same(st.r, bst.r)
+    # Gamma and Gamma^-1 in either stored form, and R read from them
+    _assert_gamma(gamma, bits.mask, w1._unpacked(bits.bwd, line.n))
+    assert _same(st.R, bst.R)
     return runs
 
 
@@ -265,7 +277,7 @@ def test_run_route_equals_the_bit_route_on_ties_at_the_tolerance(offset):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_cyclic_monotonicity_reads_pairs_from_the_runs(seed):
     # the same pairs in the row-major order of np.argwhere: equal reports for
-    # equal rng draws, and no bit row is built
+    # equal rng draws, and Gamma stays runs
     space = ms.generate_interval_model(1.0, 2.0, np.pi, 700)[0]
     sol, tol = _solved(space, seed)
     gamma = w1.gamma_set(space, sol, tol)
@@ -276,7 +288,7 @@ def test_cyclic_monotonicity_reads_pairs_from_the_runs(seed):
                                            rng=np.random.default_rng(seed + k))
         assert got == w1.check_cyclic_monotonicity(space, bits, k=k, trials=3000,
                                                    rng=np.random.default_rng(seed + k))
-    assert gamma._fwd is None and gamma._bwd is None
+    assert gamma.runs is not None and gamma.fwd is None and gamma.bwd is None
 
 
 def test_runs_kept_after_the_row_pass_pack_no_bit_row(monkeypatch):
@@ -289,4 +301,4 @@ def test_runs_kept_after_the_row_pass_pack_no_bit_row(monkeypatch):
     assert ((lo_out < lo_in) | (hi_in < hi_out)).any()
     monkeypatch.setattr(w1, "_packed", mock.Mock(side_effect=AssertionError("packed")))
     gamma = w1.gamma_set(_line(t), _solution(phi), 0.1)
-    assert gamma.runs is not None and gamma._fwd is None and gamma._bwd is None
+    assert gamma.runs is not None and gamma.fwd is None and gamma.bwd is None

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -168,17 +169,16 @@ def test_common_ray_pairs_in_R():
 
 
 def test_non_chain_component_orphaned():
-    # white-box: a fabricated structure whose R-component is not a phi-chain
+    # white-box: a fabricated Gamma whose R-component is not a phi-chain
     D = np.array([[0.0, 1.0, 1.05],
                   [1.0, 0.0, 0.05],
                   [1.05, 0.05, 0.0]])
     sp = ms.build_space([0, 1, 2], {"type": "matrix", "data": D})
     mask = np.eye(3, dtype=bool)
-    mask[0, 1] = True                      # only (0,1) saturated
+    mask[0, 1] = mask[2, 1] = True         # R joins 0-1 and 1-2, and 2 -> 1 runs against phi
     g = w1.GammaSet(ry._packed(mask), 1e-6, ry._packed(mask.T))
-    R = np.ones((3, 3), dtype=bool)        # fabricated: everything related
     st = ry.TransportStructure(
-        gamma=g, r=ry._packed(R),
+        gamma=g,
         initial_points=np.array([0]), final_points=np.array([2]),
         transport_set_e=np.array([0, 1, 2]),
         branching_fwd=np.array([], dtype=int), branching_bwd=np.array([], dtype=int),
@@ -406,7 +406,8 @@ def test_bit_route_memory_on_the_matrix_copy():
 
 def test_decompose_on_an_interval_model_builds_no_bit_rows(monkeypatch):
     # Gamma is kept as runs from gamma_set to the coupling: no array of n bit
-    # rows is packed or written, and the clique cover never runs
+    # rows is packed, no dense view of n rows is built, and the clique cover
+    # never runs
     space, sol, _ = _interval_2000()
     rows = []
 
@@ -420,14 +421,14 @@ def test_decompose_on_an_interval_model_builds_no_bit_rows(monkeypatch):
 
     for module in (w1, ry):
         spy(module, "_packed")
-        spy(module, "_run_words")
+        spy(module, "_run_rows")
     monkeypatch.setattr(ry, "_clique_cover", mock.Mock(side_effect=AssertionError("cover")))
     needles = mg.decompose(space, sol)
     assert needles.gamma.runs is not None and len(needles.rays.rays) > 0
-    assert needles.gamma._fwd is None and needles.gamma._bwd is None
-    assert needles.structure._r is None
+    assert needles.gamma.fwd is None and needles.gamma.bwd is None
+    assert "r" not in {f.name for f in dataclasses.fields(needles.structure)}
     assert space.n not in rows
-    assert len(needles.structure.r) == space.n and space.n in rows     # the spies see a build
+    assert len(needles.structure.R) == space.n and space.n in rows     # the spies see a build
 
 
 def test_partition_memory_below_2n2_bytes():

@@ -126,6 +126,13 @@ CASES = {
         _disintegration(), test_sets=[np.ones(63, bool)], ray_subsets=[[0]]),
     "disintegrate-measure-length": lambda: di.disintegrate(*_rays(), np.full(63, 1 / 63)),
     "balance-f-length": lambda: di.check_balance(*_rays(), np.zeros(63)),
+    # a negative or NaN measure listed every ray as zero-mass, and a NaN f
+    # gave NaN per-ray values (an infinite one a NotMeanZero)
+    "disintegrate-measure-negative": lambda: di.disintegrate(*_rays(), np.full(64, -1 / 64)),
+    "disintegrate-measure-nan": lambda: di.disintegrate(*_rays(),
+                                                        np.r_[np.full(63, 1 / 63), np.nan]),
+    "balance-f-nan": lambda: di.check_balance(*_rays(), np.r_[np.zeros(63), np.nan]),
+    "balance-f-inf": lambda: di.check_balance(*_rays(), np.r_[np.zeros(63), np.inf]),
     "minkowski-indicator-length": lambda: iso.minkowski_content(
         _interval(), np.ones(63, bool), [0.2]),
 }

@@ -177,8 +177,13 @@ def test_gamma_bwd_is_the_transpose_of_fwd(case):
     g = w1.gamma_set(space, w1.solve_w1(space, mu0, mu1))
     mask = g.mask
     assert mask.sum() > space.n
-    assert np.array_equal(w1._unpacked(g.bwd, space.n), mask.T)
-    assert np.array_equal(g.bwd, w1._packed(mask.T))     # padding bits too
+    if g.runs is None:
+        assert np.array_equal(w1._unpacked(g.bwd, space.n), mask.T)
+        assert np.array_equal(g.bwd, w1._packed(mask.T))     # padding bits too
+    else:   # Gamma^-1's runs, and no bit rows
+        assert g.fwd is None and g.bwd is None
+        assert np.array_equal(w1._run_rows(g.runs[2], g.runs[3]), mask.T)
+    assert (g.runs is not None) == (case == "interval-duplicates")
 
 
 def test_gamma_tol_too_small():
