@@ -21,13 +21,15 @@ Whatever the engine, the dual potential is re-derived: seed values from
 the engine are tightened by Bellman-Ford relaxation of the difference
 constraints  phi(x) - phi(y) <= d(x,y)  with equality on the plan
 support, then extended to unmoved points by infimal convolution with the
-distance cones. Relaxation runs on the components of the support forest
-over a sparse active set of constraints, each Jacobi pass followed by a
-walk of its pointer forest (pointer jumping), so passes do not follow hop
-depth; a blocked dense check adds every violated constraint until none is
-left, and an attempt fails only on a proven negative cycle (a broken 1- or
-2-cycle of components before any pass), so which slack margin is accepted
-depends on the instance alone, not on the seed or a pass budget. The result is
+distance cones. Relaxation runs on one system of K values, one per
+component of the support forest, over a growing set of its constraints,
+each Jacobi pass followed by a walk of its pointer forest (pointer
+jumping), so passes do not follow hop depth; a blocked dense check adds
+every violated constraint until none is left, and an attempt fails only
+on a proven negative cycle (a broken 1- or 2-cycle of components before
+any pass, a pointer cycle, or values still dropping after K + 1 passes),
+so which slack margin is accepted depends on the instance alone, not on
+the seed or a pass budget. The result is
 1-Lipschitz to machine precision and saturates every support pair up to
 the relaxation's tolerance (`support_residual`), so strong duality holds
 with no solver tolerance in the loop.
@@ -243,6 +245,9 @@ _RTOL = 1e-13
 # basic masses below minus this, and trees of the basis out of balance by
 # more, are primal infeasible and pivoted out of the basis (`_basis_plan`)
 _MASS_TOL = 1e-15
+# nearest neighbours per point in each starting edge set: arc generation's
+# first arcs, both ways, and the tightening's first constraints
+_KNN = 8
 
 
 def _engine_highs_generated(D_sub, a, b):
@@ -271,10 +276,9 @@ def _engine_highs_generated(D_sub, a, b):
     of columns nonbasic at their bound when the bounded LP converged.
     """
     S, T = D_sub.shape
-    k_nn = 8
     inset = np.zeros((S, T), dtype=bool)
-    inset[np.arange(S)[:, None], np.argpartition(D_sub, min(k_nn, T - 1), axis=1)[:, :k_nn]] = True
-    inset[np.argpartition(D_sub, min(k_nn, S - 1), axis=0)[:k_nn, :], np.arange(T)] = True
+    inset[np.arange(S)[:, None], np.argpartition(D_sub, min(_KNN, T - 1), axis=1)[:, :_KNN]] = True
+    inset[np.argpartition(D_sub, min(_KNN, S - 1), axis=0)[:_KNN, :], np.arange(T)] = True
     # greedy staircase arcs guarantee a feasible restricted problem
     i = j = 0
     ra, rb = a.copy(), b.copy()
@@ -403,11 +407,10 @@ def _basis_plan(D_sub, a, b, src, dst, roots, pi):
     raise SolverFailure("restricted LP basis stays infeasible after dual pivots")
 
 
-_KNN = 8            # nearest moved neighbours per point in the starting edge set
 _CYCLE_CHECK = 16   # relaxation passes between negative-cycle checks
 
 
-def _relax(c, src, dst, w, starts, atol, bound=None):
+def _relax(c, src, dst, w, starts, atol):
     """Jacobi Bellman-Ford for  c[dst] <= c[src] + w  over an edge list
     sorted by target (`starts` indexes each target's first edge).
 
@@ -421,15 +424,15 @@ def _relax(c, src, dst, w, starts, atol, bound=None):
     pointer cycle whose weight is below -atol is a negative cycle
     (Cherkassky-Goldberg's parent-graph check), and the proof is {"proof":
     "cycle", "cycle_length", "cycle_weight"}. Otherwise values still
-    dropping by more than `atol` after `bound` passes (default, and least,
-    m + 1) prove one, since shortest walks would need more than m edges:
-    the proof is {"proof": "pass-bound"}. The absolute tolerance absorbs
+    dropping by more than `atol` after m + 1 passes (m = len(c)) prove
+    one, as walk values lie between the maximal solution and plain
+    Jacobi's, which reaches it in m - 1 passes unless there is one: the
+    proof is {"proof": "pass-bound"}. The absolute tolerance absorbs
     exact-zero cycles that float rounding turns into 1e-16-rate descent."""
     m = len(c)
     edge = np.full(m, -1)
     loop = src == dst
-    bound = m + 1 if bound is None else bound
-    for k in range(1, bound + 1):
+    for k in range(1, m + 2):
         vals = c[src] + w
         c2 = np.minimum(c, np.minimum.reduceat(vals, starts))
         if (c - c2).max() <= atol:
@@ -441,7 +444,7 @@ def _relax(c, src, dst, w, starts, atol, bound=None):
             if weight < -atol:
                 return None, k, {"proof": "cycle", "cycle_length": length, "cycle_weight": weight}
         c = _walk_forest(c2, x, src[edge[x]], w[edge[x]])
-    return None, bound, {"proof": "pass-bound"}
+    return None, m + 1, {"proof": "pass-bound"}
 
 
 def _walk_forest(c, x, up, wt):
@@ -490,73 +493,6 @@ def _exempted(B, lo, pairs=None):
     return B
 
 
-class _ActiveSet:
-    """Difference constraints  c_i - c_j <= W[j, i] - t  (i != j) on len(W)
-    values, relaxed over a growing subset of the edges j -> i.
-
-    The set starts with the self-loops, which are not deflated, and each
-    value's _KNN nearest neighbours in both directions; it only grows,
-    since every extra edge is a constraint of the full system, and serves
-    every margin t.
-    """
-
-    def __init__(self, W):
-        m = len(W)
-        self.W = W
-        k = min(_KNN, m - 1)
-        near = []                            # edge keys j * m + i
-        for lo, hi in _row_ranges(m, m):
-            i = np.repeat(np.arange(lo, hi), k)
-            j = np.argpartition(_exempted(W[lo:hi].copy(), lo), k - 1, axis=1)[:, :k].ravel()
-            near += [i * m + j, j * m + i]
-        near = np.unique(np.concatenate(near))
-        diag = np.arange(m)
-        self._set(np.concatenate([diag, near // m]), np.concatenate([diag, near % m]))
-
-    def _set(self, src, dst):
-        # edge order: m self-loops, then the deflated edges
-        self.src, self.dst = src, dst
-        self.base = self.W[src, dst]
-        self.order = np.argsort(dst, kind="stable")
-        self.starts = np.searchsorted(dst[self.order], np.arange(len(self.W)))
-
-    def _violated(self, c, t, atol):
-        """Each target's best in-edge per row block, where it beats c by more than atol."""
-        srcs, dsts = [], []
-        for lo, hi in _row_ranges(len(c), len(c)):
-            B = c[lo:hi, None] + self.W[lo:hi]
-            B -= t
-            _exempted(B, lo)
-            hit = np.flatnonzero(B.min(axis=0) < c - atol)
-            srcs.append(lo + B[:, hit].argmin(axis=0))
-            dsts.append(hit)
-        return np.concatenate(srcs), np.concatenate(dsts)
-
-    def solve(self, t, start, atol, bound=None):
-        """Maximal solution below `start` at deflation margin t, or None when
-        a negative cycle is proven (`_relax`, with its pass `bound`).
-        Returns (values, record); a negative-cycle record says how the cycle
-        was proven (`_relax`'s proof)."""
-        m = len(self.W)
-        c, passes, rounds = start, 0, 0
-        while True:
-            rounds += 1
-            w = self.base.copy()
-            w[m:] -= t
-            o = self.order
-            c, k, proof = _relax(c, self.src[o], self.dst[o], w[o], self.starts, atol, bound)
-            passes += k
-            if c is None:
-                break
-            src, dst = self._violated(c, t, atol)
-            if len(src) == 0:
-                break
-            self._set(np.concatenate([self.src, src]), np.concatenate([self.dst, dst]))
-        record = {"margin": t, "outcome": "negative-cycle" if c is None else "feasible",
-                  "passes": passes, "rounds": rounds, "active_edges": len(self.src), **proof}
-        return c, record
-
-
 class _Contracted:
     """Exact saturation of the plan with one value u per component of the
     support forest: offsets with off_x - off_y = d(x, y) on every support
@@ -567,7 +503,14 @@ class _Contracted:
     between the points `moved`, in row blocks. `short` holds the least
     1-cycle (Mc's diagonal) and 2-cycle (Mc[a, b] + Mc[b, a]) weights with
     their lengths, and `cycle_bound` their least weight per component, above
-    every feasible margin (up to the tolerance)."""
+    every feasible margin (up to the tolerance).
+
+    The K components relax over a growing subset of the edges b -> a, kept
+    sorted by target: the self-loops, which are not deflated, and each
+    component's _KNN nearest neighbours in both directions at first. The
+    set only grows, since every extra edge is a constraint of the full
+    system, and serves every margin t.
+    """
 
     def __init__(self, space, moved, pairs_local):
         m, p = len(moved), len(pairs_local)
@@ -592,20 +535,58 @@ class _Contracted:
         self.label, self.off, self.short = label, off, ((float(Mc.diagonal().min()), 1), (two, 2))
         self.cycle_bound = min(weight / length for weight, length in self.short)
         np.fill_diagonal(Mc, 0.0)
-        self.active = _ActiveSet(Mc)
+        self.Mc, self.src, self.dst = Mc, np.zeros(0, int), np.zeros(0, int)
+        k = min(_KNN, K - 1)
+        near = []                            # edge keys src * K + dst
+        for lo, hi in _row_ranges(K, K):
+            a = np.repeat(np.arange(lo, hi), k)
+            b = np.argpartition(_exempted(Mc[lo:hi].copy(), lo), k - 1, axis=1)[:, :k].ravel()
+            near += [a * K + b, b * K + a]
+        near = np.unique(np.concatenate(near))
+        self._add(np.r_[:K, near // K], np.r_[:K, near % K])
+
+    def _add(self, src, dst):
+        """Join the edges src -> dst; each target's edges stay in the order they joined."""
+        src, dst = np.concatenate([self.src, src]), np.concatenate([self.dst, dst])
+        o = np.argsort(dst, kind="stable")
+        self.src, self.dst = src[o], dst[o]
+        self.base = self.Mc[self.src, self.dst]
+        self.starts = np.searchsorted(self.dst, np.arange(len(self.Mc)))
+
+    def _violated(self, u, t, atol):
+        """Each target's best in-edge per row block, where it beats u by more than atol."""
+        srcs, dsts = [], []
+        for lo, hi in _row_ranges(len(u), len(u)):
+            B = u[lo:hi, None] + self.Mc[lo:hi]
+            B -= t
+            _exempted(B, lo)
+            hit = np.flatnonzero(B.min(axis=0) < u - atol)
+            srcs.append(lo + B[:, hit].argmin(axis=0))
+            dsts.append(hit)
+        return np.concatenate(srcs), np.concatenate(dsts)
 
     def solve(self, t, seed, atol):
-        """`_ActiveSet.solve` on components, unless a 1- or 2-cycle that
-        margin t breaks proves a negative cycle before any pass (proof
-        "screen"); the pass bound stays the points' m + 1."""
+        """The maximal solution below `seed` at margin t, or None once a
+        negative cycle is proven: by a 1- or 2-cycle that t breaks (proof
+        "screen", before any pass) or by `_relax`. Returns (values, record)."""
+        u, passes, rounds = np.full(len(self.Mc), np.inf), 0, 0
+        np.minimum.at(u, self.label, seed - self.off)
         for weight, length in self.short:
             if weight - length * t < -atol:
-                return None, {"margin": t, "outcome": "negative-cycle", "passes": 0, "rounds": 0,
-                              "active_edges": len(self.active.src), "proof": "screen",
-                              "cycle_length": length, "cycle_weight": weight - length * t}
-        start = np.full(len(self.active.W), np.inf)
-        np.minimum.at(start, self.label, seed - self.off)
-        u, record = self.active.solve(t, start, atol, len(self.label) + 1)
+                u, proof = None, {"proof": "screen", "cycle_length": length,
+                                  "cycle_weight": weight - length * t}
+                break
+        else:
+            while True:
+                rounds += 1
+                u, k, proof = _relax(u, self.src, self.dst, self.base - t * (self.src != self.dst),
+                                     self.starts, atol)
+                passes += k
+                if u is None or len((new := self._violated(u, t, atol))[0]) == 0:
+                    break
+                self._add(*new)
+        record = {"margin": t, "outcome": "negative-cycle" if u is None else "feasible",
+                  "passes": passes, "rounds": rounds, "active_edges": len(self.src), **proof}
         return None if u is None else u[self.label] + self.off, record
 
 
@@ -632,24 +613,26 @@ def _tighten_potential(space, moved, pairs_local, seed):
     descending ladder is tried and the largest feasible margin is
     returned. The undeflated system runs last, only when every margin
     fails: deflation only lowers constraints, so a feasible margin proves
-    it feasible too. Every attempt runs on the support components
-    (`_Contracted`).
+    it feasible too.
 
-    A margin that breaks a 1- or 2-cycle is rejected with no pass
-    (`_Contracted.short`); otherwise it relaxes over a sparse active edge
-    set (`_ActiveSet`, `_relax`), then checks the full system densely, in
-    row blocks; violated constraints join the set and relaxation resumes
-    from the current values, which stay above the full system's maximal
+    Every attempt runs on one system, `_Contracted`: a value per component
+    of the support forest, K in all. A margin that breaks a 1- or 2-cycle
+    is rejected with no pass (`_Contracted.short`); otherwise it relaxes
+    over the system's growing edge set (`_relax`, whose K + 1 pass bound
+    is the system's), then checks the full K x K system densely, in row
+    blocks; violated constraints join the set and relaxation resumes from
+    the current values, which stay above the full system's maximal
     solution. An attempt is feasible once the dense check passes, and
     infeasible only when a negative cycle is proven, which is a cycle of
     the full system too. Outcomes are thus properties of the instance, not
     of the seed or of a pass budget.
 
-    Returns (values, margin, rungs, `_Contracted.cycle_bound`), where
-    `rungs` records every attempt in the order run: margin, outcome
-    ("feasible" / "negative-cycle"), passes, rounds, active edges and, on
-    a negative cycle, how it was proven ("screen" or `_relax`'s proof;
-    counted in components). A negative cycle in the undeflated system
+    Returns (values, margin, record), with record = {"rungs", "components",
+    "cycle_bound"} as `W1Solution.tightening`: every attempt in the order
+    run (margin, outcome "feasible" / "negative-cycle", passes, rounds,
+    active edges and, on a negative cycle, how it was proven: "screen" or
+    `_relax`'s proof, counted in components), K, and
+    `_Contracted.cycle_bound`. A negative cycle in the undeflated system
     raises SolverFailure: the plan is not optimal.
     """
     scale = 1.0 + space.max_distance
@@ -659,7 +642,8 @@ def _tighten_potential(space, moved, pairs_local, seed):
         c, record = merged.solve(rel * scale, seed, _RTOL * scale)
         rungs.append(record)
         if c is not None:
-            return c, rel * scale, rungs, merged.cycle_bound
+            return c, rel * scale, {"rungs": rungs, "components": len(merged.Mc),
+                                    "cycle_bound": merged.cycle_bound}
     raise SolverFailure("potential tightening found a negative cycle at exact saturation: "
                         "the plan is not optimal")
 
@@ -709,10 +693,7 @@ def solve_w1(space: MMSpace, mu0, mu1) -> W1Solution:
                 tag = "highs-colgen"
             moved = np.concatenate([src, snk])
             support_local = np.stack([loc_pairs[:, 0], S + loc_pairs[:, 1]], axis=1)
-            c, slack_floor, rungs, bound = _tighten_potential(space, moved, support_local, seed)
-            # the support is a forest (`_Contracted`): one component less per pair
-            tightening = {"rungs": rungs, "components": len(moved) - len(loc_pairs),
-                          "cycle_bound": bound}
+            c, slack_floor, tightening = _tighten_potential(space, moved, support_local, seed)
             phi = _extend_potential(space, moved, c)
             flow_pairs = np.stack([src[loc_pairs[:, 0]], snk[loc_pairs[:, 1]]], axis=1)
             pairs = np.concatenate([diag_pairs, flow_pairs], axis=0)
@@ -800,15 +781,19 @@ def from_certificate(space: MMSpace, mu0, mu1, pairs, masses, potential) -> W1So
 
     Validates marginals, strong duality and the Lipschitz bound; raises
     SolverFailure if the certificate does not close, and BadParameter for
-    pairs outside the points, non-finite masses, or masses or a potential of
-    the wrong length. Useful when a construction carries a known optimal pair.
+    pairs that are not (k, 2) integers indexing the points, non-finite
+    masses, or masses or a potential of the wrong length. Useful when a
+    construction carries a known optimal pair.
     """
     n = space.n
     mu0 = _check_probability(mu0, n, "mu0")
     mu1 = _check_probability(mu1, n, "mu1")
-    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
-    if not ((0 <= pairs) & (pairs < n)).all():
-        raise BadParameter(f"pairs must index the points 0..{n - 1}")
+    pairs = np.asarray(pairs, dtype=float)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise BadParameter(f"pairs has shape {pairs.shape}, expected (k, 2)")
+    if not ((0 <= pairs) & (pairs < n) & (np.trunc(pairs) == pairs)).all():    # NaN fails too
+        raise BadParameter(f"pairs must be integers indexing the points 0..{n - 1}")
+    pairs = pairs.astype(int)
     masses = _vector(masses, len(pairs), "masses")
     if (bad := np.flatnonzero(~np.isfinite(masses))).size:
         raise BadParameter(f"masses must be finite, got {masses[bad[0]]} at pair {bad[0]}")

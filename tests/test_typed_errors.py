@@ -179,13 +179,20 @@ def test_nonfinite_interval_diameter_is_a_bad_diameter(D):
 
 @pytest.mark.parametrize("change, name", [
     (lambda sol, n: (np.r_[sol.pairs, [[0, n]]], np.r_[sol.masses, 0.0], sol.potential), "pairs"),
+    (lambda sol, n: (sol.pairs + [0, 0.5], sol.masses, sol.potential), "pairs"),
+    (lambda sol, n: (np.c_[sol.pairs, sol.pairs], sol.masses, sol.potential), "pairs"),
+    (lambda sol, n: (np.r_[sol.pairs, [[0, np.nan]]], np.r_[sol.masses, 0.0], sol.potential),
+     "pairs"),
     (lambda sol, n: (sol.pairs, sol.masses[:-1], sol.potential), "masses"),
     (lambda sol, n: (sol.pairs, np.r_[sol.masses[:-1], np.inf], sol.potential), "masses"),
     (lambda sol, n: (sol.pairs, sol.masses, sol.potential[:-1]), "potential")],
-    ids=["pair-out-of-range", "masses-length", "masses-inf", "potential-length"])
+    ids=["pair-out-of-range", "pair-fractional", "pair-three-columns", "pair-nan",
+         "masses-length", "masses-inf", "potential-length"])
 def test_malformed_certificate_names_the_argument(change, name):
     # an IndexError from the marginal check, or numpy's ValueError from matmul
-    # or broadcasting, before the certificate was read
+    # or broadcasting, before the certificate was read; fractional pairs
+    # were truncated into a certificate that closed, extra columns were
+    # reshaped into more pairs, and NaN raised numpy's cast warning
     space, sol = _solved()
     with pytest.raises(BadParameter, match=f"^{name} "):
         w1.from_certificate(space, sol.mu0, sol.mu1, *change(sol, space.n))

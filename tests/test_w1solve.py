@@ -831,10 +831,12 @@ def _space(Dm):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_active_set_relaxation_matches_dense_oracle(seed):
-    # Manhattan distances between lattice points: many exact ties, hence
-    # exact-zero cycles, and 2-cycles of weight 2 (1 - t) that deflations
-    # past t = 1 break; the asymmetric case relaxes the lattice's distances
-    # offset by a random potential, as the contracted weights are
+    # an empty plan leaves one component per point (K = m) and no offsets,
+    # so the active set relaxes the distances as they stand. Manhattan
+    # distances between lattice points: many exact ties, hence exact-zero
+    # cycles, and 2-cycles of weight 2 (1 - t) that deflations past t = 1
+    # break; the asymmetric case relaxes the lattice's distances offset by
+    # a random potential, as the contracted weights are
     rng = np.random.default_rng(seed)
     Dm, _ = _lattice(seed)
     atol = 1e-13 * (1 + Dm.max())
@@ -842,10 +844,11 @@ def test_active_set_relaxation_matches_dense_oracle(seed):
     no_pairs, outcomes = np.zeros((0, 2), int), set()
     for W in (Dm, Dm + shift[:, None] - shift[None, :]):
         start = rng.normal(size=len(Dm))
-        active = w1._ActiveSet(W)
+        merged = w1._Contracted(_space(W), np.arange(len(W)), no_pairs)
+        assert len(merged.Mc) == len(W)
         for t in (0.0, 1e-3, 0.5, 1.0, 1.5, 3.0):
             want = _bellman_max(_dense_constraints(W, no_pairs, t), start, len(W) + 2, atol)
-            got, record = active.solve(t, start, atol)
+            got, record = merged.solve(t, start, atol)
             assert (got is None) == (want is None), t
             assert record["outcome"] == ("negative-cycle" if want is None else "feasible")
             if want is not None:
@@ -915,12 +918,12 @@ def test_slack_floor_does_not_depend_on_the_seed():
     rows, cols = linear_sum_assignment(D_sub)
     pairs = np.stack([rows, 250 + cols], axis=1)
     moved = np.concatenate([src, snk])
-    _, floor_zero, rungs_zero, bound_zero = w1._tighten_potential(sp, moved, pairs, None)
-    _, floor_duals, rungs_duals, bound_duals = w1._tighten_potential(sp, moved, pairs, duals)
+    _, floor_zero, zero = w1._tighten_potential(sp, moved, pairs, None)
+    _, floor_duals, from_duals = w1._tighten_potential(sp, moved, pairs, duals)
     assert floor_zero > 0
     assert floor_duals == floor_zero
-    assert bound_duals == bound_zero >= floor_zero
-    assert [r["outcome"] for r in rungs_duals] == [r["outcome"] for r in rungs_zero]
+    assert from_duals["cycle_bound"] == zero["cycle_bound"] >= floor_zero
+    assert [r["outcome"] for r in from_duals["rungs"]] == [r["outcome"] for r in zero["rungs"]]
 
 
 def test_cycle_is_proven_one_check_after_a_lap():
@@ -1137,8 +1140,9 @@ def test_ladder_order_matches_undeflated_first_oracle(case):
         space, moved = _space(Dm), np.arange(len(Dm))
     scale = 1 + space.max_distance
     want, want_margin = _undeflated_first(space.rows(moved, moved), scale, pairs, None)
-    got, margin, rungs, cycle_bound = w1._tighten_potential(space, moved, pairs, None)
-    assert margin == want_margin <= cycle_bound
+    got, margin, record = w1._tighten_potential(space, moved, pairs, None)
+    rungs = record["rungs"]
+    assert margin == want_margin <= record["cycle_bound"]
     assert (rungs[-1]["margin"], rungs[-1]["outcome"]) == (margin, "feasible")
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
     if case == "cap-n1000":     # the 1e-8 rung certifies, and no undeflated attempt runs
@@ -1243,10 +1247,10 @@ def _cyclic_tie(k):
 
 
 def test_negative_cycle_rungs_say_how_they_were_proven():
-    # the 3x3 cyclic tie's deflated rungs end at the m + 1 pass bound
-    # (m = 6), the 8x8 tie's close its pointer cycle at the first check,
-    # and a lattice's deflated rungs break an exact-tie 2-cycle, which the
-    # screen proves before any pass
+    # the 3x3 cyclic tie's deflated rungs end at the K + 1 pass bound of
+    # its K = 3 components, the 16x16 tie's close its pointer cycle at the
+    # first check, and a lattice's deflated rungs break an exact-tie
+    # 2-cycle, which the screen proves before any pass
     Dm, _ = _lattice(0)
     mu0, mu1 = np.zeros(20), np.zeros(20)
     mu0[:10] = mu1[10:] = 0.1
@@ -1255,7 +1259,7 @@ def test_negative_cycle_rungs_say_how_they_were_proven():
     base = {"margin", "outcome", "passes", "rounds", "active_edges"}
     proofs = []
     ties = []
-    for k in (3, 8):
+    for k in (3, 16):
         space = ms.build_space(list(range(2 * k)), {"type": "matrix", "data": _cyclic_tie(k)})
         ties.append(w1.solve_w1(space, np.r_[np.full(k, 1 / k), np.zeros(k)],
                                 np.r_[np.zeros(k), np.full(k, 1 / k)]))
@@ -1267,6 +1271,7 @@ def test_negative_cycle_rungs_say_how_they_were_proven():
                 assert set(r) == base
             elif r["proof"] == "pass-bound":
                 assert set(r) == base | {"proof"}
+                assert r["passes"] == sol.tightening["components"] + 1
             else:
                 assert set(r) == base | {"proof", "cycle_length", "cycle_weight"}
                 assert r["proof"] in ("cycle", "screen") and type(r["cycle_length"]) is int
