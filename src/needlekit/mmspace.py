@@ -31,7 +31,6 @@ from .errors import (
 REL_TOL = 1e-12
 EXHAUSTIVE_TRIPLE_LIMIT = 300
 SAMPLED_TRIPLES = 10**6
-TRIPLE_BLOCK = 2**16    # sampled triples drawn and checked at a time
 _ROW_BLOCK = 1 << 15    # entries per block of every row-block pass, sized for a core's cache
 
 
@@ -323,8 +322,8 @@ def _validate_metric(D: np.ndarray, rng: np.random.Generator | None = None):
     else:
         rng = rng or np.random.default_rng(0)
         worst, flat = -np.inf, D.ravel()    # flat takes: faster than D[x, z]
-        for lo in range(0, SAMPLED_TRIPLES, TRIPLE_BLOCK):
-            x, y, z = rng.integers(0, n, size=(min(TRIPLE_BLOCK, SAMPLED_TRIPLES - lo), 3)).T
+        for lo, hi in _row_ranges(SAMPLED_TRIPLES, 3):
+            x, y, z = rng.integers(0, n, size=(hi - lo, 3)).T
             viol = flat.take(x * n + z) - flat.take(x * n + y) - flat.take(y * n + z)
             worst = max(worst, viol.max())
         if worst > tol:

@@ -29,7 +29,7 @@ from .errors import MassMismatch
 from .disint import Disintegration
 from .mmspace import MMSpace
 from .rays import RayDecomposition, TransportStructure
-from .w1solve import MASS_SCALE, GammaSet, W1Solution, _quantile_pairs, quantize_masses
+from .w1solve import MASS_SCALE, GammaSet, W1Solution, _quantile_pairs, _to_units
 
 
 @dataclasses.dataclass
@@ -59,20 +59,17 @@ def _couple(spos, smass, s_edges, tpos, tmass, t_edges):
 
     Group q is sources s_edges[q]:s_edges[q+1] and targets
     t_edges[q]:t_edges[q+1], each sorted by position, with equal positive
-    totals. Each group is quantized to its own MASS_SCALE units, so source
-    and target partial sums meet at every group boundary and no piece of
-    the sweep crosses one. Returns the integer units, the (k, 3) rows
-    (source, target, units) in group order, and each group's cost.
+    totals. Each group is quantized on one total (`w1solve._to_units`), so
+    source and target partial sums meet at every group boundary and no
+    piece of the sweep crosses one. Returns the integer units, the (k, 3)
+    rows (source, target, units) in group order, and each group's cost.
     """
     su = np.zeros(len(smass), np.int64)
     tu = np.zeros(len(tmass), np.int64)
     for q in range(len(s_edges) - 1):
         s = slice(s_edges[q], s_edges[q + 1])
         t = slice(t_edges[q], t_edges[q + 1])
-        s_total, t_total = smass[s].sum(), tmass[t].sum()
-        units = int(round(s_total * MASS_SCALE))
-        su[s] = quantize_masses(smass[s] / s_total * units, units)
-        tu[t] = quantize_masses(tmass[t] / t_total * units, units)
+        su[s], tu[t] = _to_units(smass[s], tmass[t])
     rows = _quantile_pairs(su, tu)
     i, j, m = rows.T
     terms = m * np.abs(spos[i] - tpos[j])

@@ -190,12 +190,18 @@ def _quantile_pairs(units0, units1) -> np.ndarray:
                      np.diff(cuts, prepend=0)], axis=1).astype(np.int64, copy=False)
 
 
+def _to_units(m0, m1) -> tuple[np.ndarray, np.ndarray]:
+    """Integer units of two mass lists of positive totals, each scaled to
+    one total, round(sum(m0) MASS_SCALE), and rounded by `quantize_masses`."""
+    units = int(round(m0.sum() * MASS_SCALE))
+    return tuple(quantize_masses(m / m.sum() * units, units) for m in (m0, m1))
+
+
 def _engine_line(space: MMSpace, mu0, mu1):
     """Exact quantile coupling and CDF-sign potential on a 1D-embeddable metric."""
     t = space.line_coord
     order = np.argsort(t, kind="stable")
-    u0, u1 = (quantize_masses(m * MASS_SCALE, int(round(m.sum() * MASS_SCALE)))
-              for m in (mu0[order], mu1[order]))
+    u0, u1 = _to_units(mu0[order], mu1[order])
     couple = _quantile_pairs(u0, u1)
     pairs = order[couple[:, :2]]
     masses = couple[:, 2] / MASS_SCALE
@@ -254,8 +260,8 @@ def _engine_highs_generated(D_sub, a, b):
     """Arc generation on one HiGHS model: a restricted transportation LP
     that gains columns each round, warm-started from the last basis.
 
-    The arc set starts from each point's nearest counterparts and a greedy
-    staircase (so the restricted LP is feasible), and each round adds the
+    The arc set starts from each point's nearest counterparts and the
+    north-west corner plan's arcs (a feasible start), and each round adds the
     most violated arcs outside it as new columns. Each column has upper
     bound min(a_i, b_j) (scaled like the rows): every feasible plan obeys
     it, since the row and column sums force it, so neither the feasible
@@ -276,21 +282,15 @@ def _engine_highs_generated(D_sub, a, b):
     of columns nonbasic at their bound when the bounded LP converged.
     """
     S, T = D_sub.shape
+    if abs(a.sum() - b.sum()) * _LP_SCALE > _HIGHS_OPTIONS["primal_feasibility_tolerance"]:
+        # within solve_w1's balance check, but beyond what HiGHS holds on _LP_SCALE rows
+        b = b * (a.sum() / b.sum())
     inset = np.zeros((S, T), dtype=bool)
     inset[np.arange(S)[:, None], np.argpartition(D_sub, min(_KNN, T - 1), axis=1)[:, :_KNN]] = True
     inset[np.argpartition(D_sub, min(_KNN, S - 1), axis=0)[:_KNN, :], np.arange(T)] = True
-    # greedy staircase arcs guarantee a feasible restricted problem
-    i = j = 0
-    ra, rb = a.copy(), b.copy()
-    while i < S and j < T:
-        inset[i, j] = True
-        m = min(ra[i], rb[j])
-        ra[i] -= m
-        rb[j] -= m
-        if ra[i] <= rb[j]:
-            i += 1
-        else:
-            j += 1
+    # the quantile coupling in index order (north-west corner) is a feasible plan
+    i, j, _ = _quantile_pairs(*_to_units(a, b)).T
+    inset[i, j] = True
     scale = max(D_sub.max(), 1.0)
     lp = _Highs()
     lp.setOptionValue("output_flag", False)

@@ -169,7 +169,7 @@ def _calls(tree):
 
 def test_one_owner_for_bit_rows_and_row_blocks():
     # only w1solve packs, unpacks or byte-views bit rows; only mmspace
-    # sizes a row block (TRIPLE_BLOCK counts sampled triples); bits are
+    # sizes a row block, with one constant (sampled triples too); bits are
     # packed by rows only, Gamma^-1 too (w1solve.gamma_set)
     bits, blocks, columns = [], [], []
     for path in sorted(SRC.glob("*.py")):
@@ -206,7 +206,7 @@ def test_one_owner_for_bit_rows_and_row_blocks():
                         makers.append(f"{path.name}:{func.name}")
     assert sorted(dense) == ["rays.py:R:_unpacked", "w1solve.py:mask:_unpacked"]
     assert makers == ["w1solve.py:gamma_set"]
-    assert blocks == ["mmspace.py:TRIPLE_BLOCK", "mmspace.py:_ROW_BLOCK"]
+    assert blocks == ["mmspace.py:_ROW_BLOCK"]
     assert not hasattr(ms, "_row_blocks") and not hasattr(ms, "_BLOCK")
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -441,6 +441,66 @@ def test_quantize_masses_exact_total(masses):
     assert units.sum() == total
     assert np.all(units >= 0)
     assert np.abs(units / w1.MASS_SCALE - arr).max() <= 1.5 / w1.MASS_SCALE
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40),
+       st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40),
+       st.floats(min_value=0.5, max_value=2.0))
+def test_to_units_one_total(m0, m1, ratio):
+    # both lists land on the first one's total, whatever the second one's
+    m0, m1 = np.asarray(m0), ratio * np.asarray(m1)
+    assume(m0.sum() > 0 and m1.sum() > 0)
+    total = int(round(m0.sum() * w1.MASS_SCALE))
+    for m, units in zip((m0, m1), w1._to_units(m0, m1)):
+        assert units.sum() == total
+        assert np.all(units >= 0)
+        assert np.abs(units - m / m.sum() * total).max() <= 1.5
+
+
+def _north_west_corner(a, b):
+    """Arcs of the north-west corner rule on float masses, as a loop: the
+    reference for arc generation's first arcs."""
+    arcs, i, j = [], 0, 0
+    ra, rb = a.copy(), b.copy()
+    while i < len(a) and j < len(b):
+        arcs.append((i, j))
+        m = min(ra[i], rb[j])
+        ra[i] -= m
+        rb[j] -= m
+        if ra[i] <= rb[j]:
+            i += 1
+        else:
+            j += 1
+    return arcs
+
+
+def test_quantile_start_is_the_north_west_corner():
+    # away from exact ties, the unit sweep takes the float loop's arcs
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        a, b = (rng.random(rng.integers(1, 60)) + 1e-3 for _ in range(2))
+        a, b = a / a.sum(), b / b.sum()
+        rows = w1._quantile_pairs(*w1._to_units(a, b))
+        assert list(map(tuple, rows[:, :2].tolist())) == _north_west_corner(a, b)
+
+
+def test_arc_generation_start_at_exact_ties():
+    # dyadic masses: source and sink partial sums meet exactly at cuts, where
+    # the quantile start coupling has no arc from one block to the next
+    tied = 0
+    for seed in range(40):
+        sp = _cloud(24, seed)
+        rng = np.random.default_rng(100 + seed)
+        mu0, mu1 = (rng.multinomial(64, np.full(24, 1 / 24)) / 64 for _ in range(2))
+        b = mu0 - mu1
+        a, d = b[b > 0], -b[b < 0]
+        tied += len(np.intersect1d(np.cumsum(a)[:-1], np.cumsum(d)[:-1])) > 0
+        sol = w1.solve_w1(sp, mu0, mu1)
+        assert sol.engine == "highs-colgen"
+        full = _full_lp(sp.D[np.ix_(b > 0, b < 0)], a, d).fun
+        assert sol.primal_value == pytest.approx(full, abs=1e-12)
+    assert tied == 40       # every draw has such a tie
 
 
 def test_arc_generation_engine_large_instance():
